@@ -15,8 +15,8 @@ from .codebook import (HierarchicalCodebook, build_codebook, num_stages,
                        projection_beam, selection_matrix, two_rf_factorization,
                        wide_beam)
 from .harness import (ScenarioConfig, TrialRecord, make_config,
-                      non_irs_benchmark, run_estimation_trace,
-                      run_mp_experiment, run_rate_experiment, sample_scenario,
+                      run_estimation_trace, run_mp_experiment,
+                      run_rate_experiment, run_trial, sample_scenario,
                       scenario_assets)
 from .irs_control import absorbing, direction_mode, random_mode, return_mode
 from .quantization import (QuantizationReport, average_error,

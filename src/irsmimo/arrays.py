@@ -17,13 +17,10 @@ class ArraySpec:
     spacing_wavelengths : float
         Inter-element spacing as a fraction of the carrier wavelength
         (default 0.5, i.e. half-wavelength).
-    orientation_angle : float
-        Broadside direction in scene coordinates, radians.
     """
 
     num_elements: int
     spacing_wavelengths: float = 0.5
-    orientation_angle: float = 0.0
 
     def __post_init__(self):
         if self.num_elements < 1:
@@ -34,25 +31,22 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class BeamVector:
-    """Complex beamforming weights plus a kind tag ('narrow', 'wide', or 'omni').
+    """Complex beamforming weights of unit Euclidean norm.
 
-    Narrow and wide beams carry unit Euclidean norm; omni is the raw
-    single-element excitation.
+    Narrow and wide beams are normalized by construction; omni is the
+    single-element excitation, whose norm is one as well.
     """
 
     coefficients: np.ndarray
-    kind: str = "narrow"
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", coeffs)
-        if self.kind not in ("narrow", "wide", "omni"):
-            raise ValueError(f"unknown beam kind {self.kind!r}")
-        if self.kind != "omni" and abs(np.linalg.norm(coeffs) - 1.0) > 1e-9:
-            raise ValueError("narrow/wide beams must have unit norm")
+        if abs(np.linalg.norm(coeffs) - 1.0) > 1e-9:
+            raise ValueError("beams must have unit norm")
 
     def conj(self) -> "BeamVector":
-        return BeamVector(np.conj(self.coefficients), kind=self.kind)
+        return BeamVector(np.conj(self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -84,16 +78,14 @@ def steering_coefficients(num_elements: int, spacing_wavelengths: float,
 def steering(spec: ArraySpec, angle: float) -> BeamVector:
     """Unit-norm array response vector of `spec` in direction `angle` (radians)."""
     return BeamVector(
-        steering_coefficients(spec.num_elements, spec.spacing_wavelengths, angle),
-        kind="narrow",
-    )
+        steering_coefficients(spec.num_elements, spec.spacing_wavelengths, angle))
 
 
 def omni(spec: ArraySpec) -> BeamVector:
     """Single-active-element beam (first element, unit power)."""
     coeffs = np.zeros(spec.num_elements, dtype=complex)
     coeffs[0] = 1.0
-    return BeamVector(coeffs, kind="omni")
+    return BeamVector(coeffs)
 
 
 def beam_gain(w: BeamVector, spec: ArraySpec, probe: float) -> float:
@@ -148,11 +140,6 @@ def grid_directions(num_elements: int, num_beams: int) -> BeamGrid:
 def nearest_direction(grid: BeamGrid, angle: float) -> int:
     """Index of the grid beam closest to `angle` in sine-domain distance."""
     return int(np.argmin(np.abs(grid.sines - np.sin(angle))))
-
-
-def front_range(angle: float) -> float:
-    """Front-range representative in [-pi/2, pi/2] of an arbitrary direction."""
-    return float(np.arcsin(np.sin(angle)))
 
 
 def require_half_wavelength(spec: ArraySpec) -> None:

@@ -66,7 +66,7 @@ def wide_beam(leaves: np.ndarray, stage: int, index: int, branching: int):
     if not target.any():
         return None
     raw = projection_beam(leaves, target)
-    return BeamVector(raw / np.linalg.norm(raw), kind="wide")
+    return BeamVector(raw / np.linalg.norm(raw))
 
 
 def two_rf_factorization(w: BeamVector):
@@ -156,7 +156,7 @@ def build_codebook(spec: ArraySpec, branching: int,
                 beams.append(None)
                 continue
             raw = projection_beam(leaves, target)
-            beams.append(BeamVector(raw / np.linalg.norm(raw), kind="wide"))
+            beams.append(BeamVector(raw / np.linalg.norm(raw)))
         stages[s] = tuple(beams)
 
     bottom = []

@@ -1,36 +1,31 @@
 """Scenario configuration, geometry sampling, Monte Carlo experiments, and CSV output."""
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .arrays import ArraySpec, BeamGrid, grid_directions
 from .channel import (CascadeChannel, IrsLink, LinkAngles, PhysicalConstants,
-                      assemble, compensation_factor, make_link, path_loss)
+                      assemble, cascade_loss, compensation_factor, make_link)
 from .codebook import HierarchicalCodebook, build_codebook
 from .irs_control import random_mode
 from .training import (AngleEstimate, LinkScenario, MeasurementModel, SlotCount,
                        cooperative_estimate, misalignment_curve)
 from .transmission import (build_beamformers, design_irs, estimate_composite_loss,
-                           fdb_upper_bound, parallel_rate, spectral_efficiency,
-                           water_filling)
+                           fdb_upper_bound, spectral_efficiency, water_filling)
+
+# The four benchmark curves, in CSV column order.
+RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
+             "rate_no_irs")
 
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * np.log10(watts) + 30.0
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    return 10.0 * np.log10(linear)
 
 
 @dataclass(frozen=True)
@@ -117,15 +112,6 @@ class ScenarioConfig:
             reflection_amplitude=self.reflection_amplitude,
         )
 
-    def tx_spec(self) -> ArraySpec:
-        return ArraySpec(self.num_tx_antennas, orientation_angle=0.0)
-
-    def rx_spec(self) -> ArraySpec:
-        return ArraySpec(self.num_rx_antennas, orientation_angle=0.0)
-
-    def irs_spec(self) -> ArraySpec:
-        return ArraySpec(self.num_irs_elements, orientation_angle=np.pi)
-
 
 @dataclass(frozen=True)
 class ScenarioAssets:
@@ -150,7 +136,7 @@ class SampledGeometry:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Replayable summary of one estimation trial."""
+    """Replayable summary of one trial at one transmit power."""
 
     seed: int
     trial_index: int
@@ -164,14 +150,16 @@ class TrialRecord:
 
 
 def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
+    tx_spec = ArraySpec(config.num_tx_antennas)
+    rx_spec = ArraySpec(config.num_rx_antennas)
     return ScenarioAssets(
         consts=config.physical_constants(),
-        tx_spec=config.tx_spec(),
-        rx_spec=config.rx_spec(),
-        irs_spec=config.irs_spec(),
-        tx_codebook=build_codebook(config.tx_spec(), config.branching,
+        tx_spec=tx_spec,
+        rx_spec=rx_spec,
+        irs_spec=ArraySpec(config.num_irs_elements),
+        tx_codebook=build_codebook(tx_spec, config.branching,
                                    config.num_tx_beams),
-        rx_codebook=build_codebook(config.rx_spec(), config.branching,
+        rx_codebook=build_codebook(rx_spec, config.branching,
                                    config.num_rx_beams),
         sweep_grid=grid_directions(config.num_irs_elements,
                                    config.num_irs_sweep_beams),
@@ -256,12 +244,11 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
 
 
 def true_composite_loss(scenario: LinkScenario, irs_index: int) -> float:
-    """Exact bridged end-to-end amplitude beta * eta * G_t * G_r * a(d_in) a(d_out)."""
+    """Exact bridged end-to-end amplitude beta * cascade_loss(d_in, d_out)."""
     link = scenario.cascade.links[irs_index]
-    consts = scenario.consts
-    return (consts.reflection_amplitude * link.eta * consts.tx_gain
-            * consts.rx_gain * path_loss(consts, link.distance_in)
-            * path_loss(consts, link.distance_out))
+    return scenario.consts.reflection_amplitude * cascade_loss(
+        scenario.consts, scenario.cascade.irs_spec.num_elements,
+        link.distance_in, link.distance_out)
 
 
 def perfect_estimates(scenario: LinkScenario):
@@ -276,12 +263,6 @@ def perfect_estimates(scenario: LinkScenario):
             composite_loss=true_composite_loss(scenario, irs_index),
         ))
     return out
-
-
-def non_irs_benchmark(H_random_irs: np.ndarray, power: float,
-                      noise_power: float) -> float:
-    """Fully digital bound over a channel whose IRSs hold random phases."""
-    return fdb_upper_bound(H_random_irs, power, noise_power)
 
 
 def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -305,94 +286,104 @@ def _designed_rates(scenario, estimates, power, noise_power, config):
     return spectral_efficiency(H, bf, power, noise_power)
 
 
+def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
+              trial: int) -> list:
+    """One Monte Carlo trial, scored at every configured power.
+
+    Samples the room (stream 0), draws the random IRS phases (stream 1) and
+    designs the genie IRSs once. Per power point, on stream 2 + power index:
+    runs the full cooperative estimation and the composite-loss pilots at
+    that power, designs from the estimates, and evaluates (1) the proposed
+    design under estimated CSI, (2) the proposed design under perfect CSI,
+    (3) the fully digital bound with optimal IRSs, (4) the fully digital
+    bound with random IRSs. Returns one TrialRecord per power, in grid order.
+    """
+    scenario, geometry = sample_scenario(
+        config, _trial_seed(config.seed, trial, 0), assets)
+    rand_rng = _trial_seed(config.seed, trial, 1)
+    random_thetas = [random_mode(config.num_irs_elements, rand_rng,
+                                 amplitude=config.reflection_amplitude)
+                     for _ in range(config.num_irs)]
+    genie = perfect_estimates(scenario)
+    optimal_thetas = design_irs(genie, assets.irs_spec,
+                                config.reflection_amplitude)
+    sv_optimal = np.linalg.svd(
+        assemble(scenario.cascade, optimal_thetas, assets.consts),
+        compute_uv=False)
+    sv_random = np.linalg.svd(
+        assemble(scenario.cascade, random_thetas, assets.consts),
+        compute_uv=False)
+    noise_power = config.noise_power_watts
+
+    records = []
+    for p_index, power_dbm in enumerate(config.power_grid_dbm):
+        power = dbm_to_watts(power_dbm)
+        meas_rng = _trial_seed(config.seed, trial, 2 + p_index)
+        model = MeasurementModel(transmit_power=power,
+                                 noise_power=noise_power)
+        estimates, slots = cooperative_estimate(scenario, model, meas_rng)
+        estimates = [
+            replace(est, composite_loss=estimate_composite_loss(
+                scenario, l, estimates, model, meas_rng,
+                pilot_repetitions=config.pilot_repetitions))
+            for l, est in enumerate(estimates)
+        ]
+        rates = dict(zip(RATE_KEYS, (
+            _designed_rates(scenario, estimates, power, noise_power, config),
+            _designed_rates(scenario, genie, power, noise_power, config),
+            fdb_upper_bound(sv_optimal, power, noise_power),
+            fdb_upper_bound(sv_random, power, noise_power),
+        )))
+        records.append(TrialRecord(
+            seed=config.seed,
+            trial_index=trial,
+            power_dbm=power_dbm,
+            geometry=geometry,
+            true_angles=tuple(l.angles for l in scenario.cascade.links),
+            true_losses=tuple(g.composite_loss for g in genie),
+            estimates=tuple(estimates),
+            rates=rates,
+            slots=slots,
+        ))
+    return records
+
+
 @dataclass
 class RateExperimentResult:
     rows: list
     trials: int
-    ordering_violations: int = 0
-    slot_totals: SlotCount = None
+    ordering_violations: int
+    slot_totals: SlotCount   # summed over every trial and power point
 
 
 def run_rate_experiment(config: ScenarioConfig,
                         progress=None) -> RateExperimentResult:
-    """Average the four benchmark curves over random terminal placements.
+    """Average the four benchmark curves of `run_trial` over random placements.
 
-    Per trial and power point: run the full cooperative estimation at that
-    power, design from the estimates, and evaluate (1) the proposed design
-    under estimated CSI, (2) the proposed design under perfect CSI, (3) the
-    fully digital bound with optimal IRSs, (4) the fully digital bound with
-    random IRSs. Per-trial estimated-vs-random ordering violations are
-    counted, not failed; they are possible at low power.
+    Per-trial estimated-vs-random ordering violations are counted, not
+    failed; they are possible at low power. `progress(done, total)` is
+    called after every trial.
     """
     assets = scenario_assets(config)
-    noise_power = config.noise_power_watts
-    powers = [dbm_to_watts(p) for p in config.power_grid_dbm]
-    sums = np.zeros((len(powers), 4))
+    sums = np.zeros((len(config.power_grid_dbm), len(RATE_KEYS)))
+    slot_sums = np.zeros(len(fields(SlotCount)), dtype=int)
     violations = 0
-    slots_seen = None
 
     for trial in range(config.trials):
-        geom_rng = _trial_seed(config.seed, trial, 0)
-        scenario, _ = sample_scenario(config, geom_rng, assets)
-        rand_rng = _trial_seed(config.seed, trial, 1)
-        random_thetas = [random_mode(config.num_irs_elements, rand_rng,
-                                     amplitude=config.reflection_amplitude)
-                         for _ in range(config.num_irs)]
-        genie = perfect_estimates(scenario)
-        optimal_thetas = design_irs(genie, assets.irs_spec,
-                                    config.reflection_amplitude)
-        H_optimal = assemble(scenario.cascade, optimal_thetas, assets.consts)
-        H_random = assemble(scenario.cascade, random_thetas, assets.consts)
-        sv_optimal = np.linalg.svd(H_optimal, compute_uv=False)
-        sv_random = np.linalg.svd(H_random, compute_uv=False)
-
-        for p_index, power in enumerate(powers):
-            meas_rng = _trial_seed(config.seed, trial, 2 + p_index)
-            model = MeasurementModel(transmit_power=power,
-                                     noise_power=noise_power)
-            estimates, slots = cooperative_estimate(scenario, model,
-                                                    rng=meas_rng)
-            estimates = [
-                replace(est, composite_loss=estimate_composite_loss(
-                    scenario, l, estimates, model, rng=meas_rng,
-                    pilot_repetitions=config.pilot_repetitions))
-                for l, est in enumerate(estimates)
-            ]
-            slots_seen = slots
-            rate_est = _designed_rates(scenario, estimates, power,
-                                       noise_power, config)
-            rate_perfect = _designed_rates(scenario, genie, power,
-                                           noise_power, config)
-            rate_fdb = _svd_rate(sv_optimal, power, noise_power)
-            rate_rand = _svd_rate(sv_random, power, noise_power)
-            if rate_rand > rate_est:
-                violations += 1
-            sums[p_index] += (rate_est, rate_perfect, rate_fdb, rate_rand)
+        for p_index, record in enumerate(run_trial(config, assets, trial)):
+            rates = record.rates
+            sums[p_index] += [rates[key] for key in RATE_KEYS]
+            violations += rates["rate_no_irs"] > rates["rate_proposed_est"]
+            slot_sums += astuple(record.slots)
         if progress is not None:
             progress(trial + 1, config.trials)
 
-    rows = []
-    for p_index, p_dbm in enumerate(config.power_grid_dbm):
-        mean = sums[p_index] / config.trials
-        rows.append({
-            "power_dbm": float(p_dbm),
-            "rate_proposed_est": mean[0],
-            "rate_proposed_perfect": mean[1],
-            "rate_fdb_upper": mean[2],
-            "rate_no_irs": mean[3],
-        })
+    rows = [{"power_dbm": float(p_dbm),
+             **dict(zip(RATE_KEYS, sums[p_index] / config.trials))}
+            for p_index, p_dbm in enumerate(config.power_grid_dbm)]
     return RateExperimentResult(rows=rows, trials=config.trials,
                                 ordering_violations=violations,
-                                slot_totals=slots_seen)
-
-
-def _svd_rate(singular_values: np.ndarray, power: float,
-              noise_power: float) -> float:
-    sv = singular_values[singular_values > 1e-300]
-    if sv.size == 0 or power <= 0:
-        return 0.0
-    allocation = water_filling(sv, power, noise_power)
-    return parallel_rate(sv, allocation.factors, power, noise_power)
+                                slot_totals=SlotCount(*map(int, slot_sums)))
 
 
 def run_mp_experiment(config: ScenarioConfig):
@@ -418,53 +409,9 @@ def run_mp_experiment(config: ScenarioConfig):
 
 
 def run_estimation_trace(config: ScenarioConfig, trial: int = 0) -> TrialRecord:
-    """One full estimation pass at the strongest configured power."""
-    assets = scenario_assets(config)
-    power_dbm = max(config.power_grid_dbm)
-    power = dbm_to_watts(power_dbm)
-    geom_rng = _trial_seed(config.seed, trial, 0)
-    scenario, geometry = sample_scenario(config, geom_rng, assets)
-    meas_rng = _trial_seed(config.seed, trial, 2)
-    model = MeasurementModel(transmit_power=power,
-                             noise_power=config.noise_power_watts)
-    estimates, slots = cooperative_estimate(scenario, model, rng=meas_rng)
-    estimates = [
-        replace(est, composite_loss=estimate_composite_loss(
-            scenario, l, estimates, model, rng=meas_rng,
-            pilot_repetitions=config.pilot_repetitions))
-        for l, est in enumerate(estimates)
-    ]
-    genie = perfect_estimates(scenario)
-    noise_power = config.noise_power_watts
-    rand_rng = _trial_seed(config.seed, trial, 1)
-    random_thetas = [random_mode(config.num_irs_elements, rand_rng,
-                                 amplitude=config.reflection_amplitude)
-                     for _ in range(config.num_irs)]
-    H_optimal = assemble(scenario.cascade,
-                         design_irs(genie, assets.irs_spec,
-                                    config.reflection_amplitude),
-                         assets.consts)
-    H_random = assemble(scenario.cascade, random_thetas, assets.consts)
-    rates = {
-        "rate_proposed_est": _designed_rates(scenario, estimates, power,
-                                             noise_power, config),
-        "rate_proposed_perfect": _designed_rates(scenario, genie, power,
-                                                 noise_power, config),
-        "rate_fdb_upper": fdb_upper_bound(H_optimal, power, noise_power),
-        "rate_no_irs": fdb_upper_bound(H_random, power, noise_power),
-    }
-    return TrialRecord(
-        seed=config.seed,
-        trial_index=trial,
-        power_dbm=power_dbm,
-        geometry=geometry,
-        true_angles=tuple(l.angles for l in scenario.cascade.links),
-        true_losses=tuple(true_composite_loss(scenario, l)
-                          for l in range(scenario.cascade.num_irs)),
-        estimates=tuple(estimates),
-        rates=rates,
-        slots=slots,
-    )
+    """Rate-curve trial `trial` at the strongest configured power."""
+    records = run_trial(config, scenario_assets(config), trial)
+    return records[int(np.argmax(config.power_grid_dbm))]
 
 
 def _format_cell(value) -> str:

@@ -69,12 +69,6 @@ def estimated_power_ratio(num_elements: int, num_beams: int,
     return float(np.max(gains))
 
 
-def estimated_energy_ratio(num_elements: int, num_beams: int,
-                           true_angle: float) -> float:
-    """Squared-power variant of `estimated_power_ratio`."""
-    return estimated_power_ratio(num_elements, num_beams, true_angle) ** 2
-
-
 def quantization_report(num_elements: int, num_beams: int,
                         abs_tol: float = 1e-8) -> QuantizationReport:
     return QuantizationReport(

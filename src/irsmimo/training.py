@@ -23,18 +23,14 @@ from .irs_control import absorbing, direction_mode
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Transmit power, receiver noise power (both Watts), and the noise seed."""
+    """Transmit power and receiver noise power, both Watts."""
 
     transmit_power: float
     noise_power: float
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.transmit_power < 0 or self.noise_power < 0:
             raise ValueError("powers must be nonnegative")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarr
 
 
 def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
-                  model: MeasurementModel, rng: np.random.Generator = None,
+                  model: MeasurementModel, rng: np.random.Generator,
                   trials: int = 1) -> float:
     """Received power |y|^2 for one pilot, y = sqrt(P) w^H H f + w^H n.
 
@@ -92,8 +88,6 @@ def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = model.rng()
     signal = np.sqrt(model.transmit_power) * np.vdot(w, channel @ f)
     noise = complex_noise(rng, model.noise_power * np.vdot(w, w).real, size=trials)
     return float(np.mean(np.abs(signal + noise) ** 2))
@@ -189,7 +183,7 @@ def _grating_twin(grid: BeamGrid, slot: int) -> int:
 
 
 def phase1(scenario: LinkScenario, irs_index: int, model: MeasurementModel,
-           rng: np.random.Generator = None):
+           rng: np.random.Generator):
     """Return-mode sweeps with the far terminal silent.
 
     The transmit terminal's sweep locates the arrival direction at the IRS;
@@ -199,8 +193,6 @@ def phase1(scenario: LinkScenario, irs_index: int, model: MeasurementModel,
 
     Returns (irs_arrival_hat, irs_departure_hat), both sweep-grid members.
     """
-    if rng is None:
-        rng = model.rng()
     grid = scenario.sweep_grid
     irs_spec = scenario.cascade.irs_spec
     beta = scenario.consts.reflection_amplitude
@@ -226,7 +218,7 @@ def phase1(scenario: LinkScenario, irs_index: int, model: MeasurementModel,
 
 
 def phase2(scenario: LinkScenario, irs_index: int, phase1_result,
-           model: MeasurementModel, rng: np.random.Generator = None):
+           model: MeasurementModel, rng: np.random.Generator):
     """Hierarchical terminal sweeps through the phase-1 bridged IRS.
 
     Fixes the IRS to direction mode on the phase-1 angles (all other IRSs
@@ -236,8 +228,6 @@ def phase2(scenario: LinkScenario, irs_index: int, phase1_result,
 
     Returns (rx_arrival_hat, tx_departure_hat).
     """
-    if rng is None:
-        rng = model.rng()
     H = _bridged_channel(scenario, irs_index, phase1_result)
 
     tx_omni = omni(scenario.cascade.tx_spec)
@@ -268,14 +258,12 @@ def _bridged_channel(scenario: LinkScenario, irs_index: int,
 
 
 def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
-                         rng: np.random.Generator = None):
+                         rng: np.random.Generator):
     """Run both phases for every IRS; the others stay absorbing meanwhile.
 
     Returns (estimates, slots): one AngleEstimate per IRS (composite loss
     left NaN for the transmission stage to fill) and the slot totals.
     """
-    if rng is None:
-        rng = model.rng()
     estimates = []
     search_slots = 0
     for irs_index in range(scenario.cascade.num_irs):
@@ -303,8 +291,7 @@ def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
 
 
 def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
-                       trials: int, rng: np.random.Generator = None,
-                       seed: int = 0):
+                       trials: int, rng: np.random.Generator):
     """Bottom-stage misalignment probability versus per-measurement SNR.
 
     Each trial draws one true angle uniform over the full angular range and
@@ -325,8 +312,6 @@ def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     grid = grid_directions(num_elements, num_beams)
     angles = rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials)
     sines = np.sin(angles)

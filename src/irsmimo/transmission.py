@@ -63,8 +63,7 @@ def design_irs(estimates, irs_spec: ArraySpec,
 
 
 def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
-                            model: MeasurementModel,
-                            rng: np.random.Generator = None,
+                            model: MeasurementModel, rng: np.random.Generator,
                             pilot_repetitions: int = 10) -> float:
     """Measured end-to-end amplitude of one bridged IRS link.
 
@@ -75,8 +74,6 @@ def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
     """
     if model.transmit_power <= 0:
         raise ValueError("composite-loss estimation needs positive power")
-    if rng is None:
-        rng = model.rng()
     irs_spec = scenario.cascade.irs_spec
     thetas = [absorbing(irs_spec.num_elements)
               for _ in range(scenario.cascade.num_irs)]
@@ -97,37 +94,34 @@ def water_filling(gains, total_power: float, noise_power: float) -> PowerAllocat
     """Optimal unit-sum power split over parallel channels with amplitudes `gains`.
 
     Solves max sum log2(1 + P a_l^2 S_l / sigma^2) subject to sum S_l = 1,
-    S_l >= 0. The factors are S_l = max(1/(ln2 mu) - sigma^2/(P a_l^2), 0)
-    with the level mu found by bisection on the monotone sum constraint.
+    S_l >= 0. The factors are S_l = max(1/(ln2 mu) - f_l, 0) with floors
+    f_l = sigma^2/(P a_l^2). The level is the exact sorted water level
+    (Palomar & Fonollosa, IEEE TSP 2005): with the floors sorted ascending,
+    the k cheapest channels are active for the largest k whose floor lies
+    below their common level (1 + f_1 + ... + f_k) / k. Levels and factors
+    are taken relative to the lowest floor, so a floor far above 1 loses
+    no precision to the unit power budget.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0 or np.any(gains < 0):
         raise ValueError("gains must be a nonempty nonnegative vector")
-    if not np.any(gains > 0):
-        raise ValueError("water-filling needs at least one positive gain")
     if total_power <= 0 or noise_power <= 0:
         raise ValueError("powers must be positive")
 
-    floors = np.full(gains.shape, np.inf)
-    positive = gains > 0
-    floors[positive] = noise_power / (total_power * gains[positive] ** 2)
-
-    lo = floors.min()           # total allocation 0
-    hi = lo + 1.0               # best channel alone already reaches 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - floors, 0.0).sum() < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * hi:
-            break
-    level = hi
-    factors = np.maximum(level - floors, 0.0)
-    total = factors.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise RuntimeError(f"water level search failed, sum {total}")
-    return PowerAllocation(factors=factors, water_level=1.0 / (_LN2 * level))
+    with np.errstate(divide="ignore"):   # a zero gain has an infinite floor
+        floors = noise_power / (total_power * gains ** 2)
+    lowest = floors.min()
+    if not np.isfinite(lowest):
+        raise ValueError("water-filling needs a positive gain with a finite "
+                         "floor sigma^2 / (P a^2)")
+    excess = floors - lowest
+    ordered = np.sort(excess)
+    levels = (1.0 + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    # the active set is a prefix of the sorted floors; channel 1 is always in
+    level = levels[np.count_nonzero(ordered < levels) - 1]
+    factors = np.maximum(level - excess, 0.0)
+    return PowerAllocation(factors=factors,
+                           water_level=1.0 / (_LN2 * (lowest + level)))
 
 
 def build_beamformers(estimates, allocation: PowerAllocation,
@@ -203,12 +197,18 @@ def parallel_rate(gains, factors, power: float, noise_power: float) -> float:
     return float(np.sum(np.log2(1.0 + snr)))
 
 
-def fdb_upper_bound(H: np.ndarray, power: float, noise_power: float) -> float:
-    """Fully digital bound: water-filling over the squared singular values of H."""
-    H = np.asarray(H)
-    sv = np.linalg.svd(H, compute_uv=False)
-    sv = sv[sv > sv[0] * 1e-14] if sv.size and sv[0] > 0 else sv[:0]
-    if sv.size == 0 or power <= 0:
+def fdb_upper_bound(singular_values, power: float, noise_power: float) -> float:
+    """Fully digital bound: water-filling over a channel's singular values.
+
+    Pass `np.linalg.svd(H, compute_uv=False)`. Singular values at or below
+    1e-14 of the largest are numerical zeros of a rank-deficient H and are
+    dropped.
+    """
+    sv = np.asarray(singular_values, dtype=float)
+    if sv.ndim != 1:
+        raise ValueError("expected a vector of singular values")
+    if sv.size == 0 or power <= 0 or sv.max() <= 0:
         return 0.0
+    sv = sv[sv > sv.max() * 1e-14]
     allocation = water_filling(sv, power, noise_power)
     return parallel_rate(sv, allocation.factors, power, noise_power)

@@ -123,7 +123,6 @@ def test_omni_is_single_element():
     vec = omni(ArraySpec(8))
     assert vec.coefficients[0] == 1.0
     assert np.all(vec.coefficients[1:] == 0.0)
-    assert vec.kind == "omni"
 
 
 def test_half_wavelength_gate():
@@ -144,7 +143,8 @@ def test_beam_vector_invariants():
     from irsmimo.arrays import BeamVector
 
     with _pytest.raises(ValueError):
-        BeamVector(np.array([1.0, 1.0]), kind="narrow")  # norm sqrt(2)
+        BeamVector(np.array([1.0, 1.0]))  # norm sqrt(2)
     with _pytest.raises(ValueError):
-        BeamVector(np.array([1.0]), kind="pencil")
-    BeamVector(np.array([1.0, 0.0, 0.0]), kind="omni")
+        BeamVector(np.zeros(3))
+    BeamVector(np.array([1.0, 0.0, 0.0]))  # omni excitation
+    BeamVector(np.array([1.0, 1.0j]) / np.sqrt(2.0))

@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
-                             db_to_linear, dbm_to_watts, linear_to_db,
-                             load_config_file, make_config, non_irs_benchmark,
-                             perfect_estimates, run_estimation_trace,
-                             run_mp_experiment, run_rate_experiment,
-                             sample_scenario, scenario_assets,
-                             true_composite_loss, watts_to_dbm, write_csv)
+                             db_to_linear, dbm_to_watts, load_config_file,
+                             make_config, perfect_estimates,
+                             run_estimation_trace, run_mp_experiment,
+                             run_rate_experiment, sample_scenario,
+                             scenario_assets, true_composite_loss, write_csv)
 from irsmimo.irs_control import random_mode
 from irsmimo.transmission import fdb_upper_bound
 
@@ -24,11 +25,11 @@ def tiny_config(**kwargs):
     return ScenarioConfig(**base)
 
 
-def test_db_conversions_round_trip():
-    for value in (1e-11, 1.0, 250.0):
-        assert dbm_to_watts(watts_to_dbm(value)) == pytest.approx(value, rel=1e-12)
-    for db in (-80.0, 0.0, 18.0, 21.0):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
+def test_db_conversions_known_values():
+    for dbm, watts in ((-80.0, 1e-11), (30.0, 1.0), (0.0, 1e-3)):
+        assert dbm_to_watts(dbm) == pytest.approx(watts, rel=1e-12)
+    for db, linear in ((0.0, 1.0), (20.0, 100.0), (-30.0, 1e-3)):
+        assert db_to_linear(db) == pytest.approx(linear, rel=1e-12)
 
 
 def test_config_validation_errors():
@@ -114,9 +115,12 @@ def test_non_irs_benchmark_below_optimized():
     H_rand = assemble(scenario.cascade,
                       [random_mode(16, rng) for _ in range(2)], assets.consts)
     power, noise = 0.1, config.noise_power_watts
-    assert non_irs_benchmark(H_rand, power, noise) <= \
-        fdb_upper_bound(H_opt, power, noise) + 1e-9
-    assert non_irs_benchmark(np.zeros_like(H_rand), power, noise) == 0.0
+
+    def fdb(H):
+        return fdb_upper_bound(np.linalg.svd(H, compute_uv=False), power, noise)
+
+    assert fdb(H_rand) <= fdb(H_opt) + 1e-9
+    assert fdb(np.zeros_like(H_rand)) == 0.0
 
 
 def test_run_mp_experiment_shape_and_determinism():
@@ -140,7 +144,9 @@ def test_run_rate_experiment_ordering_and_determinism():
         assert row["rate_no_irs"] < row["rate_proposed_est"]
         assert row["rate_proposed_est"] <= row["rate_proposed_perfect"] + 1e-6
         assert row["rate_proposed_perfect"] <= row["rate_fdb_upper"] + 1e-9
-    assert result_a.slot_totals.irs_sweep == 2 * 32 * 2
+    # 3 trials x 2 powers x (2 terminals x K_r = 32 slots x 2 IRSs)
+    assert result_a.slot_totals.irs_sweep == 3 * 2 * 128
+    assert result_a.slot_totals.parity == 3 * 2 * 2 * 2
 
 
 def test_run_estimation_trace_fields():
@@ -152,6 +158,16 @@ def test_run_estimation_trace_fields():
     assert record.rates["rate_no_irs"] < record.rates["rate_fdb_upper"]
     replay = run_estimation_trace(tiny_config())
     assert replay == record
+
+
+def test_estimation_trace_is_top_power_rate_curve_trial():
+    # low powers, where the estimation noise moves the estimated-CSI rate
+    config = tiny_config(power_grid_dbm=(-30.0, -20.0, -40.0))
+    record = run_estimation_trace(config)
+    rows = run_rate_experiment(replace(config, trials=1)).rows
+    top = max(rows, key=lambda row: row["power_dbm"])
+    assert record.power_dbm == top["power_dbm"] == -20.0
+    assert record.rates == {key: top[key] for key in record.rates}
 
 
 def test_write_csv_deterministic_format(tmp_path):

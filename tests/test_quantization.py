@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from irsmimo.arrays import edge_energy, grid_directions, pattern_gain
-from irsmimo.quantization import (average_error, estimated_energy_ratio,
-                                  estimated_power_ratio, quantization_report,
-                                  worst_error)
+from irsmimo.quantization import (average_error, estimated_power_ratio,
+                                  quantization_report, worst_error)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -94,11 +93,6 @@ def test_power_ratio_sandwich():
     best = pattern_gain(32, np.sin(angles)[:, None] - grid.sines[None, :]).max(axis=1)
     assert np.all(best >= rho - 1e-12)
     assert np.all(best <= 1.0 + 1e-12)
-
-
-def test_energy_ratio_is_squared_amplitude():
-    value = estimated_power_ratio(16, 32, 0.3)
-    assert estimated_energy_ratio(16, 32, 0.3) == pytest.approx(value ** 2)
 
 
 def test_report_fields():

@@ -22,8 +22,9 @@ def test_measure_power_noiseless_aligned_link():
     beam = steering(spec, 0.3)
     H = 0.25 * np.outer(beam.coefficients, np.conj(beam.coefficients))
     model = MeasurementModel(transmit_power=2.0, noise_power=0.0)
-    assert measure_power(beam, beam, H, model) == pytest.approx(2.0 * 0.25 ** 2,
-                                                                rel=1e-12)
+    assert measure_power(beam, beam, H, model,
+                         rng=np.random.default_rng(0)) == pytest.approx(
+        2.0 * 0.25 ** 2, rel=1e-12)
 
 
 def test_measure_power_noise_only_mean():
@@ -38,17 +39,21 @@ def test_measure_power_noise_only_mean():
 def test_measure_power_seed_reproducibility():
     spec = ArraySpec(4)
     H = np.eye(4, dtype=complex)
-    model = MeasurementModel(transmit_power=1.0, noise_power=0.1, rng_seed=77)
-    a = measure_power(omni(spec), omni(spec), H, model)
-    b = measure_power(omni(spec), omni(spec), H, model)
+    model = MeasurementModel(transmit_power=1.0, noise_power=0.1)
+    rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
+    a = [measure_power(omni(spec), omni(spec), H, model, rng=rng_a)
+         for _ in range(3)]
+    b = [measure_power(omni(spec), omni(spec), H, model, rng=rng_b)
+         for _ in range(3)]
     assert a == b
+    assert len(set(a)) == 3  # one generator draws fresh noise on every call
 
 
 def test_measure_power_dimension_mismatch():
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     with pytest.raises(ValueError):
         measure_power(omni(ArraySpec(4)), omni(ArraySpec(4)),
-                      np.zeros((4, 8)), model)
+                      np.zeros((4, 8)), model, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("branching,num_leaves", [(2, 64), (3, 96)])
@@ -96,7 +101,8 @@ def test_sweep_side_matches_dense_roundtrip(small_scenario):
         roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
                      * link.incident.T @ np.diag(theta.entries()) @ link.incident)
         power = measure_power(omni(scenario.cascade.tx_spec),
-                              omni(scenario.cascade.tx_spec), roundtrip, model)
+                              omni(scenario.cascade.tx_spec), roundtrip, model,
+                              rng=np.random.default_rng(0))
         weights_responses.append(power)
     # recompute through the sweep path by zeroing the noise
     slot = _sweep_side(scenario, 0, "tx", model, np.random.default_rng(0))
@@ -222,8 +228,10 @@ def test_misalignment_curve_limits_and_trends():
 
 def test_misalignment_curve_seed_reproducible():
     snrs = [0.0, 6.0]
-    a = misalignment_curve(16, 32, snrs, trials=500, seed=9)
-    b = misalignment_curve(16, 32, snrs, trials=500, seed=9)
+    a = misalignment_curve(16, 32, snrs, trials=500,
+                           rng=np.random.default_rng(9))
+    b = misalignment_curve(16, 32, snrs, trials=500,
+                           rng=np.random.default_rng(9))
     assert a == b
 
 

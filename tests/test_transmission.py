@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
-from irsmimo.channel import assemble, path_loss
+from irsmimo.channel import assemble
+from irsmimo.harness import perfect_estimates
 from irsmimo.training import AngleEstimate, MeasurementModel
 from irsmimo.transmission import (build_beamformers, design_irs,
                                   estimate_composite_loss, fdb_upper_bound,
@@ -13,17 +16,8 @@ from irsmimo.transmission import (build_beamformers, design_irs,
 LN2 = np.log(2.0)
 
 
-def genie_estimates(scenario):
-    out = []
-    for link in scenario.cascade.links:
-        a = link.angles
-        loss = (scenario.consts.reflection_amplitude * link.eta
-                * scenario.consts.tx_gain * scenario.consts.rx_gain
-                * path_loss(scenario.consts, link.distance_in)
-                * path_loss(scenario.consts, link.distance_out))
-        out.append(AngleEstimate(a.tx_departure, a.irs_arrival,
-                                 a.irs_departure, a.rx_arrival, loss))
-    return out
+def singular_values(H):
+    return np.linalg.svd(H, compute_uv=False)
 
 
 def bridged_gain(scenario, estimates):
@@ -37,7 +31,7 @@ def bridged_gain(scenario, estimates):
 
 
 def test_design_irs_perfect_estimates_hit_exact_composite(small_scenario):
-    genie = genie_estimates(small_scenario)
+    genie = perfect_estimates(small_scenario)
     assert bridged_gain(small_scenario, genie) == pytest.approx(
         genie[0].composite_loss, rel=1e-12)
 
@@ -62,7 +56,7 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
         rx_arrival=truth.rx_arrival,
         composite_loss=float("nan"),
     )
-    exact = genie_estimates(scenario)[0].composite_loss
+    exact = perfect_estimates(scenario)[0].composite_loss
     gain = bridged_gain(scenario, [quantized])
     # the bridge factor is the pattern at the summed sine offsets of the two
     # IRS-side hops (they share one phase profile)
@@ -82,7 +76,7 @@ def test_design_irs_rejects_missing_estimates():
 
 
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
-    genie = genie_estimates(small_scenario)
+    genie = perfect_estimates(small_scenario)
     model = MeasurementModel(transmit_power=2.0, noise_power=0.0)
     value = estimate_composite_loss(small_scenario, 0, genie, model,
                                     rng=np.random.default_rng(0))
@@ -92,7 +86,7 @@ def test_estimate_composite_loss_noiseless_exact(small_scenario):
 def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
     # with the sigma^2 / P correction the power estimate is unbiased:
     # averaging many pilot blocks should approach the true amplitude
-    genie = genie_estimates(small_scenario)
+    genie = perfect_estimates(small_scenario)
     truth = genie[0].composite_loss
     noise_power = (truth ** 2) * 0.5  # strong noise relative to the signal
     model = MeasurementModel(transmit_power=1.0, noise_power=noise_power)
@@ -105,7 +99,7 @@ def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
 
 def test_estimate_composite_loss_absorbing_scene_is_noise_floor():
     scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1)], beta=0.0)
-    genie = genie_estimates(scenario)
+    genie = perfect_estimates(scenario)
     model = MeasurementModel(transmit_power=1.0, noise_power=1e-9)
     value = estimate_composite_loss(scenario, 0, genie, model,
                                     rng=np.random.default_rng(2))
@@ -159,6 +153,40 @@ def test_water_filling_kkt_conditions():
         assert np.all(floors[~active] >= level - 1e-8)
 
 
+@st.composite
+def water_filling_inputs(draw):
+    """1-8 gains whose floors sigma^2 / (P a^2) span 1e-12 .. 1e20."""
+    power = 10.0 ** draw(st.floats(-3.0, 3.0))
+    noise = 10.0 ** draw(st.floats(-13.0, 0.0))
+    log_floors = draw(st.lists(st.floats(-12.0, 20.0), min_size=1, max_size=8))
+    gains = [float(np.sqrt(noise / (power * 10.0 ** f))) for f in log_floors]
+    return gains, power, noise
+
+
+@settings(max_examples=300, deadline=None)
+@given(water_filling_inputs())
+@example(([1e-8], 1e-3, 0.1))
+@example(([1.0, 1.0, 1e-5], 1.0, 1.0))
+def test_water_filling_kkt_property(case):
+    gains, power, noise = case
+    gains = np.asarray(gains)
+    allocation = water_filling(gains, power, noise)
+    factors = allocation.factors
+    assert np.all(factors >= 0.0)
+    assert abs(factors.sum() - 1.0) <= 1e-12
+    # KKT relative to the lowest floor: every active channel fills to one
+    # common level, and no idle channel's floor lies below it
+    floors = noise / (power * gains ** 2)
+    excess = floors - floors.min()
+    active = factors > 0
+    levels = excess[active] + factors[active]
+    level = levels.mean()
+    assert np.max(np.abs(levels - level)) <= 1e-12
+    assert np.all(excess[~active] >= level - 1e-12)
+    assert 1.0 / (LN2 * allocation.water_level) == pytest.approx(
+        floors.min() + level, rel=1e-12)
+
+
 def test_water_filling_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         water_filling([0.0, 0.0], 1.0, 0.1)
@@ -166,6 +194,8 @@ def test_water_filling_rejects_degenerate_inputs():
         water_filling([], 1.0, 0.1)
     with pytest.raises(ValueError):
         water_filling([1.0], 0.0, 0.1)
+    with pytest.raises(ValueError):
+        water_filling([1e-200, 0.0], 1.0, 0.1)  # a^2 underflows to zero
 
 
 def make_estimates(angles, losses):
@@ -226,7 +256,7 @@ def test_spectral_efficiency_close_to_parallel_form():
                                      (-0.6, 0.3, -0.2, 0.5),
                                      (0.9, -0.1, 0.6, -0.8)],
                                     num_antennas=32, num_beams=64)
-    genie = genie_estimates(scenario)
+    genie = perfect_estimates(scenario)
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
@@ -245,7 +275,7 @@ def test_fdb_rank_one():
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     H = np.outer(u, np.conj(v))
     top = np.linalg.norm(u) * np.linalg.norm(v)
-    assert fdb_upper_bound(H, 2.0, 0.5) == pytest.approx(
+    assert fdb_upper_bound(singular_values(H), 2.0, 0.5) == pytest.approx(
         np.log2(1 + 2.0 * top ** 2 / 0.5), rel=1e-10)
 
 
@@ -253,9 +283,9 @@ def test_fdb_equals_svd_design_rate():
     rng = np.random.default_rng(37)
     H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     power, noise = 1.5, 0.2
-    sv, = (np.linalg.svd(H, compute_uv=False),)
+    sv = singular_values(H)
     allocation = water_filling(sv, power, noise)
-    assert fdb_upper_bound(H, power, noise) == pytest.approx(
+    assert fdb_upper_bound(sv, power, noise) == pytest.approx(
         parallel_rate(sv, allocation.factors, power, noise), rel=1e-12)
 
 
@@ -271,8 +301,10 @@ def test_fdb_dominates_hybrid_designs():
         H = (rng.standard_normal((16, 16))
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
         hybrid = spectral_efficiency(H, bf, 1.0, 0.01)
-        assert fdb_upper_bound(H, 1.0, 0.01) >= hybrid - 1e-9
+        assert fdb_upper_bound(singular_values(H), 1.0, 0.01) >= hybrid - 1e-9
 
 
 def test_fdb_zero_channel_is_zero_rate():
-    assert fdb_upper_bound(np.zeros((4, 4)), 1.0, 0.1) == 0.0
+    assert fdb_upper_bound(singular_values(np.zeros((4, 4))), 1.0, 0.1) == 0.0
+    with pytest.raises(ValueError):
+        fdb_upper_bound(np.zeros((4, 4)), 1.0, 0.1)  # a matrix, not its SVD
