@@ -151,6 +151,8 @@ def assemble(cascade: CascadeChannel, thetas, consts: PhysicalConstants) -> np.n
     for link, theta in zip(cascade.links, thetas):
         if theta.num_elements != cascade.irs_spec.num_elements:
             raise ValueError("phase matrix size does not match the IRS array")
+        if theta.amplitude == 0.0:
+            continue   # an absorbing IRS adds exactly zero
         # diagonal Theta applied row-wise, O(N_r N_t) instead of a matmul
         reflected = theta.entries()[:, None] * link.incident
         H += (link.eta * consts.tx_gain * consts.rx_gain

@@ -32,14 +32,14 @@ def _cmd_codebook(args) -> int:
     spec = ArraySpec(args.antennas)
     book = build_codebook(spec, args.branching, args.beams)
     probes = np.arcsin(np.linspace(-1.0, 1.0, args.probes + 2)[1:-1])
+    responses = np.exp(1j * np.pi * np.outer(np.sin(probes),
+                                             np.arange(spec.num_elements)))
     rows = []
     for stage in range(1, book.num_stages + 1):
         for index in range(book.branching ** stage):
             beam = book.beam(stage, index)
             if beam is None:
                 continue
-            n = np.arange(spec.num_elements)
-            responses = np.exp(1j * np.pi * np.outer(np.sin(probes), n))
             gains = np.abs(responses @ np.conj(beam.coefficients))
             gains /= np.sqrt(spec.num_elements)
             for angle, gain in zip(probes, gains):

@@ -3,7 +3,9 @@
 Stages are numbered 1..num_stages; stage s holds M**s candidate slots, indexed
 from 0. The bottom stage holds the K narrow grid beams in grid order followed
 by null padding; upper stages hold projection-designed wide beams, with a slot
-null whenever none of its descendant leaves is live.
+null whenever none of its descendant leaves is live. Each stage is one
+(N_a, M**s) matrix whose null slots are zero columns, so a search measures
+a parent's children with one matrix product.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, grid_directions,
-                     require_half_wavelength, steering, steering_coefficients)
+                     require_half_wavelength, steering_coefficients)
 
 
 def num_stages(branching: int, num_leaves: int) -> int:
@@ -37,14 +39,8 @@ def selection_matrix(stage: int, branching: int, num_leaves: int) -> np.ndarray:
     total = num_stages(branching, num_leaves)
     if not 1 <= stage <= total:
         raise ValueError(f"stage must lie in 1..{total}, got {stage}")
-    span = branching ** (total - stage)
-    D = np.zeros((num_leaves, branching ** stage))
-    for col in range(D.shape[1]):
-        lo = col * span
-        hi = min(lo + span, num_leaves)
-        if lo < num_leaves:
-            D[lo:hi, col] = 1.0
-    return D
+    owner = np.arange(num_leaves) // branching ** (total - stage)
+    return (owner[:, None] == np.arange(branching ** stage)).astype(float)
 
 
 def projection_beam(leaves: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -53,20 +49,30 @@ def projection_beam(leaves: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, leaves @ target)
 
 
+def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
+    """Normalized projection wide beams of one stage, one column per slot.
+
+    `leaves` is the N_a x K matrix of bottom-stage codewords; dead slots get
+    zero columns. Each slot is solved on its own, which keeps every beam's
+    bits independent of how many slots the stage holds.
+    """
+    D = selection_matrix(stage, branching, leaves.shape[1])
+    beams = np.zeros((leaves.shape[0], D.shape[1]), dtype=complex)
+    for col in np.flatnonzero(D.any(axis=0)):
+        raw = projection_beam(leaves, D[:, col])
+        beams[:, col] = raw / np.linalg.norm(raw)
+    return beams
+
+
 def wide_beam(leaves: np.ndarray, stage: int, index: int, branching: int):
     """Normalized projection wide beam for one tree slot, or None if the slot is dead.
 
     `leaves` is the N_a x K matrix of bottom-stage codewords.
     """
-    num_leaves = leaves.shape[1]
-    D = selection_matrix(stage, branching, num_leaves)
-    if not 0 <= index < D.shape[1]:
+    beams = _stage_beams(leaves, stage, branching)
+    if not 0 <= index < beams.shape[1]:
         raise ValueError(f"candidate index {index} out of range for stage {stage}")
-    target = D[:, index]
-    if not target.any():
-        return None
-    raw = projection_beam(leaves, target)
-    return BeamVector(raw / np.linalg.norm(raw))
+    return BeamVector(beams[:, index]) if beams[:, index].any() else None
 
 
 def two_rf_factorization(w: BeamVector):
@@ -94,38 +100,38 @@ def two_rf_factorization(w: BeamVector):
 class HierarchicalCodebook:
     """Full M-tree of beam candidates over a K-leaf sine-uniform grid.
 
-    `stages[s]` (a dict key, s = 1..num_stages) lists the stage's candidates;
-    entries are None for padded slots. `calibration[s]` holds per-candidate
-    multipliers, known to the receiver from the codebook alone, that equalize
-    adjacent siblings' amplitude responses at their shared territory edge.
-    Comparing calibrated measurements makes the stage decision split exactly
-    at leaf-cell boundaries even when siblings cover unequal numbers of
-    leaves, which plain unit-norm beams do not guarantee.
+    The per-stage fields are dicts keyed by stage s = 1..num_stages.
+    `stages[s]` is the stage's (N_a, M**s) codeword matrix, with a zero
+    column at every null padding slot, and `live[s]` marks the other
+    columns. `norms[s]` holds each column's squared norm, which scales its
+    pilot noise. `calibration[s]` holds per-candidate multipliers, known to
+    the receiver from the codebook alone, that equalize adjacent siblings'
+    amplitude responses at their shared territory edge, and `weights[s]`
+    their squares, which multiply measured powers. Comparing calibrated
+    measurements makes the stage decision split exactly at leaf-cell
+    boundaries even when siblings cover unequal numbers of leaves, which
+    plain unit-norm beams do not guarantee.
     """
 
     branching: int
     num_leaves: int
     num_stages: int
     stages: dict
+    live: dict
+    norms: dict
     calibration: dict
+    weights: dict
     leaf_grid: BeamGrid
     spec: ArraySpec
 
     def beam(self, stage: int, index: int):
-        return self.stages[stage][index]
+        """Candidate `index` of `stage`, or None for a null slot."""
+        if not self.live[stage][index]:
+            return None
+        return BeamVector(self.stages[stage][:, index].copy())
 
     def scale(self, stage: int, index: int) -> float:
-        return self.calibration[stage][index]
-
-    def children(self, stage: int, index: int) -> list:
-        """Candidate indices one stage down (empty at the bottom stage)."""
-        if not 0 <= stage <= self.num_stages:
-            raise ValueError(f"stage must lie in 0..{self.num_stages}")
-        if not 0 <= index < self.branching ** stage:
-            raise ValueError(f"index {index} out of range at stage {stage}")
-        if stage == self.num_stages:
-            return []
-        return [index * self.branching + j for j in range(self.branching)]
+        return float(self.calibration[stage][index])
 
     def leaf_angle(self, leaf_index: int) -> float:
         return float(self.leaf_grid.directions[leaf_index])
@@ -145,67 +151,54 @@ def build_codebook(spec: ArraySpec, branching: int,
          for ang in grid.directions],
         axis=1,
     )
-
-    stages = {}
-    for s in range(1, total):
-        D = selection_matrix(s, branching, num_leaves)
-        beams = []
-        for col in range(D.shape[1]):
-            target = D[:, col]
-            if not target.any():
-                beams.append(None)
-                continue
-            raw = projection_beam(leaves, target)
-            beams.append(BeamVector(raw / np.linalg.norm(raw)))
-        stages[s] = tuple(beams)
-
-    bottom = []
-    for slot in range(branching ** total):
-        if slot < num_leaves:
-            bottom.append(steering(spec, float(grid.directions[slot])))
-        else:
-            bottom.append(None)
-    stages[total] = tuple(bottom)
-
+    stages = {s: _stage_beams(leaves, s, branching) for s in range(1, total)}
+    stages[total] = np.zeros((spec.num_elements, branching ** total),
+                             dtype=complex)
+    stages[total][:, :num_leaves] = leaves
+    live = {s: beams.any(axis=0) for s, beams in stages.items()}
+    calibration = _boundary_calibration(spec, branching, num_leaves, stages,
+                                        live)
     return HierarchicalCodebook(
         branching=branching,
         num_leaves=num_leaves,
         num_stages=total,
         stages=stages,
-        calibration=_boundary_calibration(spec, branching, num_leaves, total,
-                                          stages),
+        live=live,
+        norms={s: np.array([np.vdot(w, w).real for w in beams.T])
+               for s, beams in stages.items()},
+        calibration=calibration,
+        # squared one by one with pow, as the per-beam search squared them;
+        # np.square differs from pow in the last bit for some values
+        weights={s: np.array([c ** 2 for c in values])
+                 for s, values in calibration.items()},
         leaf_grid=grid,
         spec=spec,
     )
 
 
 def _boundary_calibration(spec: ArraySpec, branching: int, num_leaves: int,
-                          total: int, stages: dict) -> dict:
+                          stages: dict, live: dict) -> dict:
     """Sibling-chain multipliers equalizing responses at shared cell edges."""
     n = np.arange(spec.num_elements)
+    total = len(stages)
 
-    def gain_at_sine(beam: BeamVector, x: float) -> float:
+    def gain_at_sine(beam: np.ndarray, x: float) -> float:
         a = np.exp(1j * 2.0 * np.pi * spec.spacing_wavelengths * n * x)
-        return abs(np.vdot(beam.coefficients, a)) / np.sqrt(spec.num_elements)
+        return abs(np.vdot(beam, a)) / np.sqrt(spec.num_elements)
 
-    calibration = {
-        total: tuple(1.0 if b is not None else 0.0 for b in stages[total])
-    }
+    calibration = {total: live[total].astype(float)}
     for s in range(1, total):
+        beams = stages[s]
         span = branching ** (total - s)
-        out = [0.0] * (branching ** s)
-        parents = [None] if s == 1 else range(branching ** (s - 1))
-        for parent in parents:
-            group = (range(branching) if parent is None
-                     else range(parent * branching, (parent + 1) * branching))
-            live = [i for i in group if stages[s][i] is not None]
-            if not live:
+        out = np.zeros(branching ** s)
+        for first in range(0, branching ** s, branching):
+            group = first + np.flatnonzero(live[s][first:first + branching])
+            if not group.size:
                 continue
-            out[live[0]] = 1.0
-            for left, right in zip(live, live[1:]):
-                edge_sine = -1.0 + right * span * 2.0 / num_leaves
-                g_left = gain_at_sine(stages[s][left], edge_sine)
-                g_right = gain_at_sine(stages[s][right], edge_sine)
-                out[right] = out[left] * g_left / g_right
-        calibration[s] = tuple(out)
+            out[group[0]] = 1.0
+            for left, right in zip(group, group[1:]):
+                edge_sine = -1.0 + int(right) * span * 2.0 / num_leaves
+                out[right] = (out[left] * gain_at_sine(beams[:, left], edge_sine)
+                              / gain_at_sine(beams[:, right], edge_sine))
+        calibration[s] = out
     return calibration

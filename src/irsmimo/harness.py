@@ -28,6 +28,12 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+# Config keys whose values, or each of whose values, count something.
+_COUNT_KEYS = ("num_tx_antennas", "num_rx_antennas", "num_irs_elements",
+              "num_irs", "num_tx_rf_chains", "num_rx_rf_chains", "num_streams",
+              "pilot_repetitions", "mp_antenna_counts", "trials")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every knob of the simulated scene, in config-file units (dB quantities in dB)."""
@@ -61,6 +67,26 @@ class ScenarioConfig:
     seed: int = 1
 
     def __post_init__(self):
+        """Reject every bad value here, naming its key, so that each config
+        error surfaces as a ValueError from the constructor."""
+        for key in (f.name for f in fields(self)):
+            try:
+                finite = np.isfinite(np.asarray(getattr(self, key), float)).all()
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ValueError(f"{key} must hold finite numbers")
+        lowest = dict.fromkeys(_COUNT_KEYS, 1)
+        lowest.update(branching=2, beam_ratio=1.0, irs_sweep_ratio=1.0,
+                      mp_beam_ratios=1.0, absorption_per_m=0.0,
+                      reflection_amplitude=0.0, seed=0)
+        for key, low in lowest.items():
+            if np.any(np.asarray(getattr(self, key)) < low):
+                raise ValueError(f"{key} must be >= {low}")
+        if not self.frequency_hz > 0.0:
+            raise ValueError("frequency_hz must be positive")
+        if self.reflection_amplitude > 1.0:
+            raise ValueError("reflection_amplitude must lie in [0, 1]")
         if len(self.irs_positions) != self.num_irs:
             raise ValueError(
                 f"num_irs={self.num_irs} but {len(self.irs_positions)} "
@@ -77,14 +103,9 @@ class ScenarioConfig:
         if not self.num_irs <= self.num_streams <= min(self.num_tx_rf_chains,
                                                        self.num_rx_rf_chains):
             raise ValueError("need num_irs <= num_streams <= RF chains")
-        if self.beam_ratio < 1.0 or self.irs_sweep_ratio < 1.0:
-            raise ValueError("beam ratios must be >= 1")
         if self.num_irs_sweep_beams % 2 != 0:
             raise ValueError("the IRS sweep grid size K_r must be even")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.pilot_repetitions < 1:
-            raise ValueError("pilot_repetitions must be >= 1")
+        self.physical_constants()
 
     @property
     def num_tx_beams(self) -> int:
@@ -166,19 +187,27 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
     )
 
 
+class _DegenerateRay(ValueError):
+    """A drawn ray the link model cannot represent; the room is redrawn."""
+
+
 def _path_geometry(terminal_y: float, irs_position) -> tuple:
-    """Distance and transverse sine of the terminal-to-IRS ray.
+    """Distance and transverse sines of the terminal-to-IRS ray.
 
     Terminals sit on the x = 0 wall with broadside +x; IRSs sit on the far
     wall with broadside -x; all arrays run along +y, so the angle off
     broadside has sine (other endpoint's y - own y) / distance on each side.
+    Raises _DegenerateRay when the terminal sits on the IRS or the ray runs
+    parallel to an array axis.
     """
     x_i, y_i = irs_position
     distance = float(np.hypot(x_i, y_i - terminal_y))
     if distance < 1e-9:
-        raise ValueError("degenerate geometry: terminal on top of an IRS")
+        raise _DegenerateRay("degenerate geometry: terminal on top of an IRS")
     sine_at_terminal = (y_i - terminal_y) / distance
     sine_at_irs = (terminal_y - y_i) / distance
+    if max(abs(sine_at_terminal), abs(sine_at_irs)) >= 1.0 - 1e-12:
+        raise _DegenerateRay("ray parallel to an array axis")
     return distance, sine_at_terminal, sine_at_irs
 
 
@@ -186,8 +215,8 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
                     assets: ScenarioAssets = None):
     """Draw terminal positions and build the cascade channel they induce.
 
-    Returns (LinkScenario, SampledGeometry). Degenerate or out-of-front-range
-    draws are resampled and counted.
+    Returns (LinkScenario, SampledGeometry). Draws with a degenerate ray are
+    resampled and counted; any other error propagates.
     """
     if assets is None:
         assets = scenario_assets(config)
@@ -195,34 +224,31 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
         alice_y = rng.uniform(*config.alice_y_range)
         bob_y = rng.uniform(*config.bob_y_range)
         try:
-            links = []
-            for pos in config.irs_positions:
-                d_in, sin_am, sin_rm = _path_geometry(alice_y, pos)
-                d_out, sin_bn, sin_rn = _path_geometry(bob_y, pos)
-                if max(abs(sin_am), abs(sin_rm), abs(sin_bn),
-                       abs(sin_rn)) >= 1.0 - 1e-12:
-                    raise ValueError("ray parallel to an array axis")
-                angles = LinkAngles(
-                    tx_departure=float(np.arcsin(sin_am)),
-                    irs_arrival=float(np.arcsin(sin_rm)),
-                    irs_departure=float(np.arcsin(sin_rn)),
-                    rx_arrival=float(np.arcsin(sin_bn)),
-                )
-                links.append(IrsLink(
-                    incident=make_link(assets.consts, assets.tx_spec,
-                                       assets.irs_spec, angles.tx_departure,
-                                       angles.irs_arrival, d_in),
-                    departing=make_link(assets.consts, assets.irs_spec,
-                                        assets.rx_spec, angles.irs_departure,
-                                        angles.rx_arrival, d_out),
-                    eta=compensation_factor(assets.consts,
-                                            config.num_irs_elements),
-                    distance_in=d_in,
-                    distance_out=d_out,
-                    angles=angles,
-                ))
-        except ValueError:
+            paths = [(_path_geometry(alice_y, pos), _path_geometry(bob_y, pos))
+                     for pos in config.irs_positions]
+        except _DegenerateRay:
             continue
+        links = []
+        for (d_in, sin_am, sin_rm), (d_out, sin_bn, sin_rn) in paths:
+            angles = LinkAngles(
+                tx_departure=float(np.arcsin(sin_am)),
+                irs_arrival=float(np.arcsin(sin_rm)),
+                irs_departure=float(np.arcsin(sin_rn)),
+                rx_arrival=float(np.arcsin(sin_bn)),
+            )
+            links.append(IrsLink(
+                incident=make_link(assets.consts, assets.tx_spec,
+                                   assets.irs_spec, angles.tx_departure,
+                                   angles.irs_arrival, d_in),
+                departing=make_link(assets.consts, assets.irs_spec,
+                                    assets.rx_spec, angles.irs_departure,
+                                    angles.rx_arrival, d_out),
+                eta=compensation_factor(assets.consts,
+                                        config.num_irs_elements),
+                distance_in=d_in,
+                distance_out=d_out,
+                angles=angles,
+            ))
         cascade = CascadeChannel(links=tuple(links), tx_spec=assets.tx_spec,
                                  rx_spec=assets.rx_spec,
                                  irs_spec=assets.irs_spec)
@@ -270,8 +296,12 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial, stream)))
 
 
-def _designed_rates(scenario, estimates, power, noise_power, config):
-    """Assemble the designed channel and evaluate the hybrid rate."""
+def _designed_rates(scenario, estimates, power, noise_power, config, H=None):
+    """Hybrid rate of the design from `estimates` over its channel H.
+
+    H is the channel under the IRS states designed from the same estimates;
+    it is assembled here unless the caller already holds it.
+    """
     gains = np.array([e.composite_loss for e in estimates])
     if not np.any(gains > 0):
         return 0.0
@@ -280,9 +310,11 @@ def _designed_rates(scenario, estimates, power, noise_power, config):
                            scenario.cascade.tx_spec, scenario.cascade.rx_spec,
                            config.num_tx_rf_chains, config.num_rx_rf_chains,
                            config.num_streams)
-    thetas = design_irs(estimates, scenario.cascade.irs_spec,
-                        reflection_amplitude=scenario.consts.reflection_amplitude)
-    H = assemble(scenario.cascade, thetas, scenario.consts)
+    if H is None:
+        thetas = design_irs(
+            estimates, scenario.cascade.irs_spec,
+            reflection_amplitude=scenario.consts.reflection_amplitude)
+        H = assemble(scenario.cascade, thetas, scenario.consts)
     return spectral_efficiency(H, bf, power, noise_power)
 
 
@@ -290,13 +322,14 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
               trial: int) -> list:
     """One Monte Carlo trial, scored at every configured power.
 
-    Samples the room (stream 0), draws the random IRS phases (stream 1) and
-    designs the genie IRSs once. Per power point, on stream 2 + power index:
-    runs the full cooperative estimation and the composite-loss pilots at
-    that power, designs from the estimates, and evaluates (1) the proposed
-    design under estimated CSI, (2) the proposed design under perfect CSI,
-    (3) the fully digital bound with optimal IRSs, (4) the fully digital
-    bound with random IRSs. Returns one TrialRecord per power, in grid order.
+    Samples the room (stream 0), draws the random IRS phases (stream 1),
+    designs the genie IRSs and assembles their channel once. Per power point,
+    on stream 2 + power index: runs the full cooperative estimation and the
+    composite-loss pilots at that power, designs from the estimates, and
+    evaluates (1) the proposed design under estimated CSI, (2) the proposed
+    design under perfect CSI, (3) the fully digital bound with optimal IRSs,
+    (4) the fully digital bound with random IRSs. Returns one TrialRecord
+    per power, in grid order.
     """
     scenario, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
@@ -305,11 +338,11 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
                                  amplitude=config.reflection_amplitude)
                      for _ in range(config.num_irs)]
     genie = perfect_estimates(scenario)
-    optimal_thetas = design_irs(genie, assets.irs_spec,
-                                config.reflection_amplitude)
-    sv_optimal = np.linalg.svd(
-        assemble(scenario.cascade, optimal_thetas, assets.consts),
-        compute_uv=False)
+    H_genie = assemble(scenario.cascade,
+                       design_irs(genie, assets.irs_spec,
+                                  config.reflection_amplitude),
+                       assets.consts)
+    sv_optimal = np.linalg.svd(H_genie, compute_uv=False)
     sv_random = np.linalg.svd(
         assemble(scenario.cascade, random_thetas, assets.consts),
         compute_uv=False)
@@ -330,7 +363,8 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
         ]
         rates = dict(zip(RATE_KEYS, (
             _designed_rates(scenario, estimates, power, noise_power, config),
-            _designed_rates(scenario, genie, power, noise_power, config),
+            _designed_rates(scenario, genie, power, noise_power, config,
+                            H=H_genie),
             fdb_upper_bound(sv_optimal, power, noise_power),
             fdb_upper_bound(sv_random, power, noise_power),
         )))
@@ -441,15 +475,10 @@ def _parse_pair(text: str) -> tuple:
 
 
 def _parse_positions(text: str) -> tuple:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        points.append(_parse_pair(chunk))
+    points = tuple(_parse_pair(c) for c in text.split(";") if c.strip())
     if not points:
         raise ValueError("no IRS positions given")
-    return tuple(points)
+    return points
 
 
 def _parse_floats(text: str) -> tuple:
@@ -460,35 +489,13 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-_CONFIG_PARSERS = {
-    "frequency_hz": float,
-    "absorption_per_m": float,
-    "noise_power_dbm": float,
-    "tx_gain_dbi": float,
-    "rx_gain_dbi": float,
-    "irs_element_gain_dbi": float,
-    "reflection_amplitude": float,
-    "num_tx_antennas": int,
-    "num_rx_antennas": int,
-    "num_irs_elements": int,
-    "num_irs": int,
-    "num_tx_rf_chains": int,
-    "num_rx_rf_chains": int,
-    "num_streams": int,
-    "beam_ratio": float,
-    "irs_sweep_ratio": float,
-    "branching": int,
-    "alice_y_range": _parse_pair,
-    "bob_y_range": _parse_pair,
-    "irs_positions": _parse_positions,
-    "pilot_repetitions": int,
-    "power_grid_dbm": _parse_floats,
-    "mp_snr_grid_db": _parse_floats,
-    "mp_antenna_counts": _parse_ints,
-    "mp_beam_ratios": _parse_floats,
-    "trials": int,
-    "seed": int,
-}
+# Scalar keys parse as the type of their default.
+_CONFIG_PARSERS = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+_CONFIG_PARSERS.update(
+    alice_y_range=_parse_pair, bob_y_range=_parse_pair,
+    irs_positions=_parse_positions, power_grid_dbm=_parse_floats,
+    mp_snr_grid_db=_parse_floats, mp_antenna_counts=_parse_ints,
+    mp_beam_ratios=_parse_floats)
 
 
 class ConfigError(Exception):
@@ -512,7 +519,7 @@ def load_config_file(path: str) -> dict:
             try:
                 values[key] = _CONFIG_PARSERS[key](text.strip())
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 

@@ -12,10 +12,11 @@ check that keeps the parity-consistent member of the twin pair.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .arrays import BeamGrid, BeamVector, grid_directions, omni, pattern_gain
+from .arrays import BeamGrid, BeamVector, grid_directions, pattern_gain
 from .channel import CascadeChannel, PhysicalConstants, assemble
 from .codebook import HierarchicalCodebook
 from .irs_control import absorbing, direction_mode
@@ -63,6 +64,16 @@ class LinkScenario:
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
 
+    @cached_property
+    def sweep_phasors(self) -> np.ndarray:
+        """exp(j * return-mode phases) of every sweep slot, one row each;
+        built once per scene. The phases are -2 (2 pi d) n sin(direction)."""
+        irs_spec = self.cascade.irs_spec
+        n = np.arange(irs_spec.num_elements)
+        phases = (-2.0 * (2.0 * np.pi * irs_spec.spacing_wavelengths)
+                  * np.outer(self.sweep_grid.sines, n))
+        return np.exp(1j * phases)
+
 
 def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
     """Circularly symmetric complex Gaussian samples with the given mean power."""
@@ -93,39 +104,38 @@ def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
     return float(np.mean(np.abs(signal + noise) ** 2))
 
 
-def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
-    """Stage-by-stage descent to the best leaf; returns the leaf's grid index.
+def _descend(codebook: HierarchicalCodebook, measure) -> tuple:
+    """Stage-by-stage descent to the best leaf; returns (leaf, measurements).
 
-    `gain_oracle` maps a candidate BeamVector to a measured power. Measured
-    powers are weighted by the codebook's boundary calibration before
-    comparison; null padding slots are never measured. Ties go to the lowest
-    index.
+    At each stage `measure(stage, children)` returns the measured powers of
+    the current candidate's live children, the slot slice `children`: among
+    siblings the live slots come first, so null padding slots are never
+    measured. Powers are weighted by the squared boundary calibration before
+    comparison; ties go to the lowest index. `leaf` is the leaf's grid index
+    and `measurements` the number of powers measured.
     """
     index = 0
+    measurements = 0
     for stage in range(1, codebook.num_stages + 1):
-        best = None
-        best_stat = -np.inf
-        for child in codebook.children(stage - 1, index):
-            beam = codebook.beam(stage, child)
-            if beam is None:
-                continue
-            stat = gain_oracle(beam) * codebook.scale(stage, child) ** 2
-            if stat > best_stat:
-                best, best_stat = child, stat
-        if best is None:
-            raise RuntimeError(f"every candidate at stage {stage} is null")
-        index = best
-    return index
+        first = index * codebook.branching
+        children = slice(first, first + np.count_nonzero(
+            codebook.live[stage][first:first + codebook.branching]))
+        stats = measure(stage, children) * codebook.weights[stage][children]
+        index = first + int(np.argmax(stats))
+        measurements += children.stop - first
+    return index, measurements
 
 
-def search_path_measurements(codebook: HierarchicalCodebook, leaf: int) -> int:
-    """Measurements a search ending at `leaf` made: M * S_M minus skipped nulls."""
-    count = 0
-    for stage in range(1, codebook.num_stages + 1):
-        parent = leaf // codebook.branching ** (codebook.num_stages - stage + 1)
-        count += sum(1 for c in codebook.children(stage - 1, parent)
-                     if codebook.beam(stage, c) is not None)
-    return count
+def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
+    """Calibrated descent to the best leaf; returns the leaf's grid index.
+
+    `gain_oracle` maps a candidate BeamVector to a measured power and is
+    called once per live child, in slot order.
+    """
+    leaf, _ = _descend(codebook, lambda stage, children: np.array(
+        [gain_oracle(codebook.beam(stage, c))
+         for c in range(children.start, children.stop)]))
+    return leaf
 
 
 def _roundtrip_weights(scenario: LinkScenario, irs_index: int,
@@ -160,15 +170,9 @@ def _bridge_scalar(scenario: LinkScenario, irs_index: int, theta) -> complex:
 def _sweep_side(scenario: LinkScenario, irs_index: int, side: str,
                 model: MeasurementModel, rng: np.random.Generator) -> int:
     """Measure all K_r return-mode slots for one terminal; returns the best slot."""
-    irs_spec = scenario.cascade.irs_spec
     weights = _roundtrip_weights(scenario, irs_index, side)
-    # all slots at once: return-mode phases are
-    # -2 (2 pi d) n sin(slot direction), one row per slot
-    n = np.arange(irs_spec.num_elements)
-    phases = (-2.0 * (2.0 * np.pi * irs_spec.spacing_wavelengths)
-              * np.outer(scenario.sweep_grid.sines, n))
     responses = (scenario.consts.reflection_amplitude
-                 * (np.exp(1j * phases) @ weights))
+                 * (scenario.sweep_phasors @ weights))
     noise = complex_noise(rng, model.noise_power, size=responses.shape[0])
     powers = np.abs(np.sqrt(model.transmit_power) * responses + noise) ** 2
     return int(np.argmax(powers))
@@ -224,35 +228,43 @@ def phase2(scenario: LinkScenario, irs_index: int, phase1_result,
     Fixes the IRS to direction mode on the phase-1 angles (all other IRSs
     absorbing), then the receive terminal searches its codebook against an
     omni transmitter; roles swap for the transmit-side angle, searching the
-    transposed channel with conjugated codewords.
+    transposed channel with conjugated codewords. Omni is the first
+    element, so the receive search combines w^H with the first column of the
+    bridged channel and the transmit search w^T with its first row.
 
-    Returns (rx_arrival_hat, tx_departure_hat).
+    Returns (rx_leaf, tx_leaf, measurements): the chosen leaf grid indices
+    of the receive and transmit codebooks, and the pilots both searches used.
     """
-    H = _bridged_channel(scenario, irs_index, phase1_result)
+    H = bridged_channel(scenario, irs_index, phase1_result)
+    amplitude = np.sqrt(model.transmit_power)
 
-    tx_omni = omni(scenario.cascade.tx_spec)
-    leaf_rx = hierarchical_search(
-        scenario.rx_codebook,
-        lambda w: measure_power(tx_omni, w, H, model, rng=rng))
+    def search(codebook, response, conjugate):
+        # one product and one noise draw per stage for its live children;
+        # pilot by pilot, the same draws and powers as `measure_power`
+        def measure(stage, children):
+            beams = codebook.stages[stage][:, children]
+            signal = amplitude * ((beams.conj() if conjugate else beams).T
+                                  @ response)
+            # (real, imaginary) pairs: complex draws in measure_power's order
+            draws = rng.standard_normal((beams.shape[1], 2)).view(complex)
+            scale = np.sqrt(model.noise_power * codebook.norms[stage][children]
+                            / 2.0)
+            return np.abs(signal + scale * draws[:, 0]) ** 2
+        return _descend(codebook, measure)
 
-    rx_omni = omni(scenario.cascade.rx_spec)
-    H_up = H.T
-    leaf_tx = hierarchical_search(
-        scenario.tx_codebook,
-        lambda w: measure_power(rx_omni, w.conj(), H_up, model, rng=rng))
-    return (scenario.rx_codebook.leaf_angle(leaf_rx),
-            scenario.tx_codebook.leaf_angle(leaf_tx))
+    rx_leaf, rx_count = search(scenario.rx_codebook, H[:, 0], True)
+    tx_leaf, tx_count = search(scenario.tx_codebook, H[0, :], False)
+    return rx_leaf, tx_leaf, rx_count + tx_count
 
 
-def _bridged_channel(scenario: LinkScenario, irs_index: int,
-                     phase1_result) -> np.ndarray:
-    arrival_hat, departure_hat = phase1_result
+def bridged_channel(scenario: LinkScenario, irs_index: int,
+                    irs_angles) -> np.ndarray:
+    """End-to-end channel with IRS `irs_index` in direction mode on
+    `irs_angles` = (arrival, departure) and every other IRS absorbing."""
     irs_spec = scenario.cascade.irs_spec
-    thetas = [absorbing(irs_spec.num_elements)
-              for _ in range(scenario.cascade.num_irs)]
+    thetas = [absorbing(irs_spec.num_elements)] * scenario.cascade.num_irs
     thetas[irs_index] = direction_mode(
-        irs_spec.num_elements, irs_spec.spacing_wavelengths,
-        arrival_hat, departure_hat,
+        irs_spec.num_elements, irs_spec.spacing_wavelengths, *irs_angles,
         amplitude=scenario.consts.reflection_amplitude)
     return assemble(scenario.cascade, thetas, scenario.consts)
 
@@ -267,20 +279,15 @@ def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
     estimates = []
     search_slots = 0
     for irs_index in range(scenario.cascade.num_irs):
-        p1 = phase1(scenario, irs_index, model, rng=rng)
-        rx_arrival, tx_departure = phase2(scenario, irs_index, p1, model,
-                                          rng=rng)
-        leaf_rx = int(np.argmin(np.abs(
-            scenario.rx_codebook.leaf_grid.directions - rx_arrival)))
-        leaf_tx = int(np.argmin(np.abs(
-            scenario.tx_codebook.leaf_grid.directions - tx_departure)))
-        search_slots += search_path_measurements(scenario.rx_codebook, leaf_rx)
-        search_slots += search_path_measurements(scenario.tx_codebook, leaf_tx)
+        irs_arrival, irs_departure = phase1(scenario, irs_index, model, rng=rng)
+        rx_leaf, tx_leaf, measurements = phase2(
+            scenario, irs_index, (irs_arrival, irs_departure), model, rng=rng)
+        search_slots += measurements
         estimates.append(AngleEstimate(
-            tx_departure=tx_departure,
-            irs_arrival=p1[0],
-            irs_departure=p1[1],
-            rx_arrival=rx_arrival,
+            tx_departure=scenario.tx_codebook.leaf_angle(tx_leaf),
+            irs_arrival=irs_arrival,
+            irs_departure=irs_departure,
+            rx_arrival=scenario.rx_codebook.leaf_angle(rx_leaf),
         ))
     slots = SlotCount(
         irs_sweep=2 * scenario.sweep_grid.num_beams * scenario.cascade.num_irs,

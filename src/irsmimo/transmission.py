@@ -5,9 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArraySpec, steering
-from .channel import assemble
-from .irs_control import absorbing, direction_mode
-from .training import LinkScenario, MeasurementModel, measure_power
+from .irs_control import direction_mode
+from .training import (LinkScenario, MeasurementModel, bridged_channel,
+                       measure_power)
 
 _LN2 = np.log(2.0)
 
@@ -67,21 +67,17 @@ def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
                             pilot_repetitions: int = 10) -> float:
     """Measured end-to-end amplitude of one bridged IRS link.
 
-    IRS `irs_index` is set by `design_irs` while the others absorb; both
+    IRS `irs_index` is set in direction mode on its estimated angles, as
+    `design_irs` sets it, while the others absorb; both
     terminals beamform on their estimated angles; the amplitude is recovered
     from the pilot-averaged received power with the known noise floor
     subtracted (clipped at zero).
     """
     if model.transmit_power <= 0:
         raise ValueError("composite-loss estimation needs positive power")
-    irs_spec = scenario.cascade.irs_spec
-    thetas = [absorbing(irs_spec.num_elements)
-              for _ in range(scenario.cascade.num_irs)]
-    thetas[irs_index] = design_irs(
-        [estimates[irs_index]], irs_spec,
-        reflection_amplitude=scenario.consts.reflection_amplitude)[0]
-    H = assemble(scenario.cascade, thetas, scenario.consts)
     est = estimates[irs_index]
+    H = bridged_channel(scenario, irs_index,
+                        (est.irs_arrival, est.irs_departure))
     tx_beam = steering(scenario.cascade.tx_spec, est.tx_departure)
     rx_beam = steering(scenario.cascade.rx_spec, est.rx_arrival)
     mean_power = measure_power(tx_beam, rx_beam, H, model, rng=rng,

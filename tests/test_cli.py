@@ -90,6 +90,21 @@ def test_config_error_exit_code(tmp_path):
     assert main(["mp-curve", "--config", str(bad), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("frequency_hz", "nan"),
+    ("noise_power_dbm", "inf"),
+    ("reflection_amplitude", "1.5"),
+    ("branching", "1"),
+])
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY + f"{key} = {value}\n")
+    out = tmp_path / "rate.csv"
+    assert main(["rate-curve", "--config", str(bad), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_out_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["mp-curve"])

@@ -120,36 +120,25 @@ def test_discrimination_margin(branching, num_leaves, floor):
 def test_bottom_stage_layout_and_common_edges():
     book = build_codebook(ArraySpec(16), 3, 22)
     bottom = book.stages[book.num_stages]
-    assert sum(b is not None for b in bottom) == 22
-    assert all(b is None for b in bottom[22:])
+    assert bottom.shape == (16, 27)
+    assert list(np.flatnonzero(book.live[book.num_stages])) == list(range(22))
+    assert not bottom[:, 22:].any()
+    assert all(book.beam(book.num_stages, i) is None for i in range(22, 27))
     # every live leaf is the grid steering vector: common coverage-edge energy
     rho = book.leaf_grid.edge_energy
     for i in (0, 10, 21):
         edge = float(np.arcsin(np.clip(book.leaf_grid.sines[i] + 1 / 22, -1, 1)))
-        assert beam_gain(bottom[i], book.spec, edge) == pytest.approx(rho, abs=1e-9)
-
-
-def test_children_indexing():
-    book = build_codebook(ArraySpec(16), 3, 22)
-    assert book.children(0, 0) == [0, 1, 2]
-    assert book.children(book.num_stages, 0) == []
-    kids = book.children(2, 7)
-    live = [k for k in kids if book.beam(3, k) is not None]
-    assert len(live) == 1
-
-
-def test_children_range_errors():
-    book = build_codebook(ArraySpec(16), 2, 16)
-    with pytest.raises(ValueError):
-        book.children(1, 5)
-    with pytest.raises(ValueError):
-        book.children(9, 0)
+        leaf = book.beam(book.num_stages, i)
+        assert beam_gain(leaf, book.spec, edge) == pytest.approx(rho, abs=1e-9)
 
 
 def test_calibration_live_slots_positive():
     book = build_codebook(ArraySpec(32), 3, 96)
     for stage in range(1, book.num_stages + 1):
+        span = 3 ** (book.num_stages - stage)
         for index in range(3 ** stage):
+            # a slot is live exactly when its first leaf is
+            assert book.live[stage][index] == (index * span < 96)
             scale = book.scale(stage, index)
             if book.beam(stage, index) is None:
                 assert scale == 0.0

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from irsmimo import harness
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              db_to_linear, dbm_to_watts, load_config_file,
@@ -45,6 +46,16 @@ def test_config_validation_errors():
         tiny_config(irs_sweep_ratio=1.0625)  # K_r = 17, odd
     with pytest.raises(ValueError):
         tiny_config(trials=0)
+    nan, inf = float("nan"), float("inf")
+    for key, value in [("frequency_hz", nan), ("frequency_hz", 0.0),
+                       ("noise_power_dbm", inf), ("reflection_amplitude", 1.5),
+                       ("branching", 1), ("beam_ratio", inf),
+                       ("absorption_per_m", -1.0), ("seed", -1),
+                       ("power_grid_dbm", (0.0, nan)),
+                       ("mp_antenna_counts", (16, 0)),
+                       ("irs_positions", ((5.0, 4.0), (5.0, inf)))]:
+        with pytest.raises(ValueError, match=key):
+            tiny_config(**{key: value})
 
 
 def test_path_geometry_examples():
@@ -67,6 +78,22 @@ def test_path_geometry_examples():
 def test_path_geometry_rejects_degenerate():
     with pytest.raises(ValueError):
         _path_geometry(4.0, (0.0, 4.0))
+
+
+def test_sample_scenario_propagates_other_value_errors(monkeypatch):
+    # only a degenerate ray is redrawn; a failure while building the links
+    # surfaces at once instead of after 1000 silent resamples
+    calls = []
+
+    def broken_link(*args):
+        calls.append(args)
+        raise ValueError("link model failed")
+
+    monkeypatch.setattr(harness, "make_link", broken_link)
+    config = tiny_config()
+    with pytest.raises(ValueError, match="link model failed"):
+        sample_scenario(config, np.random.default_rng(5))
+    assert len(calls) == 1
 
 
 def test_sample_scenario_reproducible():

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, beam_gain, omni, steering
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import direction_mode, return_mode
-from irsmimo.training import (MeasurementModel, cooperative_estimate,
-                              hierarchical_search, measure_power,
-                              misalignment_curve, phase1, phase2,
-                              search_path_measurements, _sweep_side)
+from irsmimo.training import (MeasurementModel, bridged_channel,
+                              cooperative_estimate, hierarchical_search,
+                              measure_power, misalignment_curve, phase1,
+                              phase2, _descend, _sweep_side)
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -77,15 +78,95 @@ def test_single_stage_tree_is_exhaustive_scan():
 
 
 def test_search_measurement_count_accounts_for_nulls():
+    # sin(1.2) = 0.93 lies in leaf 21 of 22: the path runs through the padded
+    # end of the tree, with 3 live children at stage 1, 2 at stage 2, 1 at 3
     spec = ArraySpec(16)
     book = build_codebook(spec, 3, 22)
-    calls = {"n": 0}
+    measured = []
+
+    def measure(stage, children):
+        slots = range(children.start, children.stop)
+        measured.extend((stage, c) for c in slots)
+        return np.array([beam_gain(book.beam(stage, c), spec, 1.2) ** 2
+                         for c in slots])
+
+    leaf, count = _descend(book, measure)
+    assert count == len(measured) == 3 + 2 + 1
+    assert all(book.beam(stage, c) is not None for stage, c in measured)
+    assert leaf == 21 == hierarchical_search(
+        book, lambda beam: beam_gain(beam, spec, 1.2) ** 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_elements=st.integers(2, 48), ratio=st.floats(1.5, 4.0),
+       branching=st.sampled_from([2, 3, 4]),
+       angle=st.floats(-np.pi / 2, 3 * np.pi / 2))
+def test_noiseless_search_matches_exhaustive_property(num_elements, ratio,
+                                                      branching, angle):
+    # K = ceil(ratio N) leaves, null-padded trees included. An angle on a cell
+    # edge (or on the +-1 seam, where the first and last leaves are
+    # neighbours) ties two leaves, so it is left out. Grids with K < 1.3 N
+    # break this property; see the near-square test below.
+    num_leaves = int(np.ceil(ratio * num_elements))
+    edge = (np.sin(angle) + 1.0) * num_leaves / 2.0
+    assume(abs(edge - round(edge)) > 1e-6)
+    spec = ArraySpec(num_elements)
+    book = build_codebook(spec, branching, num_leaves)
+
     def oracle(beam):
-        calls["n"] += 1
-        return beam_gain(beam, spec, 1.2) ** 2
-    leaf = hierarchical_search(book, oracle)
-    assert calls["n"] == search_path_measurements(book, leaf)
-    assert calls["n"] <= 3 * book.num_stages
+        return beam_gain(beam, spec, angle) ** 2
+
+    assert hierarchical_search(book, oracle) == exhaustive_leaf(book, oracle)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known miss: on near-square grids (K below about 1.3 N) a sibling's "
+    "projection wide beam can outshine the wide beam over the best leaf; "
+    "a scan of N <= 64 misses up to 40% of angles at K = N"))
+def test_noiseless_search_near_square_grid():
+    spec = ArraySpec(15)
+    book = build_codebook(spec, 2, 15)
+
+    def oracle(beam):
+        return beam_gain(beam, spec, 0.5) ** 2
+
+    assert hierarchical_search(book, oracle) == exhaustive_leaf(book, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_antennas=st.integers(4, 24), extra=st.integers(0, 24),
+       branching=st.sampled_from([2, 3, 4]),
+       angles=st.tuples(*[st.floats(-1.3, 1.3)] * 4),
+       noise_db=st.floats(-60.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
+                                                    branching, angles,
+                                                    noise_db, seed):
+    # reference: one measure_power call per pilot through the per-beam search
+    scenario = scenario_from_angles([angles], num_antennas=num_antennas,
+                                    num_beams=num_antennas + extra,
+                                    branching=branching)
+    model = MeasurementModel(transmit_power=1e-9,
+                             noise_power=1e-9 * 10.0 ** (noise_db / 10.0))
+    p1 = (angles[1], angles[2])
+    H = bridged_channel(scenario, 0, p1)
+    ref_rng = np.random.default_rng(seed)
+    pilots = []
+
+    def pilot(tx_beam, rx_beam, channel):
+        pilots.append(rx_beam)
+        return measure_power(tx_beam, rx_beam, channel, model, rng=ref_rng)
+
+    tx_omni = omni(scenario.cascade.tx_spec)
+    rx_omni = omni(scenario.cascade.rx_spec)
+    ref_rx = hierarchical_search(scenario.rx_codebook,
+                                 lambda w: pilot(tx_omni, w, H))
+    ref_tx = hierarchical_search(scenario.tx_codebook,
+                                 lambda w: pilot(rx_omni, w.conj(), H.T))
+
+    rng = np.random.default_rng(seed)
+    assert phase2(scenario, 0, p1, model, rng=rng) == (ref_rx, ref_tx,
+                                                       len(pilots))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_sweep_side_matches_dense_roundtrip(small_scenario):
@@ -173,22 +254,22 @@ def test_phase2_noiseless_finds_sine_nearest_leaves():
         truth = tuple(rng.uniform(-1.2, 1.2, 4))
         scenario = scenario_from_angles([truth])
         p1 = phase1(scenario, 0, model, rng=np.random.default_rng(0))
-        rx_arrival, tx_departure = phase2(scenario, 0, p1, model,
-                                          rng=np.random.default_rng(0))
+        rx_leaf, tx_leaf, _ = phase2(scenario, 0, p1, model,
+                                     rng=np.random.default_rng(0))
         grid = scenario.tx_codebook.leaf_grid
-        assert abs(np.sin(rx_arrival) - np.sin(truth[3])) <= 1 / grid.num_beams + 1e-12
-        assert abs(np.sin(tx_departure) - np.sin(truth[0])) <= 1 / grid.num_beams + 1e-12
+        assert abs(grid.sines[rx_leaf] - np.sin(truth[3])) <= 1 / grid.num_beams + 1e-12
+        assert abs(grid.sines[tx_leaf] - np.sin(truth[0])) <= 1 / grid.num_beams + 1e-12
 
 
 def test_phase2_total_with_misaligned_phase1(small_scenario):
-    # a wrong bridge degrades but still returns grid members
+    # a wrong bridge degrades but still returns leaves and a full count
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     bad = (0.9, -0.9)
-    rx_arrival, tx_departure = phase2(small_scenario, 0, bad, model,
-                                      rng=np.random.default_rng(0))
-    grid = small_scenario.tx_codebook.leaf_grid
-    assert np.min(np.abs(grid.sines - np.sin(rx_arrival))) < 1e-12
-    assert np.min(np.abs(grid.sines - np.sin(tx_departure))) < 1e-12
+    rx_leaf, tx_leaf, count = phase2(small_scenario, 0, bad, model,
+                                     rng=np.random.default_rng(0))
+    book = small_scenario.tx_codebook
+    assert 0 <= rx_leaf < book.num_leaves and 0 <= tx_leaf < book.num_leaves
+    assert count == 2 * book.branching * book.num_stages
 
 
 def test_cooperative_estimate_deterministic(small_scenario):
