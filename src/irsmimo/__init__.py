@@ -23,8 +23,8 @@ from .quantization import (QuantizationReport, average_error,
                            estimated_power_ratio, quantization_report,
                            worst_error)
 from .training import (AngleEstimate, LinkScenario, MeasurementModel,
-                       SlotCount, cooperative_estimate, hierarchical_search,
-                       measure_power, misalignment_curve, phase1, phase2)
+                       SlotCount, cooperative_estimate, estimate_angles,
+                       hierarchical_search, measure_power, misalignment_curve)
 from .transmission import (HybridBeamformer, PowerAllocation,
                            build_beamformers, design_irs,
                            estimate_composite_loss, fdb_upper_bound,

@@ -1,19 +1,23 @@
 """Scenario configuration, geometry sampling, Monte Carlo experiments, and CSV output."""
 
 import csv
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .arrays import ArraySpec, BeamGrid, grid_directions
 from .channel import (CascadeChannel, IrsLink, LinkAngles, PhysicalConstants,
-                      assemble, cascade_loss, compensation_factor, make_link)
+                      assemble, cascade_loss, compensation_factor,
+                      make_link)
 from .codebook import HierarchicalCodebook, build_codebook
 from .irs_control import random_mode
-from .training import (AngleEstimate, LinkScenario, MeasurementModel, SlotCount,
-                       cooperative_estimate, misalignment_curve)
-from .transmission import (build_beamformers, design_irs, estimate_composite_loss,
-                           fdb_upper_bound, spectral_efficiency, water_filling)
+# unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
+from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
+                       composite_losses, cooperative_estimate,
+                       direction_channels, estimate_angles, misalignment_curve,
+                       noise_tape, slot_count)
+from .transmission import (build_beamformers, design_irs, fdb_upper_bound,
+                           spectral_efficiency, water_filling)
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -94,6 +98,8 @@ class ScenarioConfig:
             )
         if len(set(self.irs_positions)) != len(self.irs_positions):
             raise ValueError("irs_positions must be distinct")
+        if any(x <= 0.0 for x, _ in self.irs_positions):
+            raise ValueError("irs_positions must have x > 0, off the x = 0 wall")
         for name in ("alice_y_range", "bob_y_range"):
             lo, hi = getattr(self, name)
             if not lo < hi:
@@ -297,25 +303,40 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
 
 
 def _designed_rates(scenario, estimates, power, noise_power, config, H=None):
-    """Hybrid rate of the design from `estimates` over its channel H.
+    """`_hybrid_rates` of a list of estimates at one power."""
+    return float(_hybrid_rates(
+        scenario, config, np.array([astuple(e)[:4] for e in estimates]),
+        np.array([e.composite_loss for e in estimates]), np.array([power]),
+        noise_power, H)[0])
 
-    H is the channel under the IRS states designed from the same estimates;
-    it is assembled here unless the caller already holds it.
+
+def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
+                  H=None):
+    """Hybrid rate at every power of the closed-form design from estimates.
+
+    `angles` (..., N_i, 4), ordered as `estimate_angles` returns them, and
+    composite losses `gains` (..., N_i) are per power or shared. H, the
+    channel under the IRSs designed from them, is assembled unless given.
+    A power whose gains are all zero scores 0.
     """
-    gains = np.array([e.composite_loss for e in estimates])
-    if not np.any(gains > 0):
-        return 0.0
-    allocation = water_filling(gains, power, noise_power)
-    bf = build_beamformers(estimates, allocation,
-                           scenario.cascade.tx_spec, scenario.cascade.rx_spec,
-                           config.num_tx_rf_chains, config.num_rx_rf_chains,
-                           config.num_streams)
+    shape = (len(powers), config.num_irs)
+    angles = np.broadcast_to(angles, shape + (4,))
+    gains = np.broadcast_to(gains, shape)
     if H is None:
-        thetas = design_irs(
-            estimates, scenario.cascade.irs_spec,
-            reflection_amplitude=scenario.consts.reflection_amplitude)
-        H = assemble(scenario.cascade, thetas, scenario.consts)
-    return spectral_efficiency(H, bf, power, noise_power)
+        H = direction_channels(scenario, np.sin(angles[..., 1]),
+                               np.sin(angles[..., 2]))
+    H = np.broadcast_to(H, shape[:1] + np.shape(H)[-2:])
+    rates = np.zeros(len(powers))
+    usable = np.any(gains > 0, axis=1)
+    if usable.any():
+        allocation = water_filling(gains[usable], powers[usable], noise_power)
+        bf = build_beamformers(
+            angles[usable], allocation, scenario.cascade.tx_spec,
+            scenario.cascade.rx_spec, config.num_tx_rf_chains,
+            config.num_rx_rf_chains, config.num_streams)
+        rates[usable] = spectral_efficiency(H[usable], bf, powers[usable],
+                                            noise_power)
+    return rates
 
 
 def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
@@ -323,13 +344,14 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     """One Monte Carlo trial, scored at every configured power.
 
     Samples the room (stream 0), draws the random IRS phases (stream 1),
-    designs the genie IRSs and assembles their channel once. Per power point,
-    on stream 2 + power index: runs the full cooperative estimation and the
-    composite-loss pilots at that power, designs from the estimates, and
-    evaluates (1) the proposed design under estimated CSI, (2) the proposed
-    design under perfect CSI, (3) the fully digital bound with optimal IRSs,
-    (4) the fully digital bound with random IRSs. Returns one TrialRecord
-    per power, in grid order.
+    designs the genie IRSs and assembles their channel once. Then, in one
+    pass over every power at once, reading power p's noise tape row from
+    stream 2 + p: runs the cooperative estimation and the composite-loss
+    pilots, designs from the estimates, and evaluates (1) the proposed
+    design under estimated CSI, (2) the proposed design under perfect CSI,
+    (3) the fully digital bound with optimal IRSs, (4) the fully digital
+    bound with random IRSs. Returns one TrialRecord per power, in grid
+    order.
     """
     scenario, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
@@ -347,39 +369,34 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
         assemble(scenario.cascade, random_thetas, assets.consts),
         compute_uv=False)
     noise_power = config.noise_power_watts
-
-    records = []
-    for p_index, power_dbm in enumerate(config.power_grid_dbm):
-        power = dbm_to_watts(power_dbm)
-        meas_rng = _trial_seed(config.seed, trial, 2 + p_index)
-        model = MeasurementModel(transmit_power=power,
-                                 noise_power=noise_power)
-        estimates, slots = cooperative_estimate(scenario, model, meas_rng)
-        estimates = [
-            replace(est, composite_loss=estimate_composite_loss(
-                scenario, l, estimates, model, meas_rng,
-                pilot_repetitions=config.pilot_repetitions))
-            for l, est in enumerate(estimates)
-        ]
-        rates = dict(zip(RATE_KEYS, (
-            _designed_rates(scenario, estimates, power, noise_power, config),
-            _designed_rates(scenario, genie, power, noise_power, config,
-                            H=H_genie),
-            fdb_upper_bound(sv_optimal, power, noise_power),
-            fdb_upper_bound(sv_random, power, noise_power),
-        )))
-        records.append(TrialRecord(
-            seed=config.seed,
-            trial_index=trial,
-            power_dbm=power_dbm,
-            geometry=geometry,
-            true_angles=tuple(l.angles for l in scenario.cascade.links),
-            true_losses=tuple(g.composite_loss for g in genie),
-            estimates=tuple(estimates),
-            rates=rates,
-            slots=slots,
-        ))
-    return records
+    powers = np.array([dbm_to_watts(p) for p in config.power_grid_dbm])
+    tape = noise_tape(scenario, config.pilot_repetitions,
+                      [_trial_seed(config.seed, trial, 2 + p_index)
+                       for p_index in range(powers.size)])
+    angles, search = estimate_angles(scenario, powers, noise_power, tape)
+    losses = composite_losses(scenario, np.arange(config.num_irs), angles,
+                              powers, noise_power, tape.pilots)
+    columns = (
+        _hybrid_rates(scenario, config, angles, losses, powers, noise_power),
+        _hybrid_rates(scenario, config,
+                      np.array([astuple(g)[:4] for g in genie]),
+                      np.array([g.composite_loss for g in genie]), powers,
+                      noise_power, H_genie),
+        fdb_upper_bound(sv_optimal, powers, noise_power),
+        fdb_upper_bound(sv_random, powers, noise_power),
+    )
+    return [TrialRecord(
+        seed=config.seed,
+        trial_index=trial,
+        power_dbm=power_dbm,
+        geometry=geometry,
+        true_angles=tuple(l.angles for l in scenario.cascade.links),
+        true_losses=tuple(g.composite_loss for g in genie),
+        estimates=tuple(AngleEstimate(*map(float, row), float(loss))
+                        for row, loss in zip(angles[p], losses[p])),
+        rates={key: float(column[p]) for key, column in zip(RATE_KEYS, columns)},
+        slots=slot_count(scenario, search[p]),
+    ) for p, power_dbm in enumerate(config.power_grid_dbm)]
 
 
 @dataclass

@@ -16,10 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import BeamGrid, BeamVector, grid_directions, pattern_gain
-from .channel import CascadeChannel, PhysicalConstants, assemble
+from .arrays import (BeamGrid, BeamVector, grid_directions, pattern_gain,
+                     steering_coefficients)
+from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook
-from .irs_control import absorbing, direction_mode
+from .irs_control import direction_phases
 
 
 @dataclass(frozen=True)
@@ -104,25 +105,59 @@ def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
     return float(np.mean(np.abs(signal + noise) ** 2))
 
 
-def _descend(codebook: HierarchicalCodebook, measure) -> tuple:
-    """Stage-by-stage descent to the best leaf; returns (leaf, measurements).
+@dataclass(frozen=True)
+class NoiseTape:
+    """Unit complex Gaussian pilot noise of one trial, row p for power p.
 
-    At each stage `measure(stage, children)` returns the measured powers of
-    the current candidate's live children, the slot slice `children`: among
-    siblings the live slots come first, so null padding slots are never
-    measured. Powers are weighted by the squared boundary calibration before
-    comparison; ties go to the lowest index. `leaf` is the leaf's grid index
-    and `measurements` the number of powers measured.
+    A pilot reads a fixed position whatever path the search takes. Side 0
+    is the transmit terminal: `sweep[p, l, side, slot]`, `bridge[p, l, c]`
+    (departure candidate, then its twin), `search[p, l, side, stage - 1,
+    child]` (by sibling position, null ones included), `pilots[p, l, r]`.
+    Row p is one generator's (real, imaginary) pairs, fields in this order.
     """
-    index = 0
-    measurements = 0
+
+    sweep: np.ndarray
+    bridge: np.ndarray
+    search: np.ndarray
+    pilots: np.ndarray
+
+
+def noise_tape(scenario: LinkScenario, pilot_repetitions: int,
+               rngs) -> NoiseTape:
+    """Draw the tape of one trial, one row from each generator in `rngs`."""
+    books = (scenario.tx_codebook, scenario.rx_codebook)
+    num_irs = scenario.cascade.num_irs
+    shapes = ((num_irs, 2, scenario.sweep_grid.num_beams), (num_irs, 2),
+              (num_irs, 2, max(b.num_stages for b in books),
+               max(b.branching for b in books)),
+              (num_irs, pilot_repetitions))
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    rows = np.array([rng.standard_normal((sum(sizes), 2)).view(complex)[:, 0]
+                     for rng in rngs])
+    parts = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
+    return NoiseTape(*(part.reshape(len(rows), *shape)
+                       for part, shape in zip(parts, shapes)))
+
+
+def _descend(codebook: HierarchicalCodebook, measure, batch: int = 1) -> tuple:
+    """Stage-by-stage descent of `batch` searches at once to their best leaves.
+
+    `measure(stage, children)` returns the powers measured on the slots
+    `children` (batch, M), each search's current children; null slots are
+    ignored. Powers are weighted by the squared boundary calibration, ties
+    go to the lowest index. Returns the leaf indices and live children
+    measured, both (batch,).
+    """
+    index = np.zeros(batch, dtype=int)
+    measurements = np.zeros(batch, dtype=int)
     for stage in range(1, codebook.num_stages + 1):
-        first = index * codebook.branching
-        children = slice(first, first + np.count_nonzero(
-            codebook.live[stage][first:first + codebook.branching]))
-        stats = measure(stage, children) * codebook.weights[stage][children]
-        index = first + int(np.argmax(stats))
-        measurements += children.stop - first
+        children = index[:, None] * codebook.branching + np.arange(
+            codebook.branching)
+        live = codebook.live[stage][children]
+        stats = np.where(live, measure(stage, children)
+                         * codebook.weights[stage][children], -np.inf)
+        index = children[np.arange(batch), np.argmax(stats, axis=1)]
+        measurements += live.sum(axis=1)
     return index, measurements
 
 
@@ -132,169 +167,165 @@ def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
     `gain_oracle` maps a candidate BeamVector to a measured power and is
     called once per live child, in slot order.
     """
-    leaf, _ = _descend(codebook, lambda stage, children: np.array(
-        [gain_oracle(codebook.beam(stage, c))
-         for c in range(children.start, children.stop)]))
-    return leaf
+    def measure(stage, children):
+        return np.array([[gain_oracle(codebook.beam(stage, c))
+                          if codebook.live[stage][c] else 0.0
+                          for c in children[0]]])
+    return int(_descend(codebook, measure)[0][0])
 
 
-def _roundtrip_weights(scenario: LinkScenario, irs_index: int,
-                       side: str) -> np.ndarray:
-    """Per-IRS-element weights of one terminal's monostatic round trip.
+def _bridge_terms(scenario: LinkScenario) -> tuple:
+    """(chain, rx_dir, tx_dir), stacked by IRS, of the single-IRS channels.
 
-    With the terminal transmitting and receiving on its first element, the
-    round-trip response under IRS state Theta is
-    eta * G_t * G_r * sum_n Theta_nn * weight_n, where weight_n is the
-    squared omni-column entry of that terminal's hop matrix (the transposed
-    return hop contributes the same entry again, unconjugated).
+    With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
+    has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
+    rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
+    H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0].
     """
-    link = scenario.cascade.links[irs_index]
-    if side == "tx":
-        hop = link.incident[:, 0]      # transmit terminal -> IRS, omni column
-    elif side == "rx":
-        hop = link.departing[0, :]     # transpose of receive-terminal uplink hop
-    else:
-        raise ValueError("side must be 'tx' or 'rx'")
-    gains = link.eta * scenario.consts.tx_gain * scenario.consts.rx_gain
-    return gains * hop ** 2
+    links = scenario.cascade.links
+    gain = scenario.consts.tx_gain * scenario.consts.rx_gain
+    return (np.array([link.eta * gain * link.departing[0, :] * link.incident[:, 0]
+                      for link in links]),
+            np.array([link.departing[:, 0] / link.departing[0, 0]
+                      for link in links]),
+            np.array([link.incident[0, :] / link.incident[0, 0]
+                      for link in links]))
 
 
-def _bridge_scalar(scenario: LinkScenario, irs_index: int, theta) -> complex:
-    """Omni-to-omni downlink response through a single IRS in state `theta`."""
-    link = scenario.cascade.links[irs_index]
-    chain = link.departing[0, :] * theta.entries() * link.incident[:, 0]
-    return (link.eta * scenario.consts.tx_gain * scenario.consts.rx_gain
-            * chain.sum())
+def direction_states(scenario: LinkScenario, incident_sine,
+                     departure_sine) -> np.ndarray:
+    """Diagonals of the direction-mode IRS states between arrays of sines."""
+    spec = scenario.cascade.irs_spec
+    return scenario.consts.reflection_amplitude * np.exp(1j * direction_phases(
+        spec.num_elements, spec.spacing_wavelengths, incident_sine,
+        departure_sine))
 
 
-def _sweep_side(scenario: LinkScenario, irs_index: int, side: str,
-                model: MeasurementModel, rng: np.random.Generator) -> int:
-    """Measure all K_r return-mode slots for one terminal; returns the best slot."""
-    weights = _roundtrip_weights(scenario, irs_index, side)
-    responses = (scenario.consts.reflection_amplitude
-                 * (scenario.sweep_phasors @ weights))
-    noise = complex_noise(rng, model.noise_power, size=responses.shape[0])
-    powers = np.abs(np.sqrt(model.transmit_power) * responses + noise) ** 2
-    return int(np.argmax(powers))
+def direction_channels(scenario: LinkScenario, incident_sine,
+                       departure_sine) -> np.ndarray:
+    """End-to-end channels (..., N_u, N_t) with IRS l in direction mode
+    between the sines [..., l], summed from each IRS's rank-one terms."""
+    chain, rx_dir, tx_dir = _bridge_terms(scenario)
+    states = direction_states(scenario, incident_sine, departure_sine)
+    return (rx_dir.T * np.sum(chain * states, axis=-1)[..., None, :]) @ tx_dir
 
 
-def _grating_twin(grid: BeamGrid, slot: int) -> int:
-    """Grid index whose sine differs by exactly 1 from the given slot's sine."""
-    half = grid.num_beams // 2
-    if grid.num_beams % 2 != 0:
-        raise ValueError("IRS sweep grid size must be even")
-    return slot - half if slot >= half else slot + half
+def _sweep_responses(scenario: LinkScenario) -> np.ndarray:
+    """Noise-free return-mode responses (N_i, side, K_r) of every sweep slot:
+    a terminal sending and receiving on its first element through state
+    Theta hears eta G_t G_r sum_n Theta_nn h_n^2, h the omni entries of its
+    hop (the transposed return hop repeats them, unconjugated)."""
+    consts = scenario.consts
+    hops = np.array([(link.incident[:, 0], link.departing[0, :])
+                     for link in scenario.cascade.links])
+    etas = np.array([link.eta for link in scenario.cascade.links])
+    weights = (etas * consts.tx_gain * consts.rx_gain)[:, None, None] * hops ** 2
+    return consts.reflection_amplitude * (weights @ scenario.sweep_phasors.T)
 
 
-def phase1(scenario: LinkScenario, irs_index: int, model: MeasurementModel,
-           rng: np.random.Generator):
-    """Return-mode sweeps with the far terminal silent.
+def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
+                    tape: NoiseTape) -> tuple:
+    """The cooperative estimation of every IRS at every power, from `tape`.
 
-    The transmit terminal's sweep locates the arrival direction at the IRS;
-    the receive terminal's sweep locates the negated departure direction,
-    un-negated here via the grid's sine mirror. The final two bridge slots
-    keep the parity-consistent member of the departure's grating twin pair.
-
-    Returns (irs_arrival_hat, irs_departure_hat), both sweep-grid members.
+    Phase 1, per IRS with the others absorbing: return-mode sweeps by the
+    transmit terminal (arrival at the IRS) and the receive terminal (the
+    negated departure, un-negated via the grid's sine mirror), then two
+    bridge slots pick between the departure and its grating twin. Phase 2,
+    with the IRS in direction mode on those angles: codebook searches by
+    the receive terminal (w^H H[:, 0]) and the transmit terminal (w^T
+    H[0, :]), the other terminal omni. Returns (angles, search): per
+    (power, IRS) the transmit departure, IRS arrival, IRS departure and
+    receive arrival (P, N_i, 4), and the phase-2 pilots per power (P,).
     """
     grid = scenario.sweep_grid
-    irs_spec = scenario.cascade.irs_spec
-    beta = scenario.consts.reflection_amplitude
+    amplitude = np.sqrt(np.asarray(powers, dtype=float))[:, None]
+    scale = np.sqrt(noise_power / 2.0)
+    chain, rx_dir, tx_dir = _bridge_terms(scenario)
 
-    tx_slot = _sweep_side(scenario, irs_index, "tx", model, rng)
-    rx_slot = _sweep_side(scenario, irs_index, "rx", model, rng)
-    arrival = float(grid.directions[tx_slot])
-    departure_slot = grid.num_beams - 1 - rx_slot
+    heard = np.abs(amplitude[..., None, None] * _sweep_responses(scenario)
+                   + scale * tape.sweep) ** 2
+    slots = np.argmax(heard, axis=-1)
+    arrival = slots[..., 0]
+    departure = grid.num_beams - 1 - slots[..., 1]
+    candidates = np.stack(
+        [departure, (departure + grid.num_beams // 2) % grid.num_beams], -1)
+    gains = np.sum(chain[:, None] * direction_states(
+        scenario, grid.sines[arrival][..., None], grid.sines[candidates]), -1)
+    heard = np.abs(amplitude[..., None] * gains + scale * tape.bridge) ** 2
+    pick = np.argmax(heard, axis=-1)[..., None]
+    departure = np.take_along_axis(candidates, pick, axis=-1)[..., 0]
+    reach = (amplitude * np.take_along_axis(gains, pick, axis=-1)[..., 0])
 
-    candidates = (departure_slot, _grating_twin(grid, departure_slot))
-    bridge_powers = []
-    for slot in candidates:
-        theta = direction_mode(irs_spec.num_elements,
-                               irs_spec.spacing_wavelengths,
-                               arrival, float(grid.directions[slot]),
-                               amplitude=beta)
-        signal = np.sqrt(model.transmit_power) * _bridge_scalar(
-            scenario, irs_index, theta)
-        noise = complex_noise(rng, model.noise_power)
-        bridge_powers.append(abs(signal + noise) ** 2)
-    best = candidates[int(np.argmax(bridge_powers))]
-    return arrival, float(grid.directions[best])
+    # the pair's H[:, 0] is H[0, 0] rx_dir and its H[0, :] is H[0, 0] tx_dir
+    owner = np.broadcast_to(np.arange(reach.shape[1]), reach.shape).ravel()
+    leaves, search = [], 0
+    for side, (book, direction) in enumerate(
+            ((scenario.tx_codebook, tx_dir), (scenario.rx_codebook, rx_dir))):
+        responses = {s: (beams.conj() if side else beams).T @ direction.T
+                     for s, beams in book.stages.items()}
+        draws = tape.search[:, :, side].reshape(owner.size, -1,
+                                                tape.search.shape[-1])
+
+        def measure(stage, children, book=book, responses=responses,
+                    draws=draws):
+            signal = reach.reshape(-1, 1) * responses[stage][children, owner[:, None]]
+            noise = np.sqrt(noise_power * book.norms[stage][children] / 2.0)
+            return np.abs(signal + noise * draws[:, stage - 1,
+                                                 :book.branching]) ** 2
+        leaf, count = _descend(book, measure, owner.size)
+        leaves.append(book.leaf_grid.directions[leaf].reshape(reach.shape))
+        search = search + count.reshape(reach.shape).sum(axis=1)
+    return np.stack([leaves[0], grid.directions[arrival],
+                     grid.directions[departure], leaves[1]], axis=-1), search
 
 
-def phase2(scenario: LinkScenario, irs_index: int, phase1_result,
-           model: MeasurementModel, rng: np.random.Generator):
-    """Hierarchical terminal sweeps through the phase-1 bridged IRS.
+def composite_losses(scenario: LinkScenario, irs, angles, powers,
+                     noise_power: float, noise) -> np.ndarray:
+    """Measured end-to-end amplitudes (P, len(irs)) of bridged IRS links.
 
-    Fixes the IRS to direction mode on the phase-1 angles (all other IRSs
-    absorbing), then the receive terminal searches its codebook against an
-    omni transmitter; roles swap for the transmit-side angle, searching the
-    transposed channel with conjugated codewords. Omni is the first
-    element, so the receive search combines w^H with the first column of the
-    bridged channel and the transmit search w^T with its first row.
-
-    Returns (rx_leaf, tx_leaf, measurements): the chosen leaf grid indices
-    of the receive and transmit codebooks, and the pilots both searches used.
+    IRS `irs[j]` alone reflects, in direction mode on `angles[p, j]`
+    (ordered as `estimate_angles` returns them), both terminals beamform on
+    those angles, and the amplitude comes from the power averaged over the
+    pilots `noise[p, j]` less the noise floor, clipped at zero.
     """
-    H = bridged_channel(scenario, irs_index, phase1_result)
-    amplitude = np.sqrt(model.transmit_power)
-
-    def search(codebook, response, conjugate):
-        # one product and one noise draw per stage for its live children;
-        # pilot by pilot, the same draws and powers as `measure_power`
-        def measure(stage, children):
-            beams = codebook.stages[stage][:, children]
-            signal = amplitude * ((beams.conj() if conjugate else beams).T
-                                  @ response)
-            # (real, imaginary) pairs: complex draws in measure_power's order
-            draws = rng.standard_normal((beams.shape[1], 2)).view(complex)
-            scale = np.sqrt(model.noise_power * codebook.norms[stage][children]
-                            / 2.0)
-            return np.abs(signal + scale * draws[:, 0]) ** 2
-        return _descend(codebook, measure)
-
-    rx_leaf, rx_count = search(scenario.rx_codebook, H[:, 0], True)
-    tx_leaf, tx_count = search(scenario.tx_codebook, H[0, :], False)
-    return rx_leaf, tx_leaf, rx_count + tx_count
-
-
-def bridged_channel(scenario: LinkScenario, irs_index: int,
-                    irs_angles) -> np.ndarray:
-    """End-to-end channel with IRS `irs_index` in direction mode on
-    `irs_angles` = (arrival, departure) and every other IRS absorbing."""
-    irs_spec = scenario.cascade.irs_spec
-    thetas = [absorbing(irs_spec.num_elements)] * scenario.cascade.num_irs
-    thetas[irs_index] = direction_mode(
-        irs_spec.num_elements, irs_spec.spacing_wavelengths, *irs_angles,
-        amplitude=scenario.consts.reflection_amplitude)
-    return assemble(scenario.cascade, thetas, scenario.consts)
+    chain, rx_dir, tx_dir = _bridge_terms(scenario)
+    angles = np.asarray(angles, dtype=float)
+    tx_spec, rx_spec = scenario.cascade.tx_spec, scenario.cascade.rx_spec
+    w = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,
+                              angles[..., 3, None])
+    f = steering_coefficients(tx_spec.num_elements, tx_spec.spacing_wavelengths,
+                              angles[..., 0, None])
+    sines = np.sin(angles)
+    signal = (np.sum(chain[irs] * direction_states(scenario, sines[..., 1],
+                                                   sines[..., 2]), axis=-1)
+              * np.sum(w.conj() * rx_dir[irs], axis=-1)
+              * np.sum(tx_dir[irs] * f, axis=-1))
+    powers = np.asarray(powers, dtype=float)[:, None]
+    heard = np.mean(np.abs((np.sqrt(powers) * signal)[..., None]
+                           + np.sqrt(noise_power / 2.0) * noise) ** 2, axis=-1)
+    return np.sqrt(np.maximum(heard - noise_power, 0.0) / powers)
 
 
 def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
                          rng: np.random.Generator):
-    """Run both phases for every IRS; the others stay absorbing meanwhile.
+    """`estimate_angles` at one power on a tape row drawn from `rng`.
 
-    Returns (estimates, slots): one AngleEstimate per IRS (composite loss
-    left NaN for the transmission stage to fill) and the slot totals.
+    Returns one AngleEstimate per IRS (composite loss NaN) and the slot
+    totals. `estimate_composite_loss` for IRS 0, 1, ... next on the same
+    generator reads the row's composite-loss pilots.
     """
-    estimates = []
-    search_slots = 0
-    for irs_index in range(scenario.cascade.num_irs):
-        irs_arrival, irs_departure = phase1(scenario, irs_index, model, rng=rng)
-        rx_leaf, tx_leaf, measurements = phase2(
-            scenario, irs_index, (irs_arrival, irs_departure), model, rng=rng)
-        search_slots += measurements
-        estimates.append(AngleEstimate(
-            tx_departure=scenario.tx_codebook.leaf_angle(tx_leaf),
-            irs_arrival=irs_arrival,
-            irs_departure=irs_departure,
-            rx_arrival=scenario.rx_codebook.leaf_angle(rx_leaf),
-        ))
-    slots = SlotCount(
-        irs_sweep=2 * scenario.sweep_grid.num_beams * scenario.cascade.num_irs,
-        parity=2 * scenario.cascade.num_irs,
-        search=search_slots,
-    )
-    return estimates, slots
+    angles, search = estimate_angles(
+        scenario, [model.transmit_power], model.noise_power,
+        noise_tape(scenario, 0, [rng]))
+    return ([AngleEstimate(*map(float, row)) for row in angles[0]],
+            slot_count(scenario, search[0]))
+
+
+def slot_count(scenario: LinkScenario, search: int) -> SlotCount:
+    """Slots of one estimation pass whose phase-2 searches used `search`."""
+    num_irs = scenario.cascade.num_irs
+    return SlotCount(irs_sweep=2 * scenario.sweep_grid.num_beams * num_irs,
+                     parity=2 * num_irs, search=int(search))
 
 
 def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,

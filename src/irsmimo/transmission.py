@@ -1,13 +1,14 @@
 """Closed-form IRS and hybrid transceiver designs, water-filling, and rate evaluation."""
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .arrays import ArraySpec, steering
+from .arrays import ArraySpec, steering_coefficients
 from .irs_control import direction_mode
-from .training import (LinkScenario, MeasurementModel, bridged_channel,
-                       measure_power)
+# unused here, but perfbench/test_smoke.py looks measure_power up here
+from .training import (LinkScenario, MeasurementModel,  # noqa: F401
+                       composite_losses, measure_power)
 
 _LN2 = np.log(2.0)
 
@@ -65,28 +66,18 @@ def design_irs(estimates, irs_spec: ArraySpec,
 def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
                             model: MeasurementModel, rng: np.random.Generator,
                             pilot_repetitions: int = 10) -> float:
-    """Measured end-to-end amplitude of one bridged IRS link.
-
-    IRS `irs_index` is set in direction mode on its estimated angles, as
-    `design_irs` sets it, while the others absorb; both
-    terminals beamform on their estimated angles; the amplitude is recovered
-    from the pilot-averaged received power with the known noise floor
-    subtracted (clipped at zero).
-    """
+    """Measured end-to-end amplitude of one bridged IRS link: one power's
+    `training.composite_losses` for IRS `irs_index`, pilots drawn from `rng`."""
     if model.transmit_power <= 0:
         raise ValueError("composite-loss estimation needs positive power")
-    est = estimates[irs_index]
-    H = bridged_channel(scenario, irs_index,
-                        (est.irs_arrival, est.irs_departure))
-    tx_beam = steering(scenario.cascade.tx_spec, est.tx_departure)
-    rx_beam = steering(scenario.cascade.rx_spec, est.rx_arrival)
-    mean_power = measure_power(tx_beam, rx_beam, H, model, rng=rng,
-                               trials=pilot_repetitions)
-    corrected = max(mean_power - model.noise_power, 0.0)
-    return float(np.sqrt(corrected / model.transmit_power))
+    angles = [[astuple(estimates[irs_index])[:4]]]
+    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
+    return float(composite_losses(scenario, [irs_index], angles,
+                                  [model.transmit_power], model.noise_power,
+                                  noise[..., 0])[0, 0])
 
 
-def water_filling(gains, total_power: float, noise_power: float) -> PowerAllocation:
+def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
     """Optimal unit-sum power split over parallel channels with amplitudes `gains`.
 
     Solves max sum log2(1 + P a_l^2 S_l / sigma^2) subject to sum S_l = 1,
@@ -96,28 +87,31 @@ def water_filling(gains, total_power: float, noise_power: float) -> PowerAllocat
     the k cheapest channels are active for the largest k whose floor lies
     below their common level (1 + f_1 + ... + f_k) / k. Levels and factors
     are taken relative to the lowest floor, so a floor far above 1 loses
-    no precision to the unit power budget.
+    no precision to the unit power budget. Leading axes solve a stack.
     """
     gains = np.asarray(gains, dtype=float)
-    if gains.size == 0 or np.any(gains < 0):
+    if gains.ndim == 0 or gains.size == 0 or np.any(gains < 0):
         raise ValueError("gains must be a nonempty nonnegative vector")
-    if total_power <= 0 or noise_power <= 0:
+    total_power = np.asarray(total_power, dtype=float)[..., None]
+    if np.any(total_power <= 0) or noise_power <= 0:
         raise ValueError("powers must be positive")
 
     with np.errstate(divide="ignore"):   # a zero gain has an infinite floor
         floors = noise_power / (total_power * gains ** 2)
-    lowest = floors.min()
-    if not np.isfinite(lowest):
+    lowest = floors.min(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(lowest)):
         raise ValueError("water-filling needs a positive gain with a finite "
                          "floor sigma^2 / (P a^2)")
     excess = floors - lowest
-    ordered = np.sort(excess)
-    levels = (1.0 + np.cumsum(ordered)) / np.arange(1, ordered.size + 1)
+    ordered = np.sort(excess, axis=-1)
+    levels = (1.0 + np.cumsum(ordered, axis=-1)) / np.arange(
+        1, ordered.shape[-1] + 1)
     # the active set is a prefix of the sorted floors; channel 1 is always in
-    level = levels[np.count_nonzero(ordered < levels) - 1]
+    active = np.count_nonzero(ordered < levels, axis=-1)[..., None]
+    level = np.take_along_axis(levels, active - 1, axis=-1)
     factors = np.maximum(level - excess, 0.0)
-    return PowerAllocation(factors=factors,
-                           water_level=1.0 / (_LN2 * (lowest + level)))
+    water_level = 1.0 / (_LN2 * (lowest + level))
+    return PowerAllocation(factors=factors, water_level=water_level[..., 0][()])
 
 
 def build_beamformers(estimates, allocation: PowerAllocation,
@@ -130,8 +124,12 @@ def build_beamformers(estimates, allocation: PowerAllocation,
     estimated departure/arrival steering vectors, the rest are zero; the
     digital precoder is diagonal in sqrt(S_l) (with the steering
     normalization folded in) and the digital combiner is the identity block.
+    An array (..., N_i, 4) of AngleEstimate angles in `estimates`, with
+    factors (..., N_i), builds a stack of designs.
     """
-    num_irs = len(estimates)
+    if not isinstance(estimates, np.ndarray):
+        estimates = np.array([astuple(e)[:4] for e in estimates]).reshape(-1, 4)
+    num_irs = estimates.shape[-2]
     if num_irs > num_tx_chains or num_irs > num_rx_chains:
         raise ValueError(
             f"{num_irs} IRSs exceed the RF chain counts "
@@ -139,72 +137,79 @@ def build_beamformers(estimates, allocation: PowerAllocation,
         )
     if not num_irs <= num_streams <= min(num_tx_chains, num_rx_chains):
         raise ValueError("need N_i <= N_s <= RF chains")
-    if allocation.factors.shape[0] != num_irs:
+    if allocation.factors.shape[-1] != num_irs:
         raise ValueError("one power factor per IRS required")
 
+    batch = estimates.shape[:-2]
     n_t, n_u = tx_spec.num_elements, rx_spec.num_elements
-    analog_precoder = np.zeros((n_t, num_tx_chains), dtype=complex)
-    analog_combiner = np.zeros((n_u, num_rx_chains), dtype=complex)
-    digital_precoder = np.zeros((num_tx_chains, num_streams), dtype=complex)
-    digital_combiner = np.eye(num_rx_chains, num_streams, dtype=complex)
-    for l, est in enumerate(estimates):
-        analog_precoder[:, l] = (np.sqrt(n_t)
-                                 * steering(tx_spec, est.tx_departure).coefficients)
-        analog_combiner[:, l] = (np.sqrt(n_u)
-                                 * steering(rx_spec, est.rx_arrival).coefficients)
-        digital_precoder[l, l] = np.sqrt(allocation.factors[l] / n_t)
+    analog_precoder = np.zeros(batch + (n_t, num_tx_chains), dtype=complex)
+    analog_combiner = np.zeros(batch + (n_u, num_rx_chains), dtype=complex)
+    digital_precoder = np.zeros(batch + (num_tx_chains, num_streams),
+                                dtype=complex)
+    analog_precoder[..., :num_irs] = np.sqrt(n_t) * steering_coefficients(
+        n_t, tx_spec.spacing_wavelengths, estimates[..., 0, None]).swapaxes(-1, -2)
+    analog_combiner[..., :num_irs] = np.sqrt(n_u) * steering_coefficients(
+        n_u, rx_spec.spacing_wavelengths, estimates[..., 3, None]).swapaxes(-1, -2)
+    streams = np.arange(num_irs)
+    digital_precoder[..., streams, streams] = np.sqrt(allocation.factors / n_t)
     return HybridBeamformer(
         analog_precoder=analog_precoder,
         digital_precoder=digital_precoder,
         analog_combiner=analog_combiner,
-        digital_combiner=digital_combiner,
+        digital_combiner=np.eye(num_rx_chains, num_streams, dtype=complex),
     )
 
 
-def spectral_efficiency(H: np.ndarray, bf: HybridBeamformer, power: float,
-                        noise_power: float) -> float:
+def spectral_efficiency(H: np.ndarray, bf: HybridBeamformer, power,
+                        noise_power: float):
     """Rate of the hybrid design over channel H, bits/s/Hz.
 
-    log2 det(I + P C^-1 W^H H F F^H H^H W) with C = sigma^2 W^H W, evaluated
-    on the streams whose combined and precoded columns are both nonzero
-    (padding columns carry no signal and would make C singular).
+    log2 det(I + P C^-1 W^H H F F^H H^H W), C = sigma^2 W^H W, on the
+    streams whose combined and precoded columns are both nonzero, taken as
+    log2 det(I + (P / sigma^2) G G^H), G = Q^H H F with Q an orthonormal
+    basis of those combiner columns; the latter also holds when two streams
+    share a combiner column and C is singular. Leading axes broadcast.
     """
-    H = np.asarray(H)
     F = bf.precoder()
     W = bf.combiner()
-    active = (np.linalg.norm(W, axis=0) > 1e-12) & \
-             (np.linalg.norm(F, axis=0) > 1e-12)
-    if power <= 0 or not active.any():
-        return 0.0
-    Fa = F[:, active]
-    Wa = W[:, active]
-    C = noise_power * (Wa.conj().T @ Wa)
-    G = Wa.conj().T @ H @ Fa
-    A = np.eye(G.shape[0]) + power * np.linalg.solve(C, G @ G.conj().T)
-    _, logdet = np.linalg.slogdet(A)
-    return float(logdet / _LN2)
+    active = ((np.linalg.norm(W, axis=-2) > 1e-12)
+              & (np.linalg.norm(F, axis=-2) > 1e-12))[..., None, :]
+    U, s, _ = np.linalg.svd(W * active, full_matrices=False)
+    Q = U * (s > 1e-10 * s.max(axis=-1, keepdims=True))[..., None, :]
+    G = Q.conj().swapaxes(-1, -2) @ np.asarray(H) @ (F * active)
+    snr = np.maximum(np.asarray(power, dtype=float), 0.0) / noise_power
+    _, logdet = np.linalg.slogdet(np.eye(G.shape[-2]) + snr[..., None, None]
+                                  * (G @ G.conj().swapaxes(-1, -2)))
+    return (logdet / _LN2)[()]
 
 
-def parallel_rate(gains, factors, power: float, noise_power: float) -> float:
-    """Parallel-subchannel rate sum log2(1 + P a_l^2 S_l / sigma^2)."""
+def parallel_rate(gains, factors, power, noise_power: float):
+    """Parallel-subchannel rate sum log2(1 + P a_l^2 S_l / sigma^2).
+
+    The sum runs over the last axis; leading axes give a stack of rates.
+    """
     gains = np.asarray(gains, dtype=float)
     factors = np.asarray(factors, dtype=float)
     snr = power * gains ** 2 * factors / noise_power
-    return float(np.sum(np.log2(1.0 + snr)))
+    return np.sum(np.log2(1.0 + snr), axis=-1)
 
 
-def fdb_upper_bound(singular_values, power: float, noise_power: float) -> float:
+def fdb_upper_bound(singular_values, power, noise_power: float):
     """Fully digital bound: water-filling over a channel's singular values.
 
     Pass `np.linalg.svd(H, compute_uv=False)`. Singular values at or below
     1e-14 of the largest are numerical zeros of a rank-deficient H and are
-    dropped.
+    dropped. An array of powers gives one bound per power.
     """
     sv = np.asarray(singular_values, dtype=float)
     if sv.ndim != 1:
         raise ValueError("expected a vector of singular values")
-    if sv.size == 0 or power <= 0 or sv.max() <= 0:
-        return 0.0
-    sv = sv[sv > sv.max() * 1e-14]
-    allocation = water_filling(sv, power, noise_power)
-    return parallel_rate(sv, allocation.factors, power, noise_power)
+    power = np.asarray(power, dtype=float)
+    rate, live = np.zeros(power.shape), power > 0
+    if sv.size and sv.max() > 0 and live.any():
+        sv = sv[sv > sv.max() * 1e-14]
+        gains = np.broadcast_to(sv, power[live].shape + sv.shape)
+        allocation = water_filling(gains, power[live], noise_power)
+        rate[live] = parallel_rate(gains, allocation.factors,
+                                   power[live][..., None], noise_power)
+    return rate[()]

@@ -95,6 +95,8 @@ def test_config_error_exit_code(tmp_path):
     ("noise_power_dbm", "inf"),
     ("reflection_amplitude", "1.5"),
     ("branching", "1"),
+    ("irs_positions", "0,4; 5,6"),
+    ("irs_positions", "-5,4; 5,6"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"

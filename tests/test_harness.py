@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irsmimo import harness
 from irsmimo.channel import cascade_loss
@@ -9,7 +10,7 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              db_to_linear, dbm_to_watts, load_config_file,
                              make_config, perfect_estimates,
                              run_estimation_trace, run_mp_experiment,
-                             run_rate_experiment, sample_scenario,
+                             run_rate_experiment, run_trial, sample_scenario,
                              scenario_assets, true_composite_loss, write_csv)
 from irsmimo.irs_control import random_mode
 from irsmimo.transmission import fdb_upper_bound
@@ -53,7 +54,9 @@ def test_config_validation_errors():
                        ("absorption_per_m", -1.0), ("seed", -1),
                        ("power_grid_dbm", (0.0, nan)),
                        ("mp_antenna_counts", (16, 0)),
-                       ("irs_positions", ((5.0, 4.0), (5.0, inf)))]:
+                       ("irs_positions", ((5.0, 4.0), (5.0, inf))),
+                       ("irs_positions", ((0.0, 4.0), (5.0, 6.0))),
+                       ("irs_positions", ((-5.0, 4.0), (5.0, 6.0)))]:
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: value})
 
@@ -256,3 +259,66 @@ def test_rate_experiment_progress_callback():
     run_rate_experiment(tiny_config(trials=2),
                         progress=lambda done, total: seen.append((done, total)))
     assert seen == [(1, 2), (2, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(num_antennas=st.sampled_from([8, 12, 16]),
+       num_irs_elements=st.sampled_from([8, 16]),
+       num_irs=st.integers(1, 3), branching=st.sampled_from([2, 3]),
+       beam_ratio=st.sampled_from([1.5, 2.0, 3.0]),
+       seed=st.integers(0, 2 ** 31), trial=st.integers(0, 1000))
+# two IRSs estimated on one receive leaf share a combiner column
+@example(num_antennas=12, num_irs_elements=8, num_irs=2, branching=2,
+         beam_ratio=1.5, seed=0, trial=1)
+def test_hybrid_rates_never_exceed_fully_digital_bound(
+        num_antennas, num_irs_elements, num_irs, branching, beam_ratio, seed,
+        trial):
+    # the open invariant of criterion 6, per trial and per power
+    config = ScenarioConfig(
+        num_tx_antennas=num_antennas, num_rx_antennas=num_antennas,
+        num_irs_elements=num_irs_elements, num_irs=num_irs,
+        num_streams=num_irs,
+        irs_positions=((5.0, 4.0), (5.0, 5.0), (5.0, 6.0))[:num_irs],
+        branching=branching, beam_ratio=beam_ratio,
+        power_grid_dbm=(-20.0, 0.0, 10.0, 30.0), trials=1, seed=seed)
+    for record in run_trial(config, scenario_assets(config), trial):
+        bound = record.rates["rate_fdb_upper"] + 1e-9
+        assert record.rates["rate_proposed_perfect"] <= bound
+        assert record.rates["rate_proposed_est"] <= bound
+
+
+def test_power_record_does_not_depend_on_the_rest_of_the_grid():
+    # stream 2 + p belongs to grid position p; a record must not change when
+    # the other positions change, so batching couples no two powers
+    base = tiny_config(power_grid_dbm=(0.0, 10.0, 20.0, 30.0))
+    assets = scenario_assets(base)
+    full = run_trial(base, assets, 1)
+    for grid in ((0.0,), (0.0, 10.0), (0.0, 30.0, 20.0, 10.0),
+                 (0.0, -40.0, 20.0, 50.0, 5.0)):
+        other = run_trial(replace(base, power_grid_dbm=grid), assets, 1)
+        shared = [p for p, power in enumerate(grid[:4])
+                  if power == base.power_grid_dbm[p]]
+        assert shared
+        for p in shared:
+            assert other[p] == full[p]
+
+
+def test_progress_fires_between_trials(monkeypatch):
+    events = []
+    real_run_trial = harness.run_trial
+
+    def counted(config, assets, trial):
+        events.append(("start", trial))
+        records = real_run_trial(config, assets, trial)
+        events.append(("records", trial, len(records)))
+        return records
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    run_rate_experiment(tiny_config(trials=3),
+                        progress=lambda done, total: events.append(
+                            ("progress", done, total)))
+    expected = []
+    for trial in range(3):
+        expected += [("start", trial), ("records", trial, 2),
+                     ("progress", trial + 1, 3)]
+    assert events == expected

@@ -4,12 +4,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, beam_gain, omni, steering
+from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
-from irsmimo.irs_control import direction_mode, return_mode
-from irsmimo.training import (MeasurementModel, bridged_channel,
-                              cooperative_estimate, hierarchical_search,
-                              measure_power, misalignment_curve, phase1,
-                              phase2, _descend, _sweep_side)
+from irsmimo.irs_control import absorbing, direction_mode, return_mode
+from irsmimo.training import (MeasurementModel, composite_losses,
+                              cooperative_estimate, direction_channels,
+                              estimate_angles,
+                              hierarchical_search, measure_power,
+                              misalignment_curve, noise_tape, _descend,
+                              _sweep_responses)
+from irsmimo.transmission import estimate_composite_loss
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -85,12 +89,13 @@ def test_search_measurement_count_accounts_for_nulls():
     measured = []
 
     def measure(stage, children):
-        slots = range(children.start, children.stop)
-        measured.extend((stage, c) for c in slots)
-        return np.array([beam_gain(book.beam(stage, c), spec, 1.2) ** 2
-                         for c in slots])
+        live = [c for c in children[0] if book.live[stage][c]]
+        measured.extend((stage, c) for c in live)
+        return np.array([[beam_gain(book.beam(stage, c), spec, 1.2) ** 2
+                          if c in live else 0.0 for c in children[0]]])
 
-    leaf, count = _descend(book, measure)
+    leaves, counts = _descend(book, measure)
+    leaf, count = leaves[0], counts[0]
     assert count == len(measured) == 3 + 2 + 1
     assert all(book.beam(stage, c) is not None for stage, c in measured)
     assert leaf == 21 == hierarchical_search(
@@ -133,67 +138,183 @@ def test_noiseless_search_near_square_grid():
     assert hierarchical_search(book, oracle) == exhaustive_leaf(book, oracle)
 
 
-@settings(max_examples=60, deadline=None)
-@given(num_antennas=st.integers(4, 24), extra=st.integers(0, 24),
+def bridged(scenario, irs_index, arrival, departure):
+    """Assembled channel with one IRS in direction mode, the others absorbing."""
+    spec = scenario.cascade.irs_spec
+    thetas = [absorbing(spec.num_elements)] * scenario.cascade.num_irs
+    thetas[irs_index] = direction_mode(
+        spec.num_elements, spec.spacing_wavelengths, arrival, departure,
+        amplitude=scenario.consts.reflection_amplitude)
+    return assemble(scenario.cascade, thetas, scenario.consts)
+
+
+class SlotRecorder:
+    """A codebook view that remembers the slot of the last beam it handed out."""
+
+    def __init__(self, codebook):
+        self.codebook = codebook
+        self.slot = None
+
+    def __getattr__(self, name):
+        return getattr(self.codebook, name)
+
+    def beam(self, stage, index):
+        self.slot = (stage, index)
+        return self.codebook.beam(stage, index)
+
+
+def reference_pass(scenario, power, noise_power, tape, p):
+    """Pilot-by-pilot cooperative estimation at one power, from tape row p.
+
+    A scalar sweep loop over literal return-mode round trips, bridge slots
+    on assembled channels, `hierarchical_search` with an oracle that reads
+    each child's tape position, and composite-loss pilots with the
+    arithmetic of `measure_power`. Returns (angles, search pilots, losses).
+    """
+    grid = scenario.sweep_grid
+    cascade, consts = scenario.cascade, scenario.consts
+    spec = cascade.irs_spec
+    amplitude, scale = np.sqrt(power), np.sqrt(noise_power / 2.0)
+    books = (scenario.tx_codebook, scenario.rx_codebook)
+    angles, losses, pilots = [], [], 0
+    for l, link in enumerate(cascade.links):
+        # a terminal on its first element hears e1^T (eta G_t G_r A^T Theta A) e1
+        best = []
+        for side, hop in enumerate((link.incident, link.departing.T)):
+            heard = []
+            for k, angle in enumerate(grid.directions):
+                theta = return_mode(spec.num_elements, spec.spacing_wavelengths,
+                                    angle, consts.reflection_amplitude)
+                roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
+                             * hop.T @ np.diag(theta.entries()) @ hop)
+                heard.append(abs(amplitude * roundtrip[0, 0]
+                                 + scale * tape.sweep[p, l, side, k]) ** 2)
+            best.append(int(np.argmax(heard)))
+        arrival = grid.directions[best[0]]
+        slot = grid.num_beams - 1 - best[1]
+        half = grid.num_beams // 2
+        candidates = (slot, slot - half if slot >= half else slot + half)
+        heard = [abs(amplitude * bridged(scenario, l, arrival,
+                                         grid.directions[c])[0, 0]
+                     + scale * tape.bridge[p, l, i]) ** 2
+                 for i, c in enumerate(candidates)]
+        departure = grid.directions[candidates[int(np.argmax(heard))]]
+        H = bridged(scenario, l, arrival, departure)
+
+        leaves = []
+        for side, book in enumerate(books):
+            view = SlotRecorder(book)
+
+            def oracle(beam, side=side, view=view):
+                nonlocal pilots
+                pilots += 1
+                w = beam.coefficients
+                stage, index = view.slot
+                child = index % view.branching
+                # receive side w^H H[:, 0]; transmit side w^T H[0, :]
+                signal = np.vdot(w, H[:, 0]) if side else w @ H[0, :]
+                noise = (np.sqrt(noise_power * np.vdot(w, w).real / 2.0)
+                         * tape.search[p, l, side, stage - 1, child])
+                return abs(amplitude * signal + noise) ** 2
+            leaves.append(book.leaf_angle(hierarchical_search(view, oracle)))
+        angles.append((leaves[0], arrival, departure, leaves[1]))
+
+        w = steering(cascade.rx_spec, leaves[1]).coefficients
+        f = steering(cascade.tx_spec, leaves[0]).coefficients
+        heard = np.mean(np.abs(amplitude * np.vdot(w, H @ f)
+                               + scale * tape.pilots[p, l]) ** 2)
+        losses.append(np.sqrt(max(heard - noise_power, 0.0) / power))
+    return np.array(angles), pilots, np.array(losses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(num_antennas=st.integers(4, 20), extra=st.integers(0, 20),
        branching=st.sampled_from([2, 3, 4]),
-       angles=st.tuples(*[st.floats(-1.3, 1.3)] * 4),
-       noise_db=st.floats(-60.0, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+       angles=st.lists(st.tuples(*[st.floats(-1.3, 1.3)] * 4), min_size=1,
+                       max_size=3),
+       snr_db=st.floats(-20.0, 50.0), repetitions=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
-                                                    branching, angles,
-                                                    noise_db, seed):
-    # reference: one measure_power call per pilot through the per-beam search
-    scenario = scenario_from_angles([angles], num_antennas=num_antennas,
+                                                    branching, angles, snr_db,
+                                                    repetitions, seed):
+    # the whole engine, every (power, IRS) pair, against the per-pilot
+    # reference reading the same tape positions
+    scenario = scenario_from_angles(angles, num_antennas=num_antennas,
+                                    num_irs_elements=8, sweep_beams=16,
                                     num_beams=num_antennas + extra,
                                     branching=branching)
-    model = MeasurementModel(transmit_power=1e-9,
-                             noise_power=1e-9 * 10.0 ** (noise_db / 10.0))
-    p1 = (angles[1], angles[2])
-    H = bridged_channel(scenario, 0, p1)
-    ref_rng = np.random.default_rng(seed)
-    pilots = []
+    level = np.max(np.abs(_sweep_responses(scenario))) ** 2
+    noise_power = level * 10.0 ** (-snr_db / 10.0)
+    powers = np.array([1.0, 10.0])
+    tape = noise_tape(scenario, repetitions,
+                      [np.random.default_rng((seed, p)) for p in range(2)])
+    got, search = estimate_angles(scenario, powers, noise_power, tape)
+    losses = composite_losses(scenario, np.arange(len(angles)), got, powers,
+                              noise_power, tape.pilots)
+    for p, power in enumerate(powers):
+        want, pilots, want_losses = reference_pass(scenario, power,
+                                                   noise_power, tape, p)
+        assert np.array_equal(got[p], want)
+        assert search[p] == pilots
+        assert losses[p] == pytest.approx(
+            want_losses, rel=1e-9, abs=1e-6 * np.sqrt(noise_power / power))
 
-    def pilot(tx_beam, rx_beam, channel):
-        pilots.append(rx_beam)
-        return measure_power(tx_beam, rx_beam, channel, model, rng=ref_rng)
 
-    tx_omni = omni(scenario.cascade.tx_spec)
-    rx_omni = omni(scenario.cascade.rx_spec)
-    ref_rx = hierarchical_search(scenario.rx_codebook,
-                                 lambda w: pilot(tx_omni, w, H))
-    ref_tx = hierarchical_search(scenario.tx_codebook,
-                                 lambda w: pilot(rx_omni, w.conj(), H.T))
+def test_single_power_calls_read_one_tape_row(small_scenario):
+    # cooperative_estimate and then estimate_composite_loss for IRS 0, 1, ...
+    # on one generator read the same numbers as one tape row
+    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                     (-0.3, 0.25, -0.45, 0.15)])
+    model = MeasurementModel(transmit_power=1e-3, noise_power=1e-12)
+    tape = noise_tape(scenario, 7, [np.random.default_rng(11)])
+    angles, search = estimate_angles(scenario, [model.transmit_power],
+                                     model.noise_power, tape)
+    losses = composite_losses(scenario, np.arange(2), angles,
+                              [model.transmit_power], model.noise_power,
+                              tape.pilots)
+    rng = np.random.default_rng(11)
+    estimates, slots = cooperative_estimate(scenario, model, rng)
+    assert [tuple(vars(e).values())[:4] for e in estimates] == [
+        tuple(row) for row in angles[0]]
+    assert slots.search == search[0]
+    assert [estimate_composite_loss(scenario, l, estimates, model, rng,
+                                    pilot_repetitions=7)
+            for l in range(2)] == pytest.approx(losses[0], rel=1e-12)
 
-    rng = np.random.default_rng(seed)
-    assert phase2(scenario, 0, p1, model, rng=rng) == (ref_rx, ref_tx,
-                                                       len(pilots))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+def test_direction_channels_match_assembled_channels():
+    # the rank-one factor form against the full assembly, for a stack of
+    # IRS states
+    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                     (-0.3, 0.25, -0.45, 0.15)])
+    spec = scenario.cascade.irs_spec
+    sines = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 2))
+    stack = direction_channels(scenario, sines[..., 0], sines[..., 1])
+    assert stack.shape == (3, 16, 16)
+    for H, pair in zip(stack, sines):
+        thetas = [direction_mode(spec.num_elements, 0.5, *np.arcsin(s),
+                                 amplitude=scenario.consts.reflection_amplitude)
+                  for s in pair]
+        want = assemble(scenario.cascade, thetas, scenario.consts)
+        assert np.allclose(H, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_sweep_side_matches_dense_roundtrip(small_scenario):
-    # the vectorized sweep must equal the literal e1^T (eta G M^T Theta M) e1
+    # the vectorized sweep must equal the literal e1^T (eta G A^T Theta A) e1
+    # of each terminal, A its hop (the receive terminal's uplink is N^T)
     scenario = small_scenario
     link = scenario.cascade.links[0]
     consts = scenario.consts
-    model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     n_elems = scenario.cascade.irs_spec.num_elements
-    weights_responses = []
-    for angle in scenario.sweep_grid.directions[:5]:
-        theta = return_mode(n_elems, 0.5, float(angle))
-        roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
-                     * link.incident.T @ np.diag(theta.entries()) @ link.incident)
-        power = measure_power(omni(scenario.cascade.tx_spec),
-                              omni(scenario.cascade.tx_spec), roundtrip, model,
-                              rng=np.random.default_rng(0))
-        weights_responses.append(power)
-    # recompute through the sweep path by zeroing the noise
-    slot = _sweep_side(scenario, 0, "tx", model, np.random.default_rng(0))
-    assert 0 <= slot < scenario.sweep_grid.num_beams
-    from irsmimo.training import _roundtrip_weights
-    weights = _roundtrip_weights(scenario, 0, "tx")
-    for i, angle in enumerate(scenario.sweep_grid.directions[:5]):
-        theta = return_mode(n_elems, 0.5, float(angle))
-        response = abs(np.sum(theta.entries() * weights)) ** 2
-        assert response == pytest.approx(weights_responses[i], rel=1e-10)
+    responses = _sweep_responses(scenario)
+    assert responses.shape == (1, 2, scenario.sweep_grid.num_beams)
+    for side, hop in enumerate((link.incident, link.departing.T)):
+        for k, angle in enumerate(scenario.sweep_grid.directions):
+            theta = return_mode(n_elems, 0.5, float(angle))
+            roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
+                         * hop.T @ np.diag(theta.entries()) @ hop)
+            assert responses[0, side, k] == pytest.approx(roundtrip[0, 0],
+                                                          rel=1e-10)
 
 
 def circular_sine_gap(estimate, truth):
@@ -210,14 +331,21 @@ def theta_equivalent(scenario, pair_a, pair_b, tol=1e-9):
     return float(np.max(delta)) <= tol
 
 
+def estimate_one(scenario, model, seed):
+    """The single IRS's estimate of a one-IRS scene."""
+    estimates, _ = cooperative_estimate(scenario, model,
+                                        rng=np.random.default_rng(seed))
+    return estimates[0]
+
+
 def test_phase1_noiseless_recovers_angles_up_to_twin():
     rng = np.random.default_rng(8)
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     for _ in range(25):
         truth = tuple(rng.uniform(-1.2, 1.2, 4))
         scenario = scenario_from_angles([truth])
-        arrival, departure = phase1(scenario, 0, model,
-                                    rng=np.random.default_rng(0))
+        est = estimate_one(scenario, model, 0)
+        arrival, departure = est.irs_arrival, est.irs_departure
         cell = 1.0 / scenario.sweep_grid.num_beams
         assert circular_sine_gap(arrival, truth[1]) <= cell + 1e-12
         assert circular_sine_gap(departure, truth[2]) <= cell + 1e-12
@@ -230,20 +358,18 @@ def test_phase1_noiseless_recovers_angles_up_to_twin():
 
 def test_phase1_angles_are_grid_members(small_scenario):
     model = MeasurementModel(transmit_power=1.0, noise_power=1e-3)
-    arrival, departure = phase1(small_scenario, 0, model,
-                                rng=np.random.default_rng(5))
+    est = estimate_one(small_scenario, model, 5)
     sines = small_scenario.sweep_grid.sines
-    assert np.min(np.abs(sines - np.sin(arrival))) < 1e-12
-    assert np.min(np.abs(sines - np.sin(departure))) < 1e-12
+    assert np.min(np.abs(sines - np.sin(est.irs_arrival))) < 1e-12
+    assert np.min(np.abs(sines - np.sin(est.irs_departure))) < 1e-12
 
 
 def test_phase1_noise_dominated_still_returns_grid_member(small_scenario):
     model = MeasurementModel(transmit_power=1e-12, noise_power=1e3)
     seen = set()
     for seed in range(12):
-        arrival, _ = phase1(small_scenario, 0, model,
-                            rng=np.random.default_rng(seed))
-        seen.add(round(float(np.sin(arrival)), 9))
+        est = estimate_one(small_scenario, model, seed)
+        seen.add(round(float(np.sin(est.irs_arrival)), 9))
     assert len(seen) > 1  # noise-dominated sweeps scatter across the grid
 
 
@@ -253,23 +379,30 @@ def test_phase2_noiseless_finds_sine_nearest_leaves():
     for _ in range(10):
         truth = tuple(rng.uniform(-1.2, 1.2, 4))
         scenario = scenario_from_angles([truth])
-        p1 = phase1(scenario, 0, model, rng=np.random.default_rng(0))
-        rx_leaf, tx_leaf, _ = phase2(scenario, 0, p1, model,
-                                     rng=np.random.default_rng(0))
+        est = estimate_one(scenario, model, 0)
         grid = scenario.tx_codebook.leaf_grid
-        assert abs(grid.sines[rx_leaf] - np.sin(truth[3])) <= 1 / grid.num_beams + 1e-12
-        assert abs(grid.sines[tx_leaf] - np.sin(truth[0])) <= 1 / grid.num_beams + 1e-12
+        assert abs(np.sin(est.rx_arrival) - np.sin(truth[3])) <= 1 / grid.num_beams + 1e-12
+        assert abs(np.sin(est.tx_departure) - np.sin(truth[0])) <= 1 / grid.num_beams + 1e-12
 
 
 def test_phase2_total_with_misaligned_phase1(small_scenario):
-    # a wrong bridge degrades but still returns leaves and a full count
-    model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
-    bad = (0.9, -0.9)
-    rx_leaf, tx_leaf, count = phase2(small_scenario, 0, bad, model,
-                                     rng=np.random.default_rng(0))
-    book = small_scenario.tx_codebook
-    assert 0 <= rx_leaf < book.num_leaves and 0 <= tx_leaf < book.num_leaves
-    assert count == 2 * book.branching * book.num_stages
+    # a tape that drowns one far-off sweep slot on both sides makes phase 1
+    # bridge the wrong pair; phase 2 degrades but still returns leaves and a
+    # full count
+    scenario = small_scenario
+    tape = noise_tape(scenario, 1, [np.random.default_rng(0)])
+    for field in vars(tape).values():
+        field[...] = 0.0
+    grid = scenario.sweep_grid
+    bad = int(np.argmax(np.abs(grid.sines - np.sin(0.9))))
+    tape.sweep[0, 0, :, bad] = 1e9
+    noise_power = np.max(np.abs(_sweep_responses(scenario))) ** 2
+    angles, search = estimate_angles(scenario, [1.0], noise_power, tape)
+    assert angles[0, 0, 1] == grid.directions[bad]
+    book = scenario.tx_codebook
+    grid = book.leaf_grid.directions
+    assert angles[0, 0, 0] in grid and angles[0, 0, 3] in grid
+    assert search[0] == 2 * book.branching * book.num_stages
 
 
 def test_cooperative_estimate_deterministic(small_scenario):

@@ -251,6 +251,24 @@ def test_spectral_efficiency_matched_rank_one():
     assert rate == pytest.approx(np.log2(1 + a ** 2 / 1e-4), rel=1e-9)
 
 
+def test_spectral_efficiency_shared_combiner_column():
+    # two streams combined on one arrival angle make C = sigma^2 W^H W
+    # singular; the rate is that of the projection onto W's column space
+    spec = ArraySpec(8)
+    est = make_estimates([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)],
+                         [0.2, 0.1])
+    allocation = water_filling([0.2, 0.1], 1.0, 0.01)
+    bf = build_beamformers(est, allocation, spec, spec, 2, 2, 2)
+    rng = np.random.default_rng(43)
+    H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    F, W = bf.precoder(), bf.combiner()
+    projected = H.conj().T @ W @ np.linalg.pinv(W.conj().T @ W) @ W.conj().T @ H
+    want = np.linalg.slogdet(np.eye(2) + 1.0 / 0.01
+                             * F.conj().T @ projected @ F)[1] / LN2
+    assert spectral_efficiency(H, bf, 1.0, 0.01) == pytest.approx(want,
+                                                                  rel=1e-9)
+
+
 def test_spectral_efficiency_close_to_parallel_form():
     scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
                                      (-0.6, 0.3, -0.2, 0.5),
