@@ -7,15 +7,14 @@ import numpy as np
 
 from .arrays import ArraySpec, BeamGrid, grid_directions
 from .channel import (CascadeChannel, IrsLink, LinkAngles, PhysicalConstants,
-                      assemble, cascade_loss, compensation_factor,
-                      make_link)
+                      cascade_loss, compensation_factor, make_link)
 from .codebook import HierarchicalCodebook, build_codebook
 from .irs_control import random_mode
 # unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
 from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
-                       composite_losses, cooperative_estimate,
-                       direction_channels, estimate_angles, misalignment_curve,
-                       noise_tape, slot_count)
+                       channel_factors, composite_losses, cooperative_estimate,
+                       direction_states, estimate_angles, misalignment_curve,
+                       noise_tape, slot_count, sweep_phasors)
 from .transmission import (build_beamformers, design_irs, fdb_upper_bound,
                            spectral_efficiency, water_filling)
 
@@ -75,11 +74,12 @@ class ScenarioConfig:
         error surfaces as a ValueError from the constructor."""
         for key in (f.name for f in fields(self)):
             try:
-                finite = np.isfinite(np.asarray(getattr(self, key), float)).all()
+                value = np.asarray(getattr(self, key), float)
+                finite = value.size > 0 and np.isfinite(value).all()
             except (TypeError, ValueError):
                 finite = False
             if not finite:
-                raise ValueError(f"{key} must hold finite numbers")
+                raise ValueError(f"{key} must hold one or more finite numbers")
         lowest = dict.fromkeys(_COUNT_KEYS, 1)
         lowest.update(branching=2, beam_ratio=1.0, irs_sweep_ratio=1.0,
                       mp_beam_ratios=1.0, absorption_per_m=0.0,
@@ -151,6 +151,7 @@ class ScenarioAssets:
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
     sweep_grid: BeamGrid
+    sweep_phasors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,20 @@ class TrialRecord:
 def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
     tx_spec = ArraySpec(config.num_tx_antennas)
     rx_spec = ArraySpec(config.num_rx_antennas)
+    irs_spec = ArraySpec(config.num_irs_elements)
+    sweep_grid = grid_directions(config.num_irs_elements,
+                                 config.num_irs_sweep_beams)
     return ScenarioAssets(
         consts=config.physical_constants(),
         tx_spec=tx_spec,
         rx_spec=rx_spec,
-        irs_spec=ArraySpec(config.num_irs_elements),
+        irs_spec=irs_spec,
         tx_codebook=build_codebook(tx_spec, config.branching,
                                    config.num_tx_beams),
         rx_codebook=build_codebook(rx_spec, config.branching,
                                    config.num_rx_beams),
-        sweep_grid=grid_directions(config.num_irs_elements,
-                                   config.num_irs_sweep_beams),
+        sweep_grid=sweep_grid,
+        sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
     )
 
 
@@ -262,6 +266,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
             consts=assets.consts,
             cascade=cascade,
             sweep_grid=assets.sweep_grid,
+            sweep_phasors=assets.sweep_phasors,
             tx_codebook=assets.tx_codebook,
             rx_codebook=assets.rx_codebook,
         )
@@ -285,16 +290,9 @@ def true_composite_loss(scenario: LinkScenario, irs_index: int) -> float:
 
 def perfect_estimates(scenario: LinkScenario):
     """Estimates an ideal genie would report: true angles and true losses."""
-    out = []
-    for irs_index, link in enumerate(scenario.cascade.links):
-        out.append(AngleEstimate(
-            tx_departure=link.angles.tx_departure,
-            irs_arrival=link.angles.irs_arrival,
-            irs_departure=link.angles.irs_departure,
-            rx_arrival=link.angles.rx_arrival,
-            composite_loss=true_composite_loss(scenario, irs_index),
-        ))
-    return out
+    return [AngleEstimate(*astuple(link.angles),
+                          true_composite_loss(scenario, irs_index))
+            for irs_index, link in enumerate(scenario.cascade.links)]
 
 
 def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -302,30 +300,28 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial, stream)))
 
 
-def _designed_rates(scenario, estimates, power, noise_power, config, H=None):
-    """`_hybrid_rates` of a list of estimates at one power."""
+def _designed_rates(scenario, estimates, power, noise_power, config):
+    """`_hybrid_rates` of a list of estimates at one power, over the channel
+    of IRSs in direction mode on their angles."""
+    rows = np.array([[astuple(e) for e in estimates]])
+    sines = np.sin(rows[..., 1:3])
     return float(_hybrid_rates(
-        scenario, config, np.array([astuple(e)[:4] for e in estimates]),
-        np.array([e.composite_loss for e in estimates]), np.array([power]),
-        noise_power, H)[0])
+        scenario, config, rows[..., :4], rows[..., 4], np.array([power]),
+        noise_power, channel_factors(scenario, direction_states(
+            scenario, sines[..., 0], sines[..., 1])))[0])
 
 
 def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
-                  H=None):
-    """Hybrid rate at every power of the closed-form design from estimates.
+                  channels):
+    """Hybrid rate of the closed-form design from estimates, one per row.
 
-    `angles` (..., N_i, 4), ordered as `estimate_angles` returns them, and
-    composite losses `gains` (..., N_i) are per power or shared. H, the
-    channel under the IRSs designed from them, is assembled unless given.
-    A power whose gains are all zero scores 0.
+    Row b designs from `angles[b]` (N_i, 4), ordered as `estimate_angles`
+    returns them, and composite losses `gains[b]` (N_i) at power
+    `powers[b]`, and is scored on channel b of the factors `channels` that
+    `channel_factors` returns. One call each of water-filling, design and
+    rate serves every row. A row whose gains are all zero scores 0.
     """
-    shape = (len(powers), config.num_irs)
-    angles = np.broadcast_to(angles, shape + (4,))
-    gains = np.broadcast_to(gains, shape)
-    if H is None:
-        H = direction_channels(scenario, np.sin(angles[..., 1]),
-                               np.sin(angles[..., 2]))
-    H = np.broadcast_to(H, shape[:1] + np.shape(H)[-2:])
+    left, cores, right = channels
     rates = np.zeros(len(powers))
     usable = np.any(gains > 0, axis=1)
     if usable.any():
@@ -334,8 +330,8 @@ def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
             angles[usable], allocation, scenario.cascade.tx_spec,
             scenario.cascade.rx_spec, config.num_tx_rf_chains,
             config.num_rx_rf_chains, config.num_streams)
-        rates[usable] = spectral_efficiency(H[usable], bf, powers[usable],
-                                            noise_power)
+        rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
+                                            powers[usable], noise_power)
     return rates
 
 
@@ -343,15 +339,16 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
               trial: int) -> list:
     """One Monte Carlo trial, scored at every configured power.
 
-    Samples the room (stream 0), draws the random IRS phases (stream 1),
-    designs the genie IRSs and assembles their channel once. Then, in one
-    pass over every power at once, reading power p's noise tape row from
-    stream 2 + p: runs the cooperative estimation and the composite-loss
-    pilots, designs from the estimates, and evaluates (1) the proposed
-    design under estimated CSI, (2) the proposed design under perfect CSI,
-    (3) the fully digital bound with optimal IRSs, (4) the fully digital
-    bound with random IRSs. Returns one TrialRecord per power, in grid
-    order.
+    Samples the room (stream 0) and draws the random IRS phases (stream 1).
+    Then, in one pass over every power at once, reading power p's noise
+    tape row from stream 2 + p, runs the cooperative estimation and the
+    composite-loss pilots. Each channel is scored from its N_i x N_i core
+    (`channel_factors`): the IRSs designed from each power's estimates, the
+    genie IRSs and the random IRSs. One pass over 2P designs scores (1) the
+    proposed design under estimated CSI and (2) under perfect CSI; one SVD
+    of the genie and random cores gives (3) the fully digital bound with
+    optimal IRSs and (4) with random IRSs. Returns one TrialRecord per
+    power, in grid order.
     """
     scenario, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
@@ -360,14 +357,6 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
                                  amplitude=config.reflection_amplitude)
                      for _ in range(config.num_irs)]
     genie = perfect_estimates(scenario)
-    H_genie = assemble(scenario.cascade,
-                       design_irs(genie, assets.irs_spec,
-                                  config.reflection_amplitude),
-                       assets.consts)
-    sv_optimal = np.linalg.svd(H_genie, compute_uv=False)
-    sv_random = np.linalg.svd(
-        assemble(scenario.cascade, random_thetas, assets.consts),
-        compute_uv=False)
     noise_power = config.noise_power_watts
     powers = np.array([dbm_to_watts(p) for p in config.power_grid_dbm])
     tape = noise_tape(scenario, config.pilot_repetitions,
@@ -376,15 +365,22 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     angles, search = estimate_angles(scenario, powers, noise_power, tape)
     losses = composite_losses(scenario, np.arange(config.num_irs), angles,
                               powers, noise_power, tape.pilots)
-    columns = (
-        _hybrid_rates(scenario, config, angles, losses, powers, noise_power),
-        _hybrid_rates(scenario, config,
-                      np.array([astuple(g)[:4] for g in genie]),
-                      np.array([g.composite_loss for g in genie]), powers,
-                      noise_power, H_genie),
-        fdb_upper_bound(sv_optimal, powers, noise_power),
-        fdb_upper_bound(sv_random, powers, noise_power),
-    )
+    sines = np.sin(angles)
+    optimal = design_irs(genie, assets.irs_spec, config.reflection_amplitude)
+    left, cores, right = channel_factors(scenario, np.concatenate([
+        direction_states(scenario, sines[..., 1], sines[..., 2]),
+        [[t.entries() for t in ts] for ts in (optimal, random_thetas)]]))
+    # the estimated designs, then the genie design at every power
+    count = powers.size
+    rows = np.r_[np.arange(count), np.full(count, count)]
+    designs = np.array([astuple(g) for g in genie])
+    hybrid = _hybrid_rates(
+        scenario, config, np.concatenate([angles, [designs[:, :4]]])[rows],
+        np.concatenate([losses, [designs[:, 4]]])[rows], np.tile(powers, 2),
+        noise_power, (left, cores[rows], right))
+    bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
+                             powers, noise_power)
+    columns = (hybrid[:count], hybrid[count:], bounds[0], bounds[1])
     return [TrialRecord(
         seed=config.seed,
         trial_index=trial,

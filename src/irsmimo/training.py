@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import (BeamGrid, BeamVector, grid_directions, pattern_gain,
-                     steering_coefficients)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, grid_directions,
+                     pattern_gain, steering_coefficients)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook
 from .irs_control import direction_phases
@@ -62,18 +62,35 @@ class LinkScenario:
     consts: PhysicalConstants
     cascade: CascadeChannel
     sweep_grid: BeamGrid
+    sweep_phasors: np.ndarray   # `sweep_phasors(irs_spec, sweep_grid)`
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
 
     @cached_property
-    def sweep_phasors(self) -> np.ndarray:
-        """exp(j * return-mode phases) of every sweep slot, one row each;
-        built once per scene. The phases are -2 (2 pi d) n sin(direction)."""
-        irs_spec = self.cascade.irs_spec
-        n = np.arange(irs_spec.num_elements)
-        phases = (-2.0 * (2.0 * np.pi * irs_spec.spacing_wavelengths)
-                  * np.outer(self.sweep_grid.sines, n))
-        return np.exp(1j * phases)
+    def bridge_terms(self) -> tuple:
+        """(chain, rx_dir, tx_dir), stacked by IRS, of the single-IRS channels.
+
+        With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
+        has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
+        rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
+        H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0].
+        """
+        links = self.cascade.links
+        gain = self.consts.tx_gain * self.consts.rx_gain
+        return (np.array([link.eta * gain * link.departing[0, :]
+                          * link.incident[:, 0] for link in links]),
+                np.array([link.departing[:, 0] / link.departing[0, 0]
+                          for link in links]),
+                np.array([link.incident[0, :] / link.incident[0, 0]
+                          for link in links]))
+
+
+def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
+    """exp(j * return-mode phases) of every sweep slot, one row each. The
+    phases are -2 (2 pi d) n sin(direction)."""
+    n = np.arange(irs_spec.num_elements)
+    return np.exp(-4j * np.pi * irs_spec.spacing_wavelengths
+                  * np.outer(grid.sines, n))
 
 
 def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
@@ -174,24 +191,6 @@ def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
     return int(_descend(codebook, measure)[0][0])
 
 
-def _bridge_terms(scenario: LinkScenario) -> tuple:
-    """(chain, rx_dir, tx_dir), stacked by IRS, of the single-IRS channels.
-
-    With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
-    has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
-    rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
-    H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0].
-    """
-    links = scenario.cascade.links
-    gain = scenario.consts.tx_gain * scenario.consts.rx_gain
-    return (np.array([link.eta * gain * link.departing[0, :] * link.incident[:, 0]
-                      for link in links]),
-            np.array([link.departing[:, 0] / link.departing[0, 0]
-                      for link in links]),
-            np.array([link.incident[0, :] / link.incident[0, 0]
-                      for link in links]))
-
-
 def direction_states(scenario: LinkScenario, incident_sine,
                      departure_sine) -> np.ndarray:
     """Diagonals of the direction-mode IRS states between arrays of sines."""
@@ -201,13 +200,16 @@ def direction_states(scenario: LinkScenario, incident_sine,
         departure_sine))
 
 
-def direction_channels(scenario: LinkScenario, incident_sine,
-                       departure_sine) -> np.ndarray:
-    """End-to-end channels (..., N_u, N_t) with IRS l in direction mode
-    between the sines [..., l], summed from each IRS's rank-one terms."""
-    chain, rx_dir, tx_dir = _bridge_terms(scenario)
-    states = direction_states(scenario, incident_sine, departure_sine)
-    return (rx_dir.T * np.sum(chain * states, axis=-1)[..., None, :]) @ tx_dir
+def channel_factors(scenario: LinkScenario, states) -> tuple:
+    """Channels with IRS l in the state of diagonal states[..., l, :], as
+    factors (Q_a, cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T
+    with g_l = sum_n chain_ln states_ln, core = R_a diag(g) R_b^T (..., N_i,
+    N_i) and the reduced QRs rx_dir^T = Q_a R_a and tx_dir^T = Q_b R_b."""
+    chain, rx_dir, tx_dir = scenario.bridge_terms
+    q_a, r_a = np.linalg.qr(rx_dir.T)
+    q_b, r_b = np.linalg.qr(tx_dir.T)
+    gains = np.sum(chain * states, axis=-1)
+    return q_a, (r_a * gains[..., None, :]) @ r_b.T, q_b.T
 
 
 def _sweep_responses(scenario: LinkScenario) -> np.ndarray:
@@ -240,7 +242,7 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     grid = scenario.sweep_grid
     amplitude = np.sqrt(np.asarray(powers, dtype=float))[:, None]
     scale = np.sqrt(noise_power / 2.0)
-    chain, rx_dir, tx_dir = _bridge_terms(scenario)
+    chain, rx_dir, tx_dir = scenario.bridge_terms
 
     heard = np.abs(amplitude[..., None, None] * _sweep_responses(scenario)
                    + scale * tape.sweep) ** 2
@@ -288,7 +290,7 @@ def composite_losses(scenario: LinkScenario, irs, angles, powers,
     those angles, and the amplitude comes from the power averaged over the
     pilots `noise[p, j]` less the noise floor, clipped at zero.
     """
-    chain, rx_dir, tx_dir = _bridge_terms(scenario)
+    chain, rx_dir, tx_dir = scenario.bridge_terms
     angles = np.asarray(angles, dtype=float)
     tx_spec, rx_spec = scenario.cascade.tx_spec, scenario.cascade.rx_spec
     w = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,

@@ -42,10 +42,6 @@ class PowerAllocation:
     factors: np.ndarray
     water_level: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors",
-                           np.asarray(self.factors, dtype=float))
-
 
 def design_irs(estimates, irs_spec: ArraySpec,
                reflection_amplitude: float = 1.0):
@@ -160,23 +156,26 @@ def build_beamformers(estimates, allocation: PowerAllocation,
     )
 
 
-def spectral_efficiency(H: np.ndarray, bf: HybridBeamformer, power,
-                        noise_power: float):
+def spectral_efficiency(H, bf: HybridBeamformer, power, noise_power: float):
     """Rate of the hybrid design over channel H, bits/s/Hz.
 
     log2 det(I + P C^-1 W^H H F F^H H^H W), C = sigma^2 W^H W, on the
     streams whose combined and precoded columns are both nonzero, taken as
     log2 det(I + (P / sigma^2) G G^H), G = Q^H H F with Q an orthonormal
     basis of those combiner columns; the latter also holds when two streams
-    share a combiner column and C is singular. Leading axes broadcast.
+    share a combiner column and C is singular. H is dense or factors
+    (A, core, B) of H = A core B (`training.channel_factors`), and G is
+    (Q^H A) core (B F); a dense H is (I, H, I). Leading axes broadcast.
     """
+    A, core, B = H if isinstance(H, tuple) else (
+        np.eye(np.shape(H)[-2]), np.asarray(H), np.eye(np.shape(H)[-1]))
     F = bf.precoder()
     W = bf.combiner()
     active = ((np.linalg.norm(W, axis=-2) > 1e-12)
               & (np.linalg.norm(F, axis=-2) > 1e-12))[..., None, :]
     U, s, _ = np.linalg.svd(W * active, full_matrices=False)
     Q = U * (s > 1e-10 * s.max(axis=-1, keepdims=True))[..., None, :]
-    G = Q.conj().swapaxes(-1, -2) @ np.asarray(H) @ (F * active)
+    G = (Q.conj().swapaxes(-1, -2) @ A) @ core @ (B @ (F * active))
     snr = np.maximum(np.asarray(power, dtype=float), 0.0) / noise_power
     _, logdet = np.linalg.slogdet(np.eye(G.shape[-2]) + snr[..., None, None]
                                   * (G @ G.conj().swapaxes(-1, -2)))
@@ -197,19 +196,22 @@ def parallel_rate(gains, factors, power, noise_power: float):
 def fdb_upper_bound(singular_values, power, noise_power: float):
     """Fully digital bound: water-filling over a channel's singular values.
 
-    Pass `np.linalg.svd(H, compute_uv=False)`. Singular values at or below
-    1e-14 of the largest are numerical zeros of a rank-deficient H and are
-    dropped. An array of powers gives one bound per power.
+    Pass `np.linalg.svd(H, compute_uv=False)` of one H or a stack of them.
+    A singular value at or below 1e-14 of its row's largest is a numerical
+    zero of a rank-deficient H and scores as a zero gain. Powers add axes
+    after the stack's; a row without a positive gain or power scores 0.
     """
     sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim != 1:
+    if sv.ndim == 0:
         raise ValueError("expected a vector of singular values")
-    power = np.asarray(power, dtype=float)
-    rate, live = np.zeros(power.shape), power > 0
-    if sv.size and sv.max() > 0 and live.any():
-        sv = sv[sv > sv.max() * 1e-14]
-        gains = np.broadcast_to(sv, power[live].shape + sv.shape)
-        allocation = water_filling(gains, power[live], noise_power)
-        rate[live] = parallel_rate(gains, allocation.factors,
-                                   power[live][..., None], noise_power)
+    gains = sv * (sv > 1e-14 * sv.max(axis=-1, initial=0.0, keepdims=True))
+    power = np.asarray(power, dtype=float)[..., None]
+    gains, power = np.broadcast_arrays(gains.reshape(
+        sv.shape[:-1] + (1,) * (power.ndim - 1) + sv.shape[-1:]), power)
+    rate = np.zeros(power.shape[:-1])
+    live = (power[..., 0] > 0) & np.any(gains > 0, axis=-1)
+    if live.any():
+        allocation = water_filling(gains[live], power[live][:, 0], noise_power)
+        rate[live] = parallel_rate(gains[live], allocation.factors,
+                                   power[live], noise_power)
     return rate[()]

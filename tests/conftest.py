@@ -4,7 +4,7 @@ from irsmimo.arrays import ArraySpec, grid_directions
 from irsmimo.channel import (CascadeChannel, IrsLink, LinkAngles,
                              PhysicalConstants, compensation_factor, make_link)
 from irsmimo.codebook import build_codebook
-from irsmimo.training import LinkScenario
+from irsmimo.training import LinkScenario, sweep_phasors
 
 
 def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
@@ -39,10 +39,12 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
     cascade = CascadeChannel(links=tuple(links), tx_spec=tx, rx_spec=rx,
                              irs_spec=irs)
     book = build_codebook(tx, branching, num_beams)
+    grid = grid_directions(num_irs_elements, sweep_beams)
     return LinkScenario(
         consts=consts,
         cascade=cascade,
-        sweep_grid=grid_directions(num_irs_elements, sweep_beams),
+        sweep_grid=grid,
+        sweep_phasors=sweep_phasors(irs, grid),
         tx_codebook=book,
         rx_codebook=book,
     )

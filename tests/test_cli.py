@@ -97,6 +97,10 @@ def test_config_error_exit_code(tmp_path):
     ("branching", "1"),
     ("irs_positions", "0,4; 5,6"),
     ("irs_positions", "-5,4; 5,6"),
+    ("power_grid_dbm", ""),
+    ("mp_snr_grid_db", ""),
+    ("mp_antenna_counts", ""),
+    ("mp_beam_ratios", ""),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"

@@ -12,8 +12,11 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              run_estimation_trace, run_mp_experiment,
                              run_rate_experiment, run_trial, sample_scenario,
                              scenario_assets, true_composite_loss, write_csv)
+from irsmimo.channel import assemble
 from irsmimo.irs_control import random_mode
-from irsmimo.transmission import fdb_upper_bound
+from irsmimo.transmission import (build_beamformers, design_irs,
+                                  fdb_upper_bound, spectral_efficiency,
+                                  water_filling)
 
 
 def tiny_config(**kwargs):
@@ -56,7 +59,9 @@ def test_config_validation_errors():
                        ("mp_antenna_counts", (16, 0)),
                        ("irs_positions", ((5.0, 4.0), (5.0, inf))),
                        ("irs_positions", ((0.0, 4.0), (5.0, 6.0))),
-                       ("irs_positions", ((-5.0, 4.0), (5.0, 6.0)))]:
+                       ("irs_positions", ((-5.0, 4.0), (5.0, 6.0))),
+                       ("power_grid_dbm", ()), ("mp_snr_grid_db", ()),
+                       ("mp_antenna_counts", ()), ("mp_beam_ratios", ())]:
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: value})
 
@@ -135,8 +140,6 @@ def test_non_irs_benchmark_below_optimized():
     config = tiny_config()
     assets = scenario_assets(config)
     scenario, _ = sample_scenario(config, np.random.default_rng(3), assets)
-    from irsmimo.channel import assemble
-    from irsmimo.transmission import design_irs
     genie = perfect_estimates(scenario)
     H_opt = assemble(scenario.cascade,
                      design_irs(genie, assets.irs_spec,
@@ -322,3 +325,66 @@ def test_progress_fires_between_trials(monkeypatch):
         expected += [("start", trial), ("records", trial, 2),
                      ("progress", trial + 1, 3)]
     assert events == expected
+
+
+def test_zero_amplitude_scene_scores_zero():
+    # absorbing IRSs leave no channel at all: every column must read exactly
+    # 0, with no exception from water-filling an all-zero gain vector
+    result = run_rate_experiment(tiny_config(reflection_amplitude=0.0,
+                                             power_grid_dbm=(0.0, 30.0)))
+    assert [{key: row[key] for key in harness.RATE_KEYS}
+            for row in result.rows] == [dict.fromkeys(harness.RATE_KEYS, 0.0)] * 2
+
+
+def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
+    # run_trial scores every design of a trial in one stacked pass over
+    # channel factors; each rate must equal its own water-filling, design
+    # and rate calls on the assembled channel. At -90 and -85 dBm the
+    # measured composite losses of this trial are all clipped to zero: those
+    # rows are unusable and score 0 beside live ones.
+    config = tiny_config(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0))
+    assets = scenario_assets(config)
+    calls = []
+    for name in ("water_filling", "build_beamformers", "spectral_efficiency",
+                 "fdb_upper_bound"):
+        def counted(*args, real=getattr(harness, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(harness, name, counted)
+    records = run_trial(config, assets, 1)
+    monkeypatch.undo()
+    assert sorted(calls) == ["build_beamformers", "fdb_upper_bound",
+                             "spectral_efficiency", "water_filling"]
+    scenario, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
+    rand_rng = harness._trial_seed(7, 1, 1)
+    random_thetas = [random_mode(16, rand_rng) for _ in range(2)]
+    genie = perfect_estimates(scenario)
+    noise = config.noise_power_watts
+    spec = scenario.cascade.irs_spec
+
+    def hybrid(estimates, power):
+        gains = [e.composite_loss for e in estimates]
+        if not any(gains):
+            return 0.0
+        bf = build_beamformers(estimates, water_filling(gains, power, noise),
+                               scenario.cascade.tx_spec,
+                               scenario.cascade.rx_spec, 4, 4, 2)
+        H = assemble(scenario.cascade, design_irs(estimates, spec),
+                     scenario.consts)
+        return spectral_efficiency(H, bf, power, noise)
+
+    def bound(thetas, power):
+        H = assemble(scenario.cascade, thetas, scenario.consts)
+        return fdb_upper_bound(np.linalg.svd(H, compute_uv=False), power,
+                               noise)
+
+    unusable = 0
+    for record in records:
+        power = dbm_to_watts(record.power_dbm)
+        unusable += not any(e.composite_loss for e in record.estimates)
+        want = (hybrid(record.estimates, power), hybrid(genie, power),
+                bound(design_irs(genie, spec), power),
+                bound(random_thetas, power))
+        assert [record.rates[key] for key in harness.RATE_KEYS] == (
+            pytest.approx(want, rel=1e-12, abs=0.0))
+    assert unusable == 2

@@ -7,9 +7,9 @@ from irsmimo.arrays import ArraySpec, beam_gain, omni, steering
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import absorbing, direction_mode, return_mode
-from irsmimo.training import (MeasurementModel, composite_losses,
-                              cooperative_estimate, direction_channels,
-                              estimate_angles,
+from irsmimo.training import (MeasurementModel, channel_factors,
+                              composite_losses, cooperative_estimate,
+                              direction_states, estimate_angles,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
@@ -283,14 +283,16 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
 
 
 def test_direction_channels_match_assembled_channels():
-    # the rank-one factor form against the full assembly, for a stack of
-    # IRS states
+    # the factor form of direction-mode channels against the full assembly,
+    # for a stack of IRS states
     scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
                                      (-0.3, 0.25, -0.45, 0.15)])
     spec = scenario.cascade.irs_spec
     sines = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 2))
-    stack = direction_channels(scenario, sines[..., 0], sines[..., 1])
-    assert stack.shape == (3, 16, 16)
+    left, cores, right = channel_factors(scenario, direction_states(
+        scenario, sines[..., 0], sines[..., 1]))
+    assert cores.shape == (3, 2, 2)
+    stack = left @ cores @ right
     for H, pair in zip(stack, sines):
         thetas = [direction_mode(spec.num_elements, 0.5, *np.arcsin(s),
                                  amplitude=scenario.consts.reflection_amplitude)

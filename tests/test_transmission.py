@@ -7,7 +7,8 @@ from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
-from irsmimo.training import AngleEstimate, MeasurementModel
+from irsmimo.irs_control import random_mode
+from irsmimo.training import AngleEstimate, MeasurementModel, channel_factors
 from irsmimo.transmission import (build_beamformers, design_irs,
                                   estimate_composite_loss, fdb_upper_bound,
                                   parallel_rate, spectral_efficiency,
@@ -324,5 +325,80 @@ def test_fdb_dominates_hybrid_designs():
 
 def test_fdb_zero_channel_is_zero_rate():
     assert fdb_upper_bound(singular_values(np.zeros((4, 4))), 1.0, 0.1) == 0.0
+    # in a stack, a zero channel scores 0 beside a live one, at every power
+    live = singular_values(np.diag([2.0, 1.0, 1e-20]))
+    powers = np.array([0.5, 1.0, 0.0])
+    stacked = fdb_upper_bound([np.zeros(3), live], powers, 0.1)
+    assert stacked.shape == (2, 3)
+    assert np.all(stacked[0] == 0.0)
+    assert np.all(stacked[1] == fdb_upper_bound(live, powers, 0.1))
+    assert stacked[1, 2] == 0.0 < stacked[1, 0]
     with pytest.raises(ValueError):
-        fdb_upper_bound(np.zeros((4, 4)), 1.0, 0.1)  # a matrix, not its SVD
+        fdb_upper_bound(2.0, 1.0, 0.1)  # a number, not singular values
+
+
+angle = st.floats(-1.3, 1.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths=st.lists(st.tuples(angle, angle, angle, angle,
+                                st.floats(2.0, 10.0), st.floats(2.0, 10.0)),
+                      min_size=1, max_size=3),
+       shared=st.sampled_from([None, 0, 3]),
+       num_antennas=st.sampled_from([8, 12, 16]),
+       snr_db=st.floats(-10.0, 30.0), seed=st.integers(0, 2 ** 31))
+@example(paths=[(0.2, -0.55, 0.4, -0.1, 5.0, 6.0),
+                (-0.3, 0.25, -0.45, 0.15, 4.0, 7.0)],
+         shared=3, num_antennas=8, snr_db=10.0, seed=1)
+@example(paths=[(0.2, -0.55, 0.4, -0.1, 5.0, 6.0),
+                (-0.3, 0.25, -0.45, 0.15, 4.0, 7.0),
+                (0.6, 0.1, -0.2, 0.5, 3.0, 3.0)],
+         shared=0, num_antennas=12, snr_db=25.0, seed=2)
+def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
+                                        seed):
+    # IRS 1 may share IRS 0's transmit departure (0) or receive arrival (3),
+    # which makes that QR factor rank-deficient
+    angles = [list(path[:4]) for path in paths]
+    if shared is not None and len(angles) > 1:
+        angles[1][shared] = angles[0][shared]
+    scenario = scenario_from_angles([tuple(a) for a in angles],
+                                    [path[4:] for path in paths],
+                                    num_antennas=num_antennas,
+                                    num_irs_elements=8)
+    genie = perfect_estimates(scenario)
+    rng = np.random.default_rng(seed)
+    states = [design_irs(genie, scenario.cascade.irs_spec),
+              [random_mode(8, rng) for _ in paths]]
+    left, cores, right = channel_factors(
+        scenario, np.array([[t.entries() for t in s] for s in states]))
+    dense = np.array([assemble(scenario.cascade, s, scenario.consts)
+                      for s in states])
+    sv = np.linalg.svd(cores, compute_uv=False)
+    dense_sv = singular_values(dense)
+    top = dense_sv[:, :1]
+    assert np.allclose(sv, dense_sv[:, :len(paths)], rtol=0, atol=1e-12 * top)
+    assert np.all(dense_sv[:, len(paths):] <= 1e-12 * top)
+
+    gains = np.array([g.composite_loss for g in genie])
+    power = 1.0
+    noise = power * gains.max() ** 2 / 10 ** (snr_db / 10)
+    powers = np.array([power, 10 * power])
+    assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
+        np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
+        rel=1e-12)
+    bf = build_beamformers(genie, water_filling(gains, power, noise),
+                           scenario.cascade.tx_spec, scenario.cascade.rx_spec,
+                           3, 3, 3)
+    assert spectral_efficiency((left, cores, right), bf, power, noise) == (
+        pytest.approx(spectral_efficiency(dense, bf, power, noise), rel=1e-12))
+
+
+def test_fdb_cutoff_is_relative_to_each_row():
+    # a singular value above 1e-14 of its own row's largest counts, one at
+    # or below it scores as a zero gain; at this SNR both would be active
+    power, noise = 1e32, 1.0
+    stacked = fdb_upper_bound([[1.0, 2e-14], [1.0, 5e-15], [1e3, 2e-11],
+                               [1e3, 5e-12]], power, noise)
+    alone = fdb_upper_bound([1.0], power, noise)
+    assert stacked[0] > alone and stacked[1] == alone
+    assert stacked[2] > stacked[3] == fdb_upper_bound([1e3], power, noise)
