@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import diric
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,16 @@ def beam_gain(w: BeamVector, spec: ArraySpec, probe: float) -> float:
 def pattern_gain(num_elements: int, sine_offset) -> np.ndarray:
     """Half-wavelength beam pattern |sin(N pi x / 2) / (N sin(pi x / 2))|.
 
-    `sine_offset` is sin(probe) - sin(beam direction). Safe at x = 0 where the
-    value is 1.
+    `sine_offset` is sin(probe) - sin(beam direction); the result keeps its
+    shape. Where |sin(pi x / 2)| < 1e-7 (x at 0 or at the +-2 endfire seam)
+    the value is the limit 1.
     """
-    x = np.asarray(sine_offset, dtype=float)
-    return np.abs(diric(np.pi * x, num_elements))
+    half_phase = np.pi / 2 * np.asarray(sine_offset, dtype=float)
+    denom = np.sin(half_phase)
+    aligned = np.abs(denom) < 1e-7
+    ratio = np.sin(num_elements * half_phase) / (
+        num_elements * np.where(aligned, 1.0, denom))
+    return np.abs(np.where(aligned, 1.0, ratio))
 
 
 def edge_energy(num_elements: int, num_beams: int) -> float:

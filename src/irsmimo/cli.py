@@ -13,19 +13,20 @@ from .harness import (ConfigError, ScenarioConfig, make_config,
 from .quantization import quantization_report
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
     parser.add_argument("--config", metavar="PATH", default=None,
                         help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed override")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="Monte Carlo trial count override")
+    if trials:
+        parser.add_argument("--trials", type=int, default=None,
+                            help="Monte Carlo trial count override")
     parser.add_argument("--out", metavar="PATH", required=True,
                         help="output CSV path")
 
 
 def _config_from(args) -> ScenarioConfig:
-    return make_config(args.config, seed=args.seed, trials=args.trials)
+    return make_config(args.config, seed=args.seed, trials=vars(args).get("trials"))
 
 
 def _cmd_codebook(args) -> int:
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate",
                        help="single-trial estimation trace with all angles")
-    _add_common(p)
+    _add_common(p, trials=False)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("quant-table",

@@ -348,7 +348,8 @@ def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
     SNR is P * (path amplitude)^2 / noise referenced at a single receive
     element, so a beamformed measurement additionally collects the array
     gain sqrt(N_a). Angles and noise draws are shared across the SNR grid
-    (common random numbers).
+    (common random numbers). Gains g are real, so each SNR's power
+    |a g + n|^2 = a^2 g^2 + 2 a g Re(n) + |n|^2 reuses three real terms.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -357,11 +358,14 @@ def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
     sines = np.sin(angles)
     gains = pattern_gain(num_elements, sines[:, None] - grid.sines[None, :])
     noise = complex_noise(rng, 1.0, size=gains.shape)
+    square, cross = gains * gains, 2.0 * gains * noise.real
+    floor = noise.real ** 2 + noise.imag ** 2
+    del gains, noise
     spacing = 2.0 / num_beams
     curve = []
     for snr_db in snr_grid_db:
         amp = np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
-        powers = np.abs(amp * gains + noise) ** 2
+        powers = amp * amp * square + amp * cross + floor
         chosen = np.argmax(powers, axis=1)
         diff = np.abs(sines - grid.sines[chosen])
         circular = np.minimum(diff, 2.0 - diff)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import diric
 
 from irsmimo.arrays import (ArraySpec, beam_gain, edge_energy, grid_directions,
                             nearest_direction, omni, pattern_gain,
@@ -107,6 +109,36 @@ def test_pattern_monotone_within_main_lobe():
     values = pattern_gain(n, x)
     assert np.all(np.diff(values) <= 1e-12)
     assert pattern_gain(n, 0.0) == pytest.approx(1.0)
+
+
+def diric_gain(n, x):
+    """scipy's Dirichlet kernel, the implementation pattern_gain replaced."""
+    return np.abs(diric(np.pi * np.asarray(x, dtype=float), n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 32, 64])
+def test_pattern_gain_matches_diric(n):
+    seams = [0.0, 2.0, -2.0, 1e-9, -1e-9, 2 + 1e-9, 2 - 1e-9, -2 + 1e-9,
+             -2 - 1e-9, 1 / n, -1 / n]
+    x = np.concatenate([seams, np.random.default_rng(n).uniform(-2, 2, 20000)])
+    assert np.max(np.abs(pattern_gain(n, x) - diric_gain(n, x))) <= 1e-13
+    assert np.all(pattern_gain(n, [0.0, 2.0, -2.0, 1e-9, 2 - 1e-9]) == 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 256), x=st.floats(-2.0, 2.0))
+def test_pattern_gain_matches_diric_property(n, x):
+    assert abs(pattern_gain(n, x) - diric_gain(n, x)) <= 1e-13
+
+
+def test_pattern_gain_keeps_shape_and_dtype():
+    scalar = pattern_gain(16, 0.3)
+    assert np.shape(scalar) == () and np.asarray(scalar).dtype == np.float64
+    assert np.shape(pattern_gain(16, 0)) == ()
+    x = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+    block = pattern_gain(16, x)
+    assert block.shape == (3, 4) and block.dtype == np.float64
+    assert pattern_gain(16, x.astype(int)).dtype == np.float64
 
 
 def test_pattern_matches_edge_energy():

@@ -83,6 +83,17 @@ def test_estimate_trace(tmp_path, tiny_config):
     assert float(rows[0]["est_composite_loss"]) > 0
 
 
+def test_estimate_rejects_trials_flag(tmp_path, tiny_config, capsys):
+    # estimate always reports trial 0, so a trial count would be ignored
+    out = tmp_path / "trace.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--config", tiny_config, "--trials", "30",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 12\n")

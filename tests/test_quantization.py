@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from irsmimo import quantization
 from irsmimo.arrays import edge_energy, grid_directions, pattern_gain
 from irsmimo.quantization import (average_error, estimated_power_ratio,
                                   quantization_report, worst_error)
@@ -101,3 +103,59 @@ def test_report_fields():
     assert report.num_beams == 32
     assert 0.0 <= report.average_error <= report.worst_error < 1.0
     assert report.quadrature_abs_tol == 1e-8
+
+
+DEFAULT_GRIDS = [(n, ratio * n) for n in (8, 16, 32, 64) for ratio in (1, 2, 3, 4)]
+
+
+def adaptive_average_error(n, k, abs_tol=1e-8):
+    """The per-cell adaptive `quad` loop that average_error replaced."""
+    total = 0.0
+    for i in range(1, k + 1):
+        center = (2.0 * i - 1.0 - k) / k
+        u_lo = np.arcsin(max((2.0 * i - 2.0 - k) / k, -1.0))
+        u_hi = np.arcsin(min((2.0 * i - k) / k, 1.0))
+        piece, _ = quad(lambda u: pattern_gain(n, np.sin(u) - center),
+                        u_lo, u_hi, epsabs=abs_tol, limit=200)
+        total += piece
+    return 1.0 - total / np.pi
+
+
+def gauss_legendre_pair(n, k):
+    """24- and 48-node results, in the arithmetic average_error uses."""
+    (t24, w24), (t48, w48) = (np.polynomial.legendre.leggauss(m) for m in (24, 48))
+    centers = grid_directions(n, k).sines
+    edges = np.arcsin((2.0 * np.arange(k + 1) - k) / k)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
+    values = pattern_gain(n, np.sin(mid[:, None] + half[:, None]
+                                    * np.concatenate([t24, t48]))
+                          - centers[:, None])
+    return (1.0 - half @ (values[:, :24] @ w24) / np.pi,
+            1.0 - half @ (values[:, 24:] @ w48) / np.pi)
+
+
+@pytest.mark.parametrize("n,k", DEFAULT_GRIDS)
+def test_average_error_matches_adaptive_quadrature(n, k):
+    assert abs(average_error(n, k) - adaptive_average_error(n, k)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_average_error_raises_when_rules_disagree_beyond_tolerance(n):
+    # on the K = N grids the two rules differ by a few units in the last place
+    coarse, fine = gauss_legendre_pair(n, n)
+    gap = abs(fine - coarse)
+    assert gap > 0.0
+    assert average_error(n, n, abs_tol=2.0 * gap) == pytest.approx(fine, abs=1e-15)
+    with pytest.raises(FloatingPointError, match="abs_tol"):
+        average_error(n, n, abs_tol=gap / 2.0)
+
+
+def test_average_error_raises_on_non_finite_integrand(monkeypatch):
+    def broken(num_elements, sine_offset):
+        values = pattern_gain(num_elements, sine_offset)
+        values[0, 0] = np.nan
+        return values
+
+    monkeypatch.setattr(quantization, "pattern_gain", broken)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        average_error(16, 32)

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import scenario_from_angles
-from irsmimo.arrays import ArraySpec, beam_gain, omni, steering
+from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
+                            pattern_gain, steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import absorbing, direction_mode, return_mode
 from irsmimo.training import (MeasurementModel, channel_factors,
-                              composite_losses, cooperative_estimate,
-                              direction_states, estimate_angles,
+                              complex_noise, composite_losses,
+                              cooperative_estimate, direction_states,
+                              estimate_angles,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
@@ -449,6 +451,42 @@ def test_misalignment_curve_seed_reproducible():
     b = misalignment_curve(16, 32, snrs, trials=500,
                            rng=np.random.default_rng(9))
     assert a == b
+
+
+def complex_misalignment(num_elements, num_beams, snr_grid_db, trials, rng):
+    """The complex-arithmetic mp loop that misalignment_curve replaced.
+
+    Per SNR: (snr, mp, trials whose two strongest powers tie within 1e-12
+    relative), the ties being the only trials whose argmax may flip.
+    """
+    grid = grid_directions(num_elements, num_beams)
+    sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
+    gains = pattern_gain(num_elements, sines[:, None] - grid.sines[None, :])
+    noise = complex_noise(rng, 1.0, size=gains.shape)
+    rows = []
+    for snr_db in snr_grid_db:
+        amp = np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
+        powers = np.abs(amp * gains + noise) ** 2
+        diff = np.abs(sines - grid.sines[np.argmax(powers, axis=1)])
+        missed = np.minimum(diff, 2.0 - diff) > 2.0 / num_beams * (1.0 + 1e-12)
+        top = np.sort(powers, axis=1)[:, -2:]
+        ties = np.count_nonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
+        rows.append((float(snr_db), float(np.mean(missed)), ties))
+    return rows
+
+
+@pytest.mark.parametrize("n,k,seed", [(8, 8, 1), (16, 32, 2), (32, 64, 3),
+                                      (32, 96, 4), (64, 128, 5)])
+def test_misalignment_curve_matches_complex_arithmetic(n, k, seed):
+    snrs = np.arange(-10.0, 22.0, 2.0)
+    trials = 1500
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    curve = misalignment_curve(n, k, snrs, trials=trials, rng=rng)
+    reference = complex_misalignment(n, k, snrs, trials, rng_ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    for (snr, mp), (snr_ref, mp_ref, ties) in zip(curve, reference, strict=True):
+        assert snr == snr_ref
+        assert round(abs(mp - mp_ref) * trials) <= ties
 
 
 def test_model_validation():
