@@ -14,7 +14,7 @@ from .channel import (CascadeChannel, IrsLink, LinkAngles, PhaseShiftMatrix,
 from .codebook import (HierarchicalCodebook, build_codebook, num_stages,
                        projection_beam, selection_matrix, two_rf_factorization,
                        wide_beam)
-from .harness import (ScenarioConfig, TrialRecord, make_config,
+from .harness import (ScenarioConfig, TrialResult, make_config,
                       run_estimation_trace, run_mp_experiment,
                       run_rate_experiment, run_trial, sample_scenario,
                       scenario_assets)
@@ -26,8 +26,8 @@ from .training import (AngleEstimate, LinkScenario, MeasurementModel,
                        SlotCount, cooperative_estimate, estimate_angles,
                        hierarchical_search, measure_power, misalignment_curve)
 from .transmission import (HybridBeamformer, PowerAllocation,
-                           build_beamformers, design_irs,
-                           estimate_composite_loss, fdb_upper_bound,
-                           parallel_rate, spectral_efficiency, water_filling)
+                           build_beamformers, estimate_composite_loss,
+                           fdb_upper_bound, parallel_rate, spectral_efficiency,
+                           water_filling)
 
 __version__ = "0.1.0"

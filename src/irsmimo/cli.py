@@ -2,15 +2,17 @@
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .arrays import ArraySpec
 from .codebook import build_codebook
-from .harness import (ConfigError, ScenarioConfig, make_config,
-                      run_estimation_trace, run_mp_experiment,
-                      run_rate_experiment, write_csv)
+from .harness import (RATE_KEYS, ConfigError, ScenarioConfig, _parse_floats,
+                      _parse_ints, make_config, run_estimation_trace,
+                      run_mp_experiment, run_rate_experiment, write_csv)
 from .quantization import quantization_report
+from .training import AngleEstimate, slot_count
 
 
 def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
@@ -71,34 +73,25 @@ def _cmd_rate_curve(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    record = run_estimation_trace(_config_from(args))
+    config = _config_from(args)
+    result, top = run_estimation_trace(config)
+    slots = slot_count(config.num_irs, config.num_irs_sweep_beams, 1,
+                       result.search[top])
+    geometry = result.geometry
     rows = []
-    for l, (true, est) in enumerate(zip(record.true_angles, record.estimates)):
-        rows.append({
-            "irs_index": l,
-            "alice_y": record.geometry.alice_position[1],
-            "bob_y": record.geometry.bob_position[1],
-            "irs_x": record.geometry.irs_positions[l][0],
-            "irs_y": record.geometry.irs_positions[l][1],
-            "power_dbm": record.power_dbm,
-            "true_tx_departure": true.tx_departure,
-            "est_tx_departure": est.tx_departure,
-            "true_irs_arrival": true.irs_arrival,
-            "est_irs_arrival": est.irs_arrival,
-            "true_irs_departure": true.irs_departure,
-            "est_irs_departure": est.irs_departure,
-            "true_rx_arrival": true.rx_arrival,
-            "est_rx_arrival": est.rx_arrival,
-            "true_composite_loss": record.true_losses[l],
-            "est_composite_loss": est.composite_loss,
-            "rate_proposed_est": record.rates["rate_proposed_est"],
-            "rate_proposed_perfect": record.rates["rate_proposed_perfect"],
-            "rate_fdb_upper": record.rates["rate_fdb_upper"],
-            "rate_no_irs": record.rates["rate_no_irs"],
-            "sweep_slots": record.slots.irs_sweep,
-            "parity_slots": record.slots.parity,
-            "search_slots": record.slots.search,
-        })
+    for l, (true, est) in enumerate(zip(result.truth, result.estimates[top])):
+        row = {"irs_index": l,
+               "alice_y": geometry.alice_position[1],
+               "bob_y": geometry.bob_position[1],
+               "irs_x": geometry.irs_positions[l][0],
+               "irs_y": geometry.irs_positions[l][1],
+               "power_dbm": config.power_grid_dbm[top]}
+        for field, t, e in zip(fields(AngleEstimate), true, est):
+            row.update({f"true_{field.name}": t, f"est_{field.name}": e})
+        rows.append({**row, **dict(zip(RATE_KEYS, result.rates[top])),
+                     "sweep_slots": slots.irs_sweep,
+                     "parity_slots": slots.parity,
+                     "search_slots": slots.search})
     write_csv(args.out, list(rows[0].keys()), rows)
     return 0
 
@@ -119,14 +112,6 @@ def _cmd_quant_table(args) -> int:
               ["num_elements", "num_beams", "worst_error", "average_error"],
               rows)
     return 0
-
-
-def _int_list(text: str):
-    return [int(p) for p in text.split(",") if p.strip()]
-
-
-def _float_list(text: str):
-    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quant-table",
                        help="worst/average quantization error grid")
-    p.add_argument("--antennas", type=_int_list, default=[8, 16, 32, 64])
-    p.add_argument("--ratios", type=_float_list, default=[1.0, 2.0, 3.0, 4.0])
+    p.add_argument("--antennas", type=_parse_ints, default=[8, 16, 32, 64])
+    p.add_argument("--ratios", type=_parse_floats, default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", metavar="PATH", required=True)
     p.set_defaults(func=_cmd_quant_table)
 

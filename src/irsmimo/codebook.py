@@ -130,12 +130,6 @@ class HierarchicalCodebook:
             return None
         return BeamVector(self.stages[stage][:, index].copy())
 
-    def scale(self, stage: int, index: int) -> float:
-        return float(self.calibration[stage][index])
-
-    def leaf_angle(self, leaf_index: int) -> float:
-        return float(self.leaf_grid.directions[leaf_index])
-
 
 def build_codebook(spec: ArraySpec, branching: int,
                    num_leaves: int) -> HierarchicalCodebook:

@@ -15,7 +15,7 @@ from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
                        channel_factors, composite_losses, cooperative_estimate,
                        direction_states, estimate_angles, misalignment_curve,
                        noise_tape, slot_count, sweep_phasors)
-from .transmission import (build_beamformers, design_irs, fdb_upper_bound,
+from .transmission import (build_beamformers, fdb_upper_bound,
                            spectral_efficiency, water_filling)
 
 # The four benchmark curves, in CSV column order.
@@ -35,6 +35,10 @@ def db_to_linear(db: float) -> float:
 _COUNT_KEYS = ("num_tx_antennas", "num_rx_antennas", "num_irs_elements",
               "num_irs", "num_tx_rf_chains", "num_rx_rf_chains", "num_streams",
               "pilot_repetitions", "mp_antenna_counts", "trials")
+# dB-valued config keys, each with its conversion to a linear value.
+_DB_KEYS = {"noise_power_dbm": dbm_to_watts, "power_grid_dbm": dbm_to_watts,
+            "tx_gain_dbi": db_to_linear, "rx_gain_dbi": db_to_linear,
+            "irs_element_gain_dbi": db_to_linear, "mp_snr_grid_db": db_to_linear}
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,12 @@ class ScenarioConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{key} must hold one or more finite numbers")
+        for key, to_linear in _DB_KEYS.items():
+            with np.errstate(over="ignore"):
+                linear = to_linear(np.asarray(getattr(self, key), float))
+            if not np.all((linear > 0.0) & (linear < np.inf)):
+                raise ValueError(f"{key} must give a finite, positive linear "
+                                 "value")
         lowest = dict.fromkeys(_COUNT_KEYS, 1)
         lowest.update(branching=2, beam_ratio=1.0, irs_sweep_ratio=1.0,
                       mp_beam_ratios=1.0, absorption_per_m=0.0,
@@ -163,18 +173,19 @@ class SampledGeometry:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """Replayable summary of one trial at one transmit power."""
+class TrialResult:
+    """One trial at every configured power, powers in grid order.
 
-    seed: int
-    trial_index: int
-    power_dbm: float
+    `truth` (N_i, 5) and `estimates` (P, N_i, 5) hold `AngleEstimate`
+    fields in order, `rates` (P, 4) the `RATE_KEYS` columns and `search`
+    (P,) the phase-2 pilots of each power's estimation pass.
+    """
+
     geometry: SampledGeometry
-    true_angles: tuple
-    true_losses: tuple
-    estimates: tuple
-    rates: dict
-    slots: SlotCount
+    truth: np.ndarray
+    estimates: np.ndarray
+    rates: np.ndarray
+    search: np.ndarray
 
 
 def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
@@ -222,14 +233,12 @@ def _path_geometry(terminal_y: float, irs_position) -> tuple:
 
 
 def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
-                    assets: ScenarioAssets = None):
+                    assets: ScenarioAssets):
     """Draw terminal positions and build the cascade channel they induce.
 
     Returns (LinkScenario, SampledGeometry). Draws with a degenerate ray are
     resampled and counted; any other error propagates.
     """
-    if assets is None:
-        assets = scenario_assets(config)
     for attempt in range(1000):
         alice_y = rng.uniform(*config.alice_y_range)
         bob_y = rng.uniform(*config.bob_y_range)
@@ -336,27 +345,27 @@ def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
 
 
 def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
-              trial: int) -> list:
+              trial: int) -> TrialResult:
     """One Monte Carlo trial, scored at every configured power.
 
     Samples the room (stream 0) and draws the random IRS phases (stream 1).
     Then, in one pass over every power at once, reading power p's noise
     tape row from stream 2 + p, runs the cooperative estimation and the
-    composite-loss pilots. Each channel is scored from its N_i x N_i core
-    (`channel_factors`): the IRSs designed from each power's estimates, the
-    genie IRSs and the random IRSs. One pass over 2P designs scores (1) the
+    composite-loss pilots. The P estimated designs and the genie design
+    give the direction-mode IRS states in one `direction_states` call, and
+    each channel is scored from its N_i x N_i core (`channel_factors`),
+    the random IRSs' included. One pass over 2P designs scores (1) the
     proposed design under estimated CSI and (2) under perfect CSI; one SVD
     of the genie and random cores gives (3) the fully digital bound with
-    optimal IRSs and (4) with random IRSs. Returns one TrialRecord per
-    power, in grid order.
+    optimal IRSs and (4) with random IRSs.
     """
     scenario, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
     rand_rng = _trial_seed(config.seed, trial, 1)
-    random_thetas = [random_mode(config.num_irs_elements, rand_rng,
-                                 amplitude=config.reflection_amplitude)
+    random_states = [random_mode(config.num_irs_elements, rand_rng,
+                                 amplitude=config.reflection_amplitude).entries()
                      for _ in range(config.num_irs)]
-    genie = perfect_estimates(scenario)
+    truth = np.array([astuple(g) for g in perfect_estimates(scenario)])
     noise_power = config.noise_power_watts
     powers = np.array([dbm_to_watts(p) for p in config.power_grid_dbm])
     tape = noise_tape(scenario, config.pilot_repetitions,
@@ -365,34 +374,25 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     angles, search = estimate_angles(scenario, powers, noise_power, tape)
     losses = composite_losses(scenario, np.arange(config.num_irs), angles,
                               powers, noise_power, tape.pilots)
-    sines = np.sin(angles)
-    optimal = design_irs(genie, assets.irs_spec, config.reflection_amplitude)
+    # each power's estimated design, then the genie design
+    designs = np.concatenate(
+        [np.concatenate([angles, losses[..., None]], axis=-1), [truth]])
+    sines = np.sin(designs)
     left, cores, right = channel_factors(scenario, np.concatenate([
         direction_states(scenario, sines[..., 1], sines[..., 2]),
-        [[t.entries() for t in ts] for ts in (optimal, random_thetas)]]))
-    # the estimated designs, then the genie design at every power
+        [random_states]]))
     count = powers.size
     rows = np.r_[np.arange(count), np.full(count, count)]
-    designs = np.array([astuple(g) for g in genie])
     hybrid = _hybrid_rates(
-        scenario, config, np.concatenate([angles, [designs[:, :4]]])[rows],
-        np.concatenate([losses, [designs[:, 4]]])[rows], np.tile(powers, 2),
-        noise_power, (left, cores[rows], right))
+        scenario, config, designs[rows, :, :4], designs[rows, :, 4],
+        np.tile(powers, 2), noise_power, (left, cores[rows], right))
     bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
                              powers, noise_power)
-    columns = (hybrid[:count], hybrid[count:], bounds[0], bounds[1])
-    return [TrialRecord(
-        seed=config.seed,
-        trial_index=trial,
-        power_dbm=power_dbm,
-        geometry=geometry,
-        true_angles=tuple(l.angles for l in scenario.cascade.links),
-        true_losses=tuple(g.composite_loss for g in genie),
-        estimates=tuple(AngleEstimate(*map(float, row), float(loss))
-                        for row, loss in zip(angles[p], losses[p])),
-        rates={key: float(column[p]) for key, column in zip(RATE_KEYS, columns)},
-        slots=slot_count(scenario, search[p]),
-    ) for p, power_dbm in enumerate(config.power_grid_dbm)]
+    return TrialResult(geometry=geometry, truth=truth,
+                       estimates=designs[:count],
+                       rates=np.stack([hybrid[:count], hybrid[count:],
+                                       bounds[0], bounds[1]], axis=-1),
+                       search=search)
 
 
 @dataclass
@@ -413,24 +413,22 @@ def run_rate_experiment(config: ScenarioConfig,
     """
     assets = scenario_assets(config)
     sums = np.zeros((len(config.power_grid_dbm), len(RATE_KEYS)))
-    slot_sums = np.zeros(len(fields(SlotCount)), dtype=int)
-    violations = 0
-
+    violations = search = 0
     for trial in range(config.trials):
-        for p_index, record in enumerate(run_trial(config, assets, trial)):
-            rates = record.rates
-            sums[p_index] += [rates[key] for key in RATE_KEYS]
-            violations += rates["rate_no_irs"] > rates["rate_proposed_est"]
-            slot_sums += astuple(record.slots)
+        result = run_trial(config, assets, trial)
+        sums += result.rates
+        violations += np.count_nonzero(result.rates[:, 3] > result.rates[:, 0])
+        search += result.search.sum()
         if progress is not None:
             progress(trial + 1, config.trials)
 
     rows = [{"power_dbm": float(p_dbm),
              **dict(zip(RATE_KEYS, sums[p_index] / config.trials))}
             for p_index, p_dbm in enumerate(config.power_grid_dbm)]
-    return RateExperimentResult(rows=rows, trials=config.trials,
-                                ordering_violations=violations,
-                                slot_totals=SlotCount(*map(int, slot_sums)))
+    return RateExperimentResult(
+        rows=rows, trials=config.trials, ordering_violations=violations,
+        slot_totals=slot_count(config.num_irs, assets.sweep_grid.num_beams,
+                               len(rows) * config.trials, search))
 
 
 def run_mp_experiment(config: ScenarioConfig):
@@ -455,10 +453,10 @@ def run_mp_experiment(config: ScenarioConfig):
     return rows
 
 
-def run_estimation_trace(config: ScenarioConfig, trial: int = 0) -> TrialRecord:
-    """Rate-curve trial `trial` at the strongest configured power."""
-    records = run_trial(config, scenario_assets(config), trial)
-    return records[int(np.argmax(config.power_grid_dbm))]
+def run_estimation_trace(config: ScenarioConfig) -> tuple:
+    """Rate-curve trial 0 and the grid index of its strongest power."""
+    return (run_trial(config, scenario_assets(config), 0),
+            int(np.argmax(config.power_grid_dbm)))
 
 
 def _format_cell(value) -> str:
@@ -494,12 +492,19 @@ def _parse_positions(text: str) -> tuple:
     return points
 
 
+def _parse_list(kind, text: str) -> tuple:
+    values = tuple(kind(p) for p in text.split(",") if p.strip())
+    if not values:
+        raise ValueError("expected one or more comma-separated values")
+    return values
+
+
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return _parse_list(float, text)
 
 
 def _parse_ints(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return _parse_list(int, text)
 
 
 # Scalar keys parse as the type of their default.

@@ -320,14 +320,16 @@ def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
         scenario, [model.transmit_power], model.noise_power,
         noise_tape(scenario, 0, [rng]))
     return ([AngleEstimate(*map(float, row)) for row in angles[0]],
-            slot_count(scenario, search[0]))
+            slot_count(scenario.cascade.num_irs, scenario.sweep_grid.num_beams,
+                       1, search[0]))
 
 
-def slot_count(scenario: LinkScenario, search: int) -> SlotCount:
-    """Slots of one estimation pass whose phase-2 searches used `search`."""
-    num_irs = scenario.cascade.num_irs
-    return SlotCount(irs_sweep=2 * scenario.sweep_grid.num_beams * num_irs,
-                     parity=2 * num_irs, search=int(search))
+def slot_count(num_irs: int, sweep_beams: int, passes: int,
+               search) -> SlotCount:
+    """Slots of `passes` estimation passes over `num_irs` IRSs and a
+    `sweep_beams`-slot sweep grid whose phase-2 searches used `search`."""
+    return SlotCount(irs_sweep=2 * sweep_beams * num_irs * passes,
+                     parity=2 * num_irs * passes, search=int(search))
 
 
 def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,

@@ -1,11 +1,10 @@
-"""Closed-form IRS and hybrid transceiver designs, water-filling, and rate evaluation."""
+"""Closed-form hybrid transceiver design, water-filling, and rate evaluation."""
 
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .arrays import ArraySpec, steering_coefficients
-from .irs_control import direction_mode
 # unused here, but perfbench/test_smoke.py looks measure_power up here
 from .training import (LinkScenario, MeasurementModel,  # noqa: F401
                        composite_losses, measure_power)
@@ -41,22 +40,6 @@ class PowerAllocation:
 
     factors: np.ndarray
     water_level: float
-
-
-def design_irs(estimates, irs_spec: ArraySpec,
-               reflection_amplitude: float = 1.0):
-    """Direction-mode state per IRS from its estimated arrival/departure pair."""
-    if not estimates:
-        raise ValueError("no estimates to design from")
-    thetas = []
-    for est in estimates:
-        if est is None:
-            raise ValueError("missing estimate for an IRS")
-        thetas.append(direction_mode(
-            irs_spec.num_elements, irs_spec.spacing_wavelengths,
-            est.irs_arrival, est.irs_departure,
-            amplitude=reflection_amplitude))
-    return thetas
 
 
 def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,

@@ -38,9 +38,10 @@ def trial_rows():
     for scene, config in SCENES.items():
         assets = scenario_assets(config)
         for trial in range(config.trials):
-            for record in run_trial(config, assets, trial):
-                yield {"scene": scene, "trial": trial,
-                       "power_dbm": record.power_dbm, **record.rates}
+            rates = run_trial(config, assets, trial).rates
+            for power_dbm, row in zip(config.power_grid_dbm, rates):
+                yield {"scene": scene, "trial": trial, "power_dbm": power_dbm,
+                       **dict(zip(RATE_KEYS, row))}
 
 
 def mp_config():

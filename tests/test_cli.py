@@ -42,6 +42,16 @@ def test_quant_table(tmp_path):
     assert float(rows[0]["worst_error"]) > float(rows[0]["average_error"])
 
 
+@pytest.mark.parametrize("flag", ["--antennas", "--ratios"])
+def test_quant_table_rejects_empty_list(tmp_path, capsys, flag):
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["quant-table", flag, ",", "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_export(tmp_path):
     out = tmp_path / "patterns.csv"
     code = main(["codebook", "--antennas", "8", "--beams", "16",
@@ -112,6 +122,14 @@ def test_config_error_exit_code(tmp_path):
     ("mp_snr_grid_db", ""),
     ("mp_antenna_counts", ""),
     ("mp_beam_ratios", ""),
+    # dB values whose linear value overflows or underflows
+    ("noise_power_dbm", "4000"),
+    ("noise_power_dbm", "-4000"),
+    ("power_grid_dbm", "4000"),
+    ("power_grid_dbm", "10, -4000"),
+    ("tx_gain_dbi", "4000"),
+    ("tx_gain_dbi", "-4000"),
+    ("mp_snr_grid_db", "4000"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"

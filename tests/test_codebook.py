@@ -139,7 +139,7 @@ def test_calibration_live_slots_positive():
         for index in range(3 ** stage):
             # a slot is live exactly when its first leaf is
             assert book.live[stage][index] == (index * span < 96)
-            scale = book.scale(stage, index)
+            scale = book.calibration[stage][index]
             if book.beam(stage, index) is None:
                 assert scale == 0.0
             else:

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              run_rate_experiment, run_trial, sample_scenario,
                              scenario_assets, true_composite_loss, write_csv)
 from irsmimo.channel import assemble
-from irsmimo.irs_control import random_mode
-from irsmimo.transmission import (build_beamformers, design_irs,
-                                  fdb_upper_bound, spectral_efficiency,
-                                  water_filling)
+from irsmimo.irs_control import direction_mode, random_mode
+from irsmimo.training import AngleEstimate
+from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
+                                  spectral_efficiency, water_filling)
 
 
 def tiny_config(**kwargs):
@@ -61,7 +61,14 @@ def test_config_validation_errors():
                        ("irs_positions", ((0.0, 4.0), (5.0, 6.0))),
                        ("irs_positions", ((-5.0, 4.0), (5.0, 6.0))),
                        ("power_grid_dbm", ()), ("mp_snr_grid_db", ()),
-                       ("mp_antenna_counts", ()), ("mp_beam_ratios", ())]:
+                       ("mp_antenna_counts", ()), ("mp_beam_ratios", ()),
+                       # dB values whose linear value overflows or underflows
+                       ("noise_power_dbm", 4000.0),
+                       ("noise_power_dbm", -4000.0),
+                       ("power_grid_dbm", (4000.0,)),
+                       ("power_grid_dbm", (0.0, -4000.0)),
+                       ("tx_gain_dbi", 4000.0), ("tx_gain_dbi", -4000.0),
+                       ("mp_snr_grid_db", (0.0, 4000.0))]:
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: value})
 
@@ -97,10 +104,11 @@ def test_sample_scenario_propagates_other_value_errors(monkeypatch):
         calls.append(args)
         raise ValueError("link model failed")
 
-    monkeypatch.setattr(harness, "make_link", broken_link)
     config = tiny_config()
+    assets = scenario_assets(config)
+    monkeypatch.setattr(harness, "make_link", broken_link)
     with pytest.raises(ValueError, match="link model failed"):
-        sample_scenario(config, np.random.default_rng(5))
+        sample_scenario(config, np.random.default_rng(5), assets)
     assert len(calls) == 1
 
 
@@ -136,14 +144,21 @@ def test_perfect_estimates_carry_true_angles():
         assert est.composite_loss > 0
 
 
+def genie_states(scenario):
+    """Direction-mode states on the true angles, one irs_control call each,
+    independent of the engine's `direction_states`."""
+    spec = scenario.cascade.irs_spec
+    return [direction_mode(spec.num_elements, spec.spacing_wavelengths,
+                           link.angles.irs_arrival, link.angles.irs_departure,
+                           amplitude=scenario.consts.reflection_amplitude)
+            for link in scenario.cascade.links]
+
+
 def test_non_irs_benchmark_below_optimized():
     config = tiny_config()
     assets = scenario_assets(config)
     scenario, _ = sample_scenario(config, np.random.default_rng(3), assets)
-    genie = perfect_estimates(scenario)
-    H_opt = assemble(scenario.cascade,
-                     design_irs(genie, assets.irs_spec,
-                                config.reflection_amplitude), assets.consts)
+    H_opt = assemble(scenario.cascade, genie_states(scenario), assets.consts)
     rng = np.random.default_rng(4)
     H_rand = assemble(scenario.cascade,
                       [random_mode(16, rng) for _ in range(2)], assets.consts)
@@ -183,24 +198,29 @@ def test_run_rate_experiment_ordering_and_determinism():
 
 
 def test_run_estimation_trace_fields():
-    record = run_estimation_trace(tiny_config())
-    assert record.power_dbm == 20.0
-    assert len(record.estimates) == 2
-    assert len(record.true_angles) == 2
-    assert all(np.isfinite(e.composite_loss) for e in record.estimates)
-    assert record.rates["rate_no_irs"] < record.rates["rate_fdb_upper"]
-    replay = run_estimation_trace(tiny_config())
-    assert replay == record
+    result, top = run_estimation_trace(tiny_config())
+    assert top == 1
+    assert result.truth.shape == (2, 5)
+    assert result.estimates.shape == (2, 2, 5)
+    assert result.rates.shape == (2, 4)
+    assert result.search.shape == (2,)
+    assert np.all(np.isfinite(result.estimates[top, :, 4]))
+    assert np.all(result.truth[:, 4] > 0)
+    assert result.rates[top, 3] < result.rates[top, 2]
+    replay, _ = run_estimation_trace(tiny_config())
+    assert replay.geometry == result.geometry
+    for name in ("truth", "estimates", "rates", "search"):
+        assert np.array_equal(getattr(replay, name), getattr(result, name))
 
 
 def test_estimation_trace_is_top_power_rate_curve_trial():
     # low powers, where the estimation noise moves the estimated-CSI rate
     config = tiny_config(power_grid_dbm=(-30.0, -20.0, -40.0))
-    record = run_estimation_trace(config)
+    result, top = run_estimation_trace(config)
     rows = run_rate_experiment(replace(config, trials=1)).rows
-    top = max(rows, key=lambda row: row["power_dbm"])
-    assert record.power_dbm == top["power_dbm"] == -20.0
-    assert record.rates == {key: top[key] for key in record.rates}
+    assert rows[top]["power_dbm"] == max(config.power_grid_dbm) == -20.0
+    assert list(result.rates[top]) == [rows[top][key]
+                                       for key in harness.RATE_KEYS]
 
 
 def test_write_csv_deterministic_format(tmp_path):
@@ -252,9 +272,12 @@ def test_trial_record_is_serializable():
     import dataclasses
     import json
 
-    record = run_estimation_trace(tiny_config())
-    payload = json.dumps(dataclasses.asdict(record), default=float)
-    assert json.loads(payload)["rates"]["rate_fdb_upper"] > 0
+    result, top = run_estimation_trace(tiny_config())
+    payload = json.dumps(dataclasses.asdict(result),
+                         default=lambda array: array.tolist())
+    loaded = json.loads(payload)
+    assert loaded["rates"][top][2] > 0
+    assert np.array_equal(loaded["estimates"], result.estimates)
 
 
 def test_rate_experiment_progress_callback():
@@ -284,10 +307,9 @@ def test_hybrid_rates_never_exceed_fully_digital_bound(
         irs_positions=((5.0, 4.0), (5.0, 5.0), (5.0, 6.0))[:num_irs],
         branching=branching, beam_ratio=beam_ratio,
         power_grid_dbm=(-20.0, 0.0, 10.0, 30.0), trials=1, seed=seed)
-    for record in run_trial(config, scenario_assets(config), trial):
-        bound = record.rates["rate_fdb_upper"] + 1e-9
-        assert record.rates["rate_proposed_perfect"] <= bound
-        assert record.rates["rate_proposed_est"] <= bound
+    rates = run_trial(config, scenario_assets(config), trial).rates
+    assert rates.shape == (4, 4)
+    assert np.all(rates[:, :2] <= rates[:, 2:3] + 1e-9)
 
 
 def test_power_record_does_not_depend_on_the_rest_of_the_grid():
@@ -299,11 +321,14 @@ def test_power_record_does_not_depend_on_the_rest_of_the_grid():
     for grid in ((0.0,), (0.0, 10.0), (0.0, 30.0, 20.0, 10.0),
                  (0.0, -40.0, 20.0, 50.0, 5.0)):
         other = run_trial(replace(base, power_grid_dbm=grid), assets, 1)
+        assert other.geometry == full.geometry
+        assert np.array_equal(other.truth, full.truth)
         shared = [p for p, power in enumerate(grid[:4])
                   if power == base.power_grid_dbm[p]]
         assert shared
-        for p in shared:
-            assert other[p] == full[p]
+        for name in ("estimates", "rates", "search"):
+            assert np.array_equal(getattr(other, name)[shared],
+                                  getattr(full, name)[shared])
 
 
 def test_progress_fires_between_trials(monkeypatch):
@@ -312,9 +337,9 @@ def test_progress_fires_between_trials(monkeypatch):
 
     def counted(config, assets, trial):
         events.append(("start", trial))
-        records = real_run_trial(config, assets, trial)
-        events.append(("records", trial, len(records)))
-        return records
+        result = real_run_trial(config, assets, trial)
+        events.append(("rates", trial, result.rates.shape))
+        return result
 
     monkeypatch.setattr(harness, "run_trial", counted)
     run_rate_experiment(tiny_config(trials=3),
@@ -322,7 +347,7 @@ def test_progress_fires_between_trials(monkeypatch):
                             ("progress", done, total)))
     expected = []
     for trial in range(3):
-        expected += [("start", trial), ("records", trial, 2),
+        expected += [("start", trial), ("rates", trial, (2, 4)),
                      ("progress", trial + 1, 3)]
     assert events == expected
 
@@ -351,7 +376,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(harness, name, counted)
-    records = run_trial(config, assets, 1)
+    result = run_trial(config, assets, 1)
     monkeypatch.undo()
     assert sorted(calls) == ["build_beamformers", "fdb_upper_bound",
                              "spectral_efficiency", "water_filling"]
@@ -361,6 +386,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
     genie = perfect_estimates(scenario)
     noise = config.noise_power_watts
     spec = scenario.cascade.irs_spec
+    assert np.array_equal(result.truth, [astuple(g) for g in genie])
 
     def hybrid(estimates, power):
         gains = [e.composite_loss for e in estimates]
@@ -369,8 +395,10 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         bf = build_beamformers(estimates, water_filling(gains, power, noise),
                                scenario.cascade.tx_spec,
                                scenario.cascade.rx_spec, 4, 4, 2)
-        H = assemble(scenario.cascade, design_irs(estimates, spec),
-                     scenario.consts)
+        thetas = [direction_mode(spec.num_elements, spec.spacing_wavelengths,
+                                 e.irs_arrival, e.irs_departure)
+                  for e in estimates]
+        H = assemble(scenario.cascade, thetas, scenario.consts)
         return spectral_efficiency(H, bf, power, noise)
 
     def bound(thetas, power):
@@ -379,12 +407,12 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
                                noise)
 
     unusable = 0
-    for record in records:
-        power = dbm_to_watts(record.power_dbm)
-        unusable += not any(e.composite_loss for e in record.estimates)
-        want = (hybrid(record.estimates, power), hybrid(genie, power),
-                bound(design_irs(genie, spec), power),
+    for p, power_dbm in enumerate(config.power_grid_dbm):
+        power = dbm_to_watts(power_dbm)
+        estimates = [AngleEstimate(*row) for row in result.estimates[p]]
+        unusable += not any(e.composite_loss for e in estimates)
+        want = (hybrid(estimates, power), hybrid(genie, power),
+                bound(genie_states(scenario), power),
                 bound(random_thetas, power))
-        assert [record.rates[key] for key in harness.RATE_KEYS] == (
-            pytest.approx(want, rel=1e-12, abs=0.0))
+        assert list(result.rates[p]) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert unusable == 2

@@ -218,7 +218,8 @@ def reference_pass(scenario, power, noise_power, tape, p):
                 noise = (np.sqrt(noise_power * np.vdot(w, w).real / 2.0)
                          * tape.search[p, l, side, stage - 1, child])
                 return abs(amplitude * signal + noise) ** 2
-            leaves.append(book.leaf_angle(hierarchical_search(view, oracle)))
+            leaves.append(book.leaf_grid.directions[
+                hierarchical_search(view, oracle)])
         angles.append((leaves[0], arrival, departure, leaves[1]))
 
         w = steering(cascade.rx_spec, leaves[1]).coefficients

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,12 +9,12 @@ from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
-from irsmimo.irs_control import random_mode
-from irsmimo.training import AngleEstimate, MeasurementModel, channel_factors
-from irsmimo.transmission import (build_beamformers, design_irs,
-                                  estimate_composite_loss, fdb_upper_bound,
-                                  parallel_rate, spectral_efficiency,
-                                  water_filling)
+from irsmimo.irs_control import direction_mode, random_mode
+from irsmimo.training import (AngleEstimate, MeasurementModel, channel_factors,
+                              direction_states)
+from irsmimo.transmission import (build_beamformers, estimate_composite_loss,
+                                  fdb_upper_bound, parallel_rate,
+                                  spectral_efficiency, water_filling)
 
 LN2 = np.log(2.0)
 
@@ -21,10 +23,17 @@ def singular_values(H):
     return np.linalg.svd(H, compute_uv=False)
 
 
+def designed_channel(scenario, estimates):
+    """Factors of the channel with each IRS in direction mode on its
+    estimate, designed by the engine's `direction_states`."""
+    sines = np.sin(np.array([astuple(e) for e in estimates])[:, 1:3])
+    return channel_factors(scenario, direction_states(scenario, sines[:, 0],
+                                                      sines[:, 1]))
+
+
 def bridged_gain(scenario, estimates):
-    thetas = design_irs(estimates, scenario.cascade.irs_spec,
-                        scenario.consts.reflection_amplitude)
-    H = assemble(scenario.cascade, thetas, scenario.consts)
+    left, core, right = designed_channel(scenario, estimates)
+    H = left @ core @ right
     link = scenario.cascade.links[0]
     tx = steering(scenario.cascade.tx_spec, link.angles.tx_departure)
     rx = steering(scenario.cascade.rx_spec, link.angles.rx_arrival)
@@ -67,13 +76,6 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
     bridge = float(pattern_gain(spec.num_elements, offset))
     assert gain <= exact * (1 + 1e-9)
     assert gain == pytest.approx(exact * bridge, rel=1e-9)
-
-
-def test_design_irs_rejects_missing_estimates():
-    with pytest.raises(ValueError):
-        design_irs([], ArraySpec(8))
-    with pytest.raises(ValueError):
-        design_irs([None], ArraySpec(8))
 
 
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
@@ -281,9 +283,8 @@ def test_spectral_efficiency_close_to_parallel_form():
     allocation = water_filling(gains, power, noise)
     bf = build_beamformers(genie, allocation, scenario.cascade.tx_spec,
                            scenario.cascade.rx_spec, 4, 4, 3)
-    thetas = design_irs(genie, scenario.cascade.irs_spec)
-    H = assemble(scenario.cascade, thetas, scenario.consts)
-    exact = spectral_efficiency(H, bf, power, noise)
+    exact = spectral_efficiency(designed_channel(scenario, genie), bf, power,
+                                noise)
     reduced = parallel_rate(gains, allocation.factors, power, noise)
     assert exact == pytest.approx(reduced, rel=0.05)
 
@@ -367,7 +368,7 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
                                     num_irs_elements=8)
     genie = perfect_estimates(scenario)
     rng = np.random.default_rng(seed)
-    states = [design_irs(genie, scenario.cascade.irs_spec),
+    states = [[direction_mode(8, 0.5, a[1], a[2]) for a in angles],
               [random_mode(8, rng) for _ in paths]]
     left, cores, right = channel_factors(
         scenario, np.array([[t.entries() for t in s] for s in states]))
