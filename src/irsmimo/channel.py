@@ -1,6 +1,7 @@
 """THz path loss, rank-one reflecting links, IRS phase states, and channel assembly."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,33 +73,74 @@ class LinkAngles:
 
 @dataclass(frozen=True)
 class IrsLink:
-    """One IRS's rank-one hop channels plus its geometry bookkeeping."""
+    """One IRS's dense rank-one hop channels and its true angles."""
 
     incident: np.ndarray     # transmit terminal -> IRS, shape (N_r, N_t)
     departing: np.ndarray    # IRS -> receive terminal, shape (N_u, N_r)
-    eta: float               # path-loss compensation factor
-    distance_in: float       # meters, transmit terminal to IRS
-    distance_out: float      # meters, IRS to receive terminal
     angles: LinkAngles
 
 
 @dataclass(frozen=True)
 class CascadeChannel:
-    """All reflecting links of a scene, with the array specs they were built for."""
+    """Every reflecting path of a scene, one row per IRS: `angles` (N_i, 4)
+    in `LinkAngles` field order, hop lengths in and out `distances` (N_i, 2)
+    in meters, and the shared compensation factor `eta`. Dense hops are
+    formed only on demand (`links`)."""
 
-    links: tuple
+    consts: PhysicalConstants
+    angles: np.ndarray
+    distances: np.ndarray
+    eta: float
     tx_spec: ArraySpec
     rx_spec: ArraySpec
     irs_spec: ArraySpec
 
     @property
     def num_irs(self) -> int:
-        return len(self.links)
+        return len(self.angles)
+
+    @cached_property
+    def bridge_terms(self) -> tuple:
+        """(chain, rx_dir, tx_dir, hops), stacked by IRS, from the rays.
+
+        With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
+        has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
+        rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
+        H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0];
+        `hops` (N_i, 2, N_r) holds M[:, 0] and N[0, :]. Each hop entry is
+        computed as in the dense hop of `make_link`.
+        """
+        a_tx, a_in, a_out, a_rx = (
+            steering_coefficients(spec.num_elements, spec.spacing_wavelengths,
+                                  angle[:, None])
+            for spec, angle in zip((self.tx_spec, self.irs_spec,
+                                    self.irs_spec, self.rx_spec),
+                                   np.transpose(self.angles)))
+        amp_in, amp_out = path_loss(self.consts, self.distances).T[..., None]
+        conj_tx, conj_out = np.conj(a_tx), np.conj(a_out)
+        incident_row = amp_in * (a_in[:, :1] * conj_tx)
+        departing_column = amp_out * (a_rx * conj_out[:, :1])
+        hops = np.stack([amp_in * (a_in * conj_tx[:, :1]),
+                         amp_out * (a_rx[:, :1] * conj_out)], axis=1)
+        gain = self.consts.tx_gain * self.consts.rx_gain
+        return (self.eta * gain * hops[:, 1] * hops[:, 0],
+                departing_column / departing_column[:, :1],
+                incident_row / incident_row[:, :1], hops)
+
+    @cached_property
+    def links(self) -> tuple:
+        """Each IRS's `IrsLink`, with its dense hops."""
+        return tuple(IrsLink(
+            make_link(self.consts, self.tx_spec, self.irs_spec, a[0], a[1], d_in),
+            make_link(self.consts, self.irs_spec, self.rx_spec, a[2], a[3], d_out),
+            LinkAngles(*a)) for a, (d_in, d_out) in zip(
+                self.angles.tolist(), self.distances.tolist()))
 
 
 def path_loss(consts: PhysicalConstants, distance: float) -> float:
-    """Free-spread times molecular-absorption amplitude loss at `distance` meters."""
-    if distance <= 0:
+    """Free-spread times molecular-absorption amplitude loss at `distance`
+    meters, elementwise over an array of distances."""
+    if np.any(np.asarray(distance) <= 0):
         raise ValueError("distance must be positive")
     spread = consts.light_speed / (4.0 * np.pi * consts.carrier_frequency * distance)
     return spread * np.exp(-0.5 * consts.absorption_coefficient * distance)
@@ -114,9 +156,10 @@ def cascade_loss(consts: PhysicalConstants, num_irs_elements: int,
                  distance_in: float, distance_out: float) -> float:
     """Closed-form cascade amplitude of a terminal-IRS-terminal link.
 
-    Identical to tx_gain * rx_gain * eta * path_loss(d_in) * path_loss(d_out).
+    Identical to tx_gain * rx_gain * eta * path_loss(d_in) * path_loss(d_out);
+    arrays of distances give one amplitude per pair.
     """
-    if distance_in <= 0 or distance_out <= 0:
+    if np.any(np.minimum(distance_in, distance_out) <= 0):
         raise ValueError("distances must be positive")
     f = consts.carrier_frequency
     numer = (consts.tx_gain * consts.rx_gain * consts.irs_element_gain
@@ -140,7 +183,8 @@ def make_link(consts: PhysicalConstants, tx_spec: ArraySpec, rx_spec: ArraySpec,
 
 
 def assemble(cascade: CascadeChannel, thetas, consts: PhysicalConstants) -> np.ndarray:
-    """End-to-end channel H = sum_l eta_l G_t G_r N_l Theta_l M_l."""
+    """End-to-end channel H = sum_l eta G_t G_r N_l Theta_l M_l, from the
+    dense hops (`CascadeChannel.links`)."""
     if len(thetas) != cascade.num_irs:
         raise ValueError(
             f"got {len(thetas)} phase matrices for {cascade.num_irs} IRSs"
@@ -155,6 +199,6 @@ def assemble(cascade: CascadeChannel, thetas, consts: PhysicalConstants) -> np.n
             continue   # an absorbing IRS adds exactly zero
         # diagonal Theta applied row-wise, O(N_r N_t) instead of a matmul
         reflected = theta.entries()[:, None] * link.incident
-        H += (link.eta * consts.tx_gain * consts.rx_gain
+        H += (cascade.eta * consts.tx_gain * consts.rx_gain
               * (link.departing @ reflected))
     return H

@@ -39,11 +39,8 @@ def _cmd_codebook(args) -> int:
                                              np.arange(spec.num_elements)))
     rows = []
     for stage in range(1, book.num_stages + 1):
-        for index in range(book.branching ** stage):
-            beam = book.beam(stage, index)
-            if beam is None:
-                continue
-            gains = np.abs(responses @ np.conj(beam.coefficients))
+        for index in np.flatnonzero(book.live[stage]):
+            gains = np.abs(responses @ np.conj(book.stages[stage][:, index]))
             gains /= np.sqrt(spec.num_elements)
             for angle, gain in zip(probes, gains):
                 rows.append({"stage": stage, "index": index,

@@ -9,6 +9,7 @@ a parent's children with one matrix product.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,17 +65,6 @@ def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
     return beams
 
 
-def wide_beam(leaves: np.ndarray, stage: int, index: int, branching: int):
-    """Normalized projection wide beam for one tree slot, or None if the slot is dead.
-
-    `leaves` is the N_a x K matrix of bottom-stage codewords.
-    """
-    beams = _stage_beams(leaves, stage, branching)
-    if not 0 <= index < beams.shape[1]:
-        raise ValueError(f"candidate index {index} out of range for stage {stage}")
-    return BeamVector(beams[:, index]) if beams[:, index].any() else None
-
-
 def two_rf_factorization(w: BeamVector):
     """Exact two-RF-chain hybrid realization of an arbitrary beam.
 
@@ -110,7 +100,8 @@ class HierarchicalCodebook:
     their squares, which multiply measured powers. Comparing calibrated
     measurements makes the stage decision split exactly at leaf-cell
     boundaries even when siblings cover unequal numbers of leaves, which
-    plain unit-norm beams do not guarantee.
+    plain unit-norm beams do not guarantee. Every array is read-only, so
+    one codebook can serve both terminals.
     """
 
     branching: int
@@ -129,6 +120,17 @@ class HierarchicalCodebook:
         if not self.live[stage][index]:
             return None
         return BeamVector(self.stages[stage][:, index].copy())
+
+    @cached_property
+    def uplink_stages(self) -> dict:
+        """`stages` conjugated: the codewords of an uplink search."""
+        return _read_only({s: beams.conj() for s, beams in self.stages.items()})
+
+
+def _read_only(arrays: dict) -> dict:
+    for values in arrays.values():
+        values.flags.writeable = False
+    return arrays
 
 
 def build_codebook(spec: ArraySpec, branching: int,
@@ -156,15 +158,15 @@ def build_codebook(spec: ArraySpec, branching: int,
         branching=branching,
         num_leaves=num_leaves,
         num_stages=total,
-        stages=stages,
-        live=live,
-        norms={s: np.array([np.vdot(w, w).real for w in beams.T])
-               for s, beams in stages.items()},
-        calibration=calibration,
+        stages=_read_only(stages),
+        live=_read_only(live),
+        norms=_read_only({s: np.array([np.vdot(w, w).real for w in beams.T])
+                          for s, beams in stages.items()}),
+        calibration=_read_only(calibration),
         # squared one by one with pow, as the per-beam search squared them;
         # np.square differs from pow in the last bit for some values
-        weights={s: np.array([c ** 2 for c in values])
-                 for s, values in calibration.items()},
+        weights=_read_only({s: np.array([c ** 2 for c in values])
+                            for s, values in calibration.items()}),
         leaf_grid=grid,
         spec=spec,
     )

@@ -1,22 +1,23 @@
 """Scenario configuration, geometry sampling, Monte Carlo experiments, and CSV output."""
 
+import argparse
 import csv
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .arrays import ArraySpec, BeamGrid, grid_directions
-from .channel import (CascadeChannel, IrsLink, LinkAngles, PhysicalConstants,
-                      cascade_loss, compensation_factor, make_link)
+from .channel import (CascadeChannel, PhysicalConstants, cascade_loss,
+                      compensation_factor)
 from .codebook import HierarchicalCodebook, build_codebook
-from .irs_control import random_mode
 # unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
 from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
                        channel_factors, composite_losses, cooperative_estimate,
                        direction_states, estimate_angles, misalignment_curve,
                        noise_tape, slot_count, sweep_phasors)
-from .transmission import (build_beamformers, fdb_upper_bound,
-                           spectral_efficiency, water_filling)
+from .transmission import (build_beamformers, digital_gains, parallel_rate,
+                           power_factors, spectral_efficiency)
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -152,7 +153,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioAssets:
-    """Per-config objects reused across trials (codebooks are costly to build)."""
+    """Per-config values reused across trials; `powers` is in Watts."""
 
     consts: PhysicalConstants
     tx_spec: ArraySpec
@@ -162,6 +163,9 @@ class ScenarioAssets:
     rx_codebook: HierarchicalCodebook
     sweep_grid: BeamGrid
     sweep_phasors: np.ndarray
+    eta: float
+    powers: np.ndarray
+    noise_power: float
 
 
 @dataclass(frozen=True)
@@ -189,22 +193,26 @@ class TrialResult:
 
 
 def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
+    """Build the per-config assets. The terminals share one codebook when
+    their arrays and grid sizes agree."""
     tx_spec = ArraySpec(config.num_tx_antennas)
     rx_spec = ArraySpec(config.num_rx_antennas)
     irs_spec = ArraySpec(config.num_irs_elements)
     sweep_grid = grid_directions(config.num_irs_elements,
                                  config.num_irs_sweep_beams)
+    consts = config.physical_constants()
+    tx_codebook = build_codebook(tx_spec, config.branching,
+                                 config.num_tx_beams)
+    shared = (rx_spec, config.num_rx_beams) == (tx_spec, config.num_tx_beams)
     return ScenarioAssets(
-        consts=config.physical_constants(),
-        tx_spec=tx_spec,
-        rx_spec=rx_spec,
-        irs_spec=irs_spec,
-        tx_codebook=build_codebook(tx_spec, config.branching,
-                                   config.num_tx_beams),
-        rx_codebook=build_codebook(rx_spec, config.branching,
-                                   config.num_rx_beams),
-        sweep_grid=sweep_grid,
-        sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
+        consts=consts, tx_spec=tx_spec, rx_spec=rx_spec, irs_spec=irs_spec,
+        tx_codebook=tx_codebook,
+        rx_codebook=tx_codebook if shared else build_codebook(
+            rx_spec, config.branching, config.num_rx_beams),
+        sweep_grid=sweep_grid, sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
+        eta=compensation_factor(consts, config.num_irs_elements),
+        powers=np.array([dbm_to_watts(p) for p in config.power_grid_dbm]),
+        noise_power=config.noise_power_watts,
     )
 
 
@@ -212,22 +220,23 @@ class _DegenerateRay(ValueError):
     """A drawn ray the link model cannot represent; the room is redrawn."""
 
 
-def _path_geometry(terminal_y: float, irs_position) -> tuple:
-    """Distance and transverse sines of the terminal-to-IRS ray.
+def _path_geometry(terminal_y, irs_position) -> tuple:
+    """Distances and transverse sines of terminal-to-IRS rays.
 
     Terminals sit on the x = 0 wall with broadside +x; IRSs sit on the far
     wall with broadside -x; all arrays run along +y, so the angle off
     broadside has sine (other endpoint's y - own y) / distance on each side.
-    Raises _DegenerateRay when the terminal sits on the IRS or the ray runs
-    parallel to an array axis.
+    `terminal_y` and the coordinates (x, y) = `irs_position` broadcast, so
+    arrays of them give every ray at once. Raises _DegenerateRay when a
+    terminal sits on an IRS or a ray runs parallel to an array axis.
     """
     x_i, y_i = irs_position
-    distance = float(np.hypot(x_i, y_i - terminal_y))
-    if distance < 1e-9:
+    distance = np.hypot(x_i, y_i - terminal_y)
+    if np.any(distance < 1e-9):
         raise _DegenerateRay("degenerate geometry: terminal on top of an IRS")
     sine_at_terminal = (y_i - terminal_y) / distance
     sine_at_irs = (terminal_y - y_i) / distance
-    if max(abs(sine_at_terminal), abs(sine_at_irs)) >= 1.0 - 1e-12:
+    if np.max(np.abs(sine_at_terminal)) >= 1.0 - 1e-12:   # |sine_at_irs| too
         raise _DegenerateRay("ray parallel to an array axis")
     return distance, sine_at_terminal, sine_at_irs
 
@@ -236,72 +245,49 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
                     assets: ScenarioAssets):
     """Draw terminal positions and build the cascade channel they induce.
 
-    Returns (LinkScenario, SampledGeometry). Draws with a degenerate ray are
-    resampled and counted; any other error propagates.
+    Every ray is computed at once: one row per terminal (Alice, then Bob),
+    one column per IRS. Returns (LinkScenario, SampledGeometry). Draws with
+    a degenerate ray are resampled and counted; any other error propagates.
     """
     for attempt in range(1000):
         alice_y = rng.uniform(*config.alice_y_range)
         bob_y = rng.uniform(*config.bob_y_range)
         try:
-            paths = [(_path_geometry(alice_y, pos), _path_geometry(bob_y, pos))
-                     for pos in config.irs_positions]
+            distances, terminal_sines, irs_sines = _path_geometry(
+                np.array([[alice_y], [bob_y]]),
+                np.transpose(config.irs_positions))
         except _DegenerateRay:
             continue
-        links = []
-        for (d_in, sin_am, sin_rm), (d_out, sin_bn, sin_rn) in paths:
-            angles = LinkAngles(
-                tx_departure=float(np.arcsin(sin_am)),
-                irs_arrival=float(np.arcsin(sin_rm)),
-                irs_departure=float(np.arcsin(sin_rn)),
-                rx_arrival=float(np.arcsin(sin_bn)),
-            )
-            links.append(IrsLink(
-                incident=make_link(assets.consts, assets.tx_spec,
-                                   assets.irs_spec, angles.tx_departure,
-                                   angles.irs_arrival, d_in),
-                departing=make_link(assets.consts, assets.irs_spec,
-                                    assets.rx_spec, angles.irs_departure,
-                                    angles.rx_arrival, d_out),
-                eta=compensation_factor(assets.consts,
-                                        config.num_irs_elements),
-                distance_in=d_in,
-                distance_out=d_out,
-                angles=angles,
-            ))
-        cascade = CascadeChannel(links=tuple(links), tx_spec=assets.tx_spec,
-                                 rx_spec=assets.rx_spec,
-                                 irs_spec=assets.irs_spec)
-        scenario = LinkScenario(
-            consts=assets.consts,
-            cascade=cascade,
-            sweep_grid=assets.sweep_grid,
-            sweep_phasors=assets.sweep_phasors,
-            tx_codebook=assets.tx_codebook,
-            rx_codebook=assets.rx_codebook,
-        )
-        geometry = SampledGeometry(
-            alice_position=(0.0, alice_y),
-            bob_position=(0.0, bob_y),
-            irs_positions=tuple(config.irs_positions),
-            resamples=attempt,
-        )
-        return scenario, geometry
+        angles = np.arcsin(np.stack([terminal_sines[0], irs_sines[0],
+                                     irs_sines[1], terminal_sines[1]], -1))
+        cascade = CascadeChannel(assets.consts, angles, distances.T,
+                                 assets.eta, assets.tx_spec, assets.rx_spec,
+                                 assets.irs_spec)
+        scenario = LinkScenario(assets.consts, cascade, assets.sweep_grid,
+                                assets.sweep_phasors, assets.tx_codebook,
+                                assets.rx_codebook)
+        return scenario, SampledGeometry((0.0, alice_y), (0.0, bob_y),
+                                         tuple(config.irs_positions), attempt)
     raise RuntimeError("could not sample a non-degenerate geometry")
 
 
-def true_composite_loss(scenario: LinkScenario, irs_index: int) -> float:
-    """Exact bridged end-to-end amplitude beta * cascade_loss(d_in, d_out)."""
-    link = scenario.cascade.links[irs_index]
+def true_composite_loss(scenario: LinkScenario, irs_index):
+    """Exact bridged end-to-end amplitude beta * cascade_loss(d_in, d_out)
+    of IRS `irs_index`, or of every IRS an index array or slice selects."""
+    d_in, d_out = np.transpose(scenario.cascade.distances[irs_index])
     return scenario.consts.reflection_amplitude * cascade_loss(
-        scenario.consts, scenario.cascade.irs_spec.num_elements,
-        link.distance_in, link.distance_out)
+        scenario.consts, scenario.cascade.irs_spec.num_elements, d_in, d_out)
+
+
+def _truth(scenario: LinkScenario) -> np.ndarray:
+    """The genie's estimates (N_i, 5) in `AngleEstimate` field order."""
+    return np.concatenate([scenario.cascade.angles, true_composite_loss(
+        scenario, slice(None))[:, None]], axis=1)
 
 
 def perfect_estimates(scenario: LinkScenario):
     """Estimates an ideal genie would report: true angles and true losses."""
-    return [AngleEstimate(*astuple(link.angles),
-                          true_composite_loss(scenario, irs_index))
-            for irs_index, link in enumerate(scenario.cascade.links)]
+    return [AngleEstimate(*map(float, row)) for row in _truth(scenario)]
 
 
 def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -321,27 +307,50 @@ def _designed_rates(scenario, estimates, power, noise_power, config):
 
 
 def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
-                  channels):
+                  channels, factors=None):
     """Hybrid rate of the closed-form design from estimates, one per row.
 
     Row b designs from `angles[b]` (N_i, 4), ordered as `estimate_angles`
     returns them, and composite losses `gains[b]` (N_i) at power
     `powers[b]`, and is scored on channel b of the factors `channels` that
     `channel_factors` returns. One call each of water-filling, design and
-    rate serves every row. A row whose gains are all zero scores 0.
+    rate serves every row; `factors` may hold the rows' `power_factors`.
+    A row whose gains are all zero scores 0.
     """
+    if factors is None:
+        factors = power_factors(gains, powers, noise_power)
     left, cores, right = channels
     rates = np.zeros(len(powers))
-    usable = np.any(gains > 0, axis=1)
+    usable = factors.any(axis=1)
     if usable.any():
-        allocation = water_filling(gains[usable], powers[usable], noise_power)
         bf = build_beamformers(
-            angles[usable], allocation, scenario.cascade.tx_spec,
+            angles[usable], factors[usable], scenario.cascade.tx_spec,
             scenario.cascade.rx_spec, config.num_tx_rf_chains,
             config.num_rx_rf_chains, config.num_streams)
         rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
                                             powers[usable], noise_power)
     return rates
+
+
+def _trial_rates(scenario, config, designs, powers, noise_power, channels):
+    """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
+    over 4P rows: the 2P hybrid designs of `designs` (P estimated, then
+    the genie's) and the 2P fully digital bounds of the genie and random
+    cores, the last two `channels` cores, as `fdb_upper_bound` scores them.
+    """
+    left, cores, right = channels
+    count, half = powers.size, 2 * powers.size
+    rows = np.minimum(np.arange(half), count)
+    gains = np.concatenate([designs[rows, :, 4], np.repeat(digital_gains(
+        np.linalg.svd(cores[count:], compute_uv=False)), count, axis=0)])
+    power = np.tile(powers, 4)
+    factors = power_factors(gains, power, noise_power)
+    hybrid = _hybrid_rates(scenario, config, designs[rows, :, :4], gains[:half],
+                           power[:half], noise_power,
+                           (left, cores[rows], right), factors[:half])
+    bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
+                           noise_power)
+    return np.reshape([hybrid, bounds], (4, count)).T
 
 
 def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
@@ -352,22 +361,17 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     Then, in one pass over every power at once, reading power p's noise
     tape row from stream 2 + p, runs the cooperative estimation and the
     composite-loss pilots. The P estimated designs and the genie design
-    give the direction-mode IRS states in one `direction_states` call, and
-    each channel is scored from its N_i x N_i core (`channel_factors`),
-    the random IRSs' included. One pass over 2P designs scores (1) the
-    proposed design under estimated CSI and (2) under perfect CSI; one SVD
-    of the genie and random cores gives (3) the fully digital bound with
-    optimal IRSs and (4) with random IRSs.
+    give the direction-mode IRS states in one `direction_states` call; each
+    channel, the random IRSs' included, is scored from its N_i x N_i core
+    (`channel_factors`) in one pass (`_trial_rates`).
     """
     scenario, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
-    rand_rng = _trial_seed(config.seed, trial, 1)
-    random_states = [random_mode(config.num_irs_elements, rand_rng,
-                                 amplitude=config.reflection_amplitude).entries()
-                     for _ in range(config.num_irs)]
-    truth = np.array([astuple(g) for g in perfect_estimates(scenario)])
-    noise_power = config.noise_power_watts
-    powers = np.array([dbm_to_watts(p) for p in config.power_grid_dbm])
+    # the L random_mode states of an irs_control loop, from one draw
+    random_states = config.reflection_amplitude * np.exp(
+        1j * _trial_seed(config.seed, trial, 1).uniform(
+            0.0, 2.0 * np.pi, (config.num_irs, config.num_irs_elements)))
+    powers, noise_power = assets.powers, assets.noise_power
     tape = noise_tape(scenario, config.pilot_repetitions,
                       [_trial_seed(config.seed, trial, 2 + p_index)
                        for p_index in range(powers.size)])
@@ -375,24 +379,16 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     losses = composite_losses(scenario, np.arange(config.num_irs), angles,
                               powers, noise_power, tape.pilots)
     # each power's estimated design, then the genie design
-    designs = np.concatenate(
-        [np.concatenate([angles, losses[..., None]], axis=-1), [truth]])
+    designs = np.concatenate([np.concatenate([angles, losses[..., None]], -1),
+                              [_truth(scenario)]])
     sines = np.sin(designs)
-    left, cores, right = channel_factors(scenario, np.concatenate([
+    channels = channel_factors(scenario, np.concatenate([
         direction_states(scenario, sines[..., 1], sines[..., 2]),
         [random_states]]))
-    count = powers.size
-    rows = np.r_[np.arange(count), np.full(count, count)]
-    hybrid = _hybrid_rates(
-        scenario, config, designs[rows, :, :4], designs[rows, :, 4],
-        np.tile(powers, 2), noise_power, (left, cores[rows], right))
-    bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
-                             powers, noise_power)
-    return TrialResult(geometry=geometry, truth=truth,
-                       estimates=designs[:count],
-                       rates=np.stack([hybrid[:count], hybrid[count:],
-                                       bounds[0], bounds[1]], axis=-1),
-                       search=search)
+    rates = _trial_rates(scenario, config, designs, powers, noise_power,
+                         channels)
+    return TrialResult(geometry=geometry, truth=designs[-1],
+                       estimates=designs[:-1], rates=rates, search=search)
 
 
 @dataclass
@@ -492,19 +488,22 @@ def _parse_positions(text: str) -> tuple:
     return points
 
 
+class _ListError(ValueError, argparse.ArgumentTypeError):
+    """A malformed list value; argparse shows its message as it is."""
+
+
 def _parse_list(kind, text: str) -> tuple:
-    values = tuple(kind(p) for p in text.split(",") if p.strip())
+    try:
+        values = tuple(kind(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        values = ()
     if not values:
-        raise ValueError("expected one or more comma-separated values")
+        raise _ListError("expected one or more comma-separated "
+                         + ("integers" if kind is int else "numbers"))
     return values
 
 
-def _parse_floats(text: str) -> tuple:
-    return _parse_list(float, text)
-
-
-def _parse_ints(text: str) -> tuple:
-    return _parse_list(int, text)
+_parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, int)
 
 
 # Scalar keys parse as the type of their default.

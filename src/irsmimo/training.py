@@ -12,7 +12,6 @@ check that keeps the parity-consistent member of the twin pair.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -65,24 +64,6 @@ class LinkScenario:
     sweep_phasors: np.ndarray   # `sweep_phasors(irs_spec, sweep_grid)`
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
-
-    @cached_property
-    def bridge_terms(self) -> tuple:
-        """(chain, rx_dir, tx_dir), stacked by IRS, of the single-IRS channels.
-
-        With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
-        has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
-        rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
-        H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0].
-        """
-        links = self.cascade.links
-        gain = self.consts.tx_gain * self.consts.rx_gain
-        return (np.array([link.eta * gain * link.departing[0, :]
-                          * link.incident[:, 0] for link in links]),
-                np.array([link.departing[:, 0] / link.departing[0, 0]
-                          for link in links]),
-                np.array([link.incident[0, :] / link.incident[0, 0]
-                          for link in links]))
 
 
 def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
@@ -205,7 +186,7 @@ def channel_factors(scenario: LinkScenario, states) -> tuple:
     factors (Q_a, cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T
     with g_l = sum_n chain_ln states_ln, core = R_a diag(g) R_b^T (..., N_i,
     N_i) and the reduced QRs rx_dir^T = Q_a R_a and tx_dir^T = Q_b R_b."""
-    chain, rx_dir, tx_dir = scenario.bridge_terms
+    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
     q_a, r_a = np.linalg.qr(rx_dir.T)
     q_b, r_b = np.linalg.qr(tx_dir.T)
     gains = np.sum(chain * states, axis=-1)
@@ -217,11 +198,9 @@ def _sweep_responses(scenario: LinkScenario) -> np.ndarray:
     a terminal sending and receiving on its first element through state
     Theta hears eta G_t G_r sum_n Theta_nn h_n^2, h the omni entries of its
     hop (the transposed return hop repeats them, unconjugated)."""
-    consts = scenario.consts
-    hops = np.array([(link.incident[:, 0], link.departing[0, :])
-                     for link in scenario.cascade.links])
-    etas = np.array([link.eta for link in scenario.cascade.links])
-    weights = (etas * consts.tx_gain * consts.rx_gain)[:, None, None] * hops ** 2
+    consts, cascade = scenario.consts, scenario.cascade
+    weights = (cascade.eta * consts.tx_gain * consts.rx_gain
+               * cascade.bridge_terms[3] ** 2)
     return consts.reflection_amplitude * (weights @ scenario.sweep_phasors.T)
 
 
@@ -242,7 +221,7 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     grid = scenario.sweep_grid
     amplitude = np.sqrt(np.asarray(powers, dtype=float))[:, None]
     scale = np.sqrt(noise_power / 2.0)
-    chain, rx_dir, tx_dir = scenario.bridge_terms
+    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
 
     heard = np.abs(amplitude[..., None, None] * _sweep_responses(scenario)
                    + scale * tape.sweep) ** 2
@@ -263,8 +242,8 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     leaves, search = [], 0
     for side, (book, direction) in enumerate(
             ((scenario.tx_codebook, tx_dir), (scenario.rx_codebook, rx_dir))):
-        responses = {s: (beams.conj() if side else beams).T @ direction.T
-                     for s, beams in book.stages.items()}
+        responses = {s: beams.T @ direction.T for s, beams in (
+            book.uplink_stages if side else book.stages).items()}
         draws = tape.search[:, :, side].reshape(owner.size, -1,
                                                 tape.search.shape[-1])
 
@@ -290,7 +269,7 @@ def composite_losses(scenario: LinkScenario, irs, angles, powers,
     those angles, and the amplitude comes from the power averaged over the
     pilots `noise[p, j]` less the noise floor, clipped at zero.
     """
-    chain, rx_dir, tx_dir = scenario.bridge_terms
+    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
     angles = np.asarray(angles, dtype=float)
     tx_spec, rx_spec = scenario.cascade.tx_spec, scenario.cascade.rx_spec
     w = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,

@@ -6,8 +6,7 @@ import numpy as np
 
 from .arrays import ArraySpec, steering_coefficients
 # unused here, but perfbench/test_smoke.py looks measure_power up here
-from .training import (LinkScenario, MeasurementModel,  # noqa: F401
-                       composite_losses, measure_power)
+from .training import measure_power  # noqa: F401
 
 _LN2 = np.log(2.0)
 
@@ -40,20 +39,6 @@ class PowerAllocation:
 
     factors: np.ndarray
     water_level: float
-
-
-def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
-                            model: MeasurementModel, rng: np.random.Generator,
-                            pilot_repetitions: int = 10) -> float:
-    """Measured end-to-end amplitude of one bridged IRS link: one power's
-    `training.composite_losses` for IRS `irs_index`, pilots drawn from `rng`."""
-    if model.transmit_power <= 0:
-        raise ValueError("composite-loss estimation needs positive power")
-    angles = [[astuple(estimates[irs_index])[:4]]]
-    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
-    return float(composite_losses(scenario, [irs_index], angles,
-                                  [model.transmit_power], model.noise_power,
-                                  noise[..., 0])[0, 0])
 
 
 def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
@@ -93,7 +78,7 @@ def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
     return PowerAllocation(factors=factors, water_level=water_level[..., 0][()])
 
 
-def build_beamformers(estimates, allocation: PowerAllocation,
+def build_beamformers(estimates, allocation,
                       tx_spec: ArraySpec, rx_spec: ArraySpec,
                       num_tx_chains: int, num_rx_chains: int,
                       num_streams: int) -> HybridBeamformer:
@@ -103,9 +88,10 @@ def build_beamformers(estimates, allocation: PowerAllocation,
     estimated departure/arrival steering vectors, the rest are zero; the
     digital precoder is diagonal in sqrt(S_l) (with the steering
     normalization folded in) and the digital combiner is the identity block.
-    An array (..., N_i, 4) of AngleEstimate angles in `estimates`, with
-    factors (..., N_i), builds a stack of designs.
+    `allocation` is a `PowerAllocation` or its factors; angles (..., N_i, 4)
+    in `estimates` with factors (..., N_i) build a stack of designs.
     """
+    factors = getattr(allocation, "factors", allocation)
     if not isinstance(estimates, np.ndarray):
         estimates = np.array([astuple(e)[:4] for e in estimates]).reshape(-1, 4)
     num_irs = estimates.shape[-2]
@@ -116,7 +102,7 @@ def build_beamformers(estimates, allocation: PowerAllocation,
         )
     if not num_irs <= num_streams <= min(num_tx_chains, num_rx_chains):
         raise ValueError("need N_i <= N_s <= RF chains")
-    if allocation.factors.shape[-1] != num_irs:
+    if factors.shape[-1] != num_irs:
         raise ValueError("one power factor per IRS required")
 
     batch = estimates.shape[:-2]
@@ -130,7 +116,7 @@ def build_beamformers(estimates, allocation: PowerAllocation,
     analog_combiner[..., :num_irs] = np.sqrt(n_u) * steering_coefficients(
         n_u, rx_spec.spacing_wavelengths, estimates[..., 3, None]).swapaxes(-1, -2)
     streams = np.arange(num_irs)
-    digital_precoder[..., streams, streams] = np.sqrt(allocation.factors / n_t)
+    digital_precoder[..., streams, streams] = np.sqrt(factors / n_t)
     return HybridBeamformer(
         analog_precoder=analog_precoder,
         digital_precoder=digital_precoder,
@@ -176,25 +162,36 @@ def parallel_rate(gains, factors, power, noise_power: float):
     return np.sum(np.log2(1.0 + snr), axis=-1)
 
 
-def fdb_upper_bound(singular_values, power, noise_power: float):
-    """Fully digital bound: water-filling over a channel's singular values.
-
-    Pass `np.linalg.svd(H, compute_uv=False)` of one H or a stack of them.
-    A singular value at or below 1e-14 of its row's largest is a numerical
-    zero of a rank-deficient H and scores as a zero gain. Powers add axes
-    after the stack's; a row without a positive gain or power scores 0.
-    """
+def digital_gains(singular_values):
+    """Singular values of one H or a stack as gains, a numerical zero of a
+    rank-deficient H (at or below 1e-14 of its row's largest) as 0."""
     sv = np.asarray(singular_values, dtype=float)
     if sv.ndim == 0:
         raise ValueError("expected a vector of singular values")
-    gains = sv * (sv > 1e-14 * sv.max(axis=-1, initial=0.0, keepdims=True))
+    return sv * (sv > 1e-14 * sv.max(axis=-1, initial=0.0, keepdims=True))
+
+
+def power_factors(gains, powers, noise_power: float) -> np.ndarray:
+    """`water_filling` factors of each row of `gains` at `powers`, in one
+    call; a row without a positive gain or power gets zero factors."""
+    factors = np.zeros(gains.shape)
+    live = (powers > 0) & np.any(gains > 0, axis=-1)
+    if live.any():
+        factors[live] = water_filling(gains[live], powers[live],
+                                      noise_power).factors
+    return factors
+
+
+def fdb_upper_bound(singular_values, power, noise_power: float):
+    """Fully digital bound: water-filling over a channel's singular values.
+
+    Pass `np.linalg.svd(H, compute_uv=False)` of one H or a stack of them;
+    the gains are their `digital_gains`. Powers add axes after the stack's;
+    a row without a positive gain or power scores 0.
+    """
+    gains = digital_gains(singular_values)
     power = np.asarray(power, dtype=float)[..., None]
     gains, power = np.broadcast_arrays(gains.reshape(
-        sv.shape[:-1] + (1,) * (power.ndim - 1) + sv.shape[-1:]), power)
-    rate = np.zeros(power.shape[:-1])
-    live = (power[..., 0] > 0) & np.any(gains > 0, axis=-1)
-    if live.any():
-        allocation = water_filling(gains[live], power[live][:, 0], noise_power)
-        rate[live] = parallel_rate(gains[live], allocation.factors,
-                                   power[live], noise_power)
-    return rate[()]
+        gains.shape[:-1] + (1,) * (power.ndim - 1) + gains.shape[-1:]), power)
+    factors = power_factors(gains, power[..., 0], noise_power)
+    return parallel_rate(gains, factors, power, noise_power)[()]

@@ -1,10 +1,13 @@
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from irsmimo.arrays import ArraySpec, grid_directions
-from irsmimo.channel import (CascadeChannel, IrsLink, LinkAngles,
-                             PhysicalConstants, compensation_factor, make_link)
+from irsmimo.channel import (CascadeChannel, PhysicalConstants,
+                             compensation_factor)
 from irsmimo.codebook import build_codebook
-from irsmimo.training import LinkScenario, sweep_phasors
+from irsmimo.training import LinkScenario, composite_losses, sweep_phasors
 
 
 def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
@@ -23,21 +26,11 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
     irs = ArraySpec(num_irs_elements)
     if distances is None:
         distances = [(5.0, 6.0)] * len(angle_sets)
-    links = []
-    for angles, (d_in, d_out) in zip(angle_sets, distances):
-        a = LinkAngles(*angles)
-        links.append(IrsLink(
-            incident=make_link(consts, tx, irs, a.tx_departure,
-                               a.irs_arrival, d_in),
-            departing=make_link(consts, irs, rx, a.irs_departure,
-                                a.rx_arrival, d_out),
-            eta=compensation_factor(consts, num_irs_elements),
-            distance_in=d_in,
-            distance_out=d_out,
-            angles=a,
-        ))
-    cascade = CascadeChannel(links=tuple(links), tx_spec=tx, rx_spec=rx,
-                             irs_spec=irs)
+    cascade = CascadeChannel(
+        consts=consts, angles=np.array(angle_sets, dtype=float),
+        distances=np.array(distances, dtype=float),
+        eta=compensation_factor(consts, num_irs_elements), tx_spec=tx,
+        rx_spec=rx, irs_spec=irs)
     book = build_codebook(tx, branching, num_beams)
     grid = grid_directions(num_irs_elements, sweep_beams)
     return LinkScenario(
@@ -48,6 +41,20 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
         tx_codebook=book,
         rx_codebook=book,
     )
+
+
+def estimate_composite_loss(scenario, irs_index, estimates, model, rng,
+                            pilot_repetitions=10):
+    """Measured end-to-end amplitude of one bridged IRS link: one power's
+    `training.composite_losses` for IRS `irs_index`, its pilots drawn from
+    `rng` as the tape's composite-loss field draws them."""
+    if model.transmit_power <= 0:
+        raise ValueError("composite-loss estimation needs positive power")
+    angles = [[astuple(estimates[irs_index])[:4]]]
+    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
+    return float(composite_losses(scenario, [irs_index], angles,
+                                  [model.transmit_power], model.noise_power,
+                                  noise[..., 0])[0, 0])
 
 
 @pytest.fixture

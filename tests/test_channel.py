@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsmimo.arrays import ArraySpec, steering
-from irsmimo.channel import (SPEED_OF_LIGHT, CascadeChannel, IrsLink, LinkAngles,
+from irsmimo.channel import (SPEED_OF_LIGHT, CascadeChannel, LinkAngles,
                              PhaseShiftMatrix, PhysicalConstants, assemble,
                              cascade_loss, compensation_factor, make_link,
                              path_loss)
@@ -95,19 +96,50 @@ def test_make_link_rank_one_and_norm():
 
 
 def make_cascade(consts, angle_sets, distances, n_t=8, n_r=16, n_u=8):
-    tx, rx, irs = ArraySpec(n_t), ArraySpec(n_u), ArraySpec(n_r)
-    links = []
-    for angles, (d1, d2) in zip(angle_sets, distances):
-        a = LinkAngles(*angles)
-        links.append(IrsLink(
-            incident=make_link(consts, tx, irs, a.tx_departure, a.irs_arrival, d1),
-            departing=make_link(consts, irs, rx, a.irs_departure, a.rx_arrival, d2),
-            eta=compensation_factor(consts, n_r),
-            distance_in=d1,
-            distance_out=d2,
-            angles=a,
-        ))
-    return CascadeChannel(links=tuple(links), tx_spec=tx, rx_spec=rx, irs_spec=irs)
+    return CascadeChannel(consts, np.array(angle_sets, dtype=float),
+                          np.array(distances, dtype=float),
+                          compensation_factor(consts, n_r), ArraySpec(n_t),
+                          ArraySpec(n_u), ArraySpec(n_r))
+
+
+def test_links_hold_the_dense_hops_of_make_link():
+    c = consts_with()
+    angles = [(0.1, -0.2, 0.3, -0.4), (0.5, 0.2, -0.3, 0.1)]
+    distances = [(5.0, 6.0), (4.0, 8.0)]
+    cascade = make_cascade(c, angles, distances)
+    tx, rx, irs = cascade.tx_spec, cascade.rx_spec, cascade.irs_spec
+    for link, a, (d_in, d_out) in zip(cascade.links, angles, distances):
+        assert link.angles == LinkAngles(*a)
+        assert np.array_equal(link.incident, make_link(c, tx, irs, a[0], a[1],
+                                                       d_in))
+        assert np.array_equal(link.departing, make_link(c, irs, rx, a[2],
+                                                        a[3], d_out))
+
+
+ray = st.tuples(st.tuples(*[st.floats(-0.999, 0.999)] * 4),
+                st.tuples(*[st.floats(0.3, 20.0)] * 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.tuples(*[st.integers(1, 64)] * 3),
+       rays=st.lists(ray, min_size=1, max_size=4),
+       gains=st.tuples(st.floats(0.5, 200.0), st.floats(0.5, 200.0)))
+def test_bridge_terms_equal_dense_hop_entries(sizes, rays, gains):
+    # the rank-one factors come straight from the rays; each must equal, bit
+    # for bit, what the dense hops of make_link give: chain, rx_dir and
+    # tx_dir of the single-IRS channels and the sweep's omni hop entries
+    n_t, n_r, n_u = sizes
+    c = consts_with(tx_gain=gains[0], rx_gain=gains[1])
+    sines, distances = zip(*rays)
+    cascade = make_cascade(c, np.arcsin(sines), distances, n_t, n_r, n_u)
+    chain, rx_dir, tx_dir, hops = cascade.bridge_terms
+    gain = c.tx_gain * c.rx_gain
+    for l, link in enumerate(cascade.links):
+        M, N = link.incident, link.departing
+        assert np.array_equal(chain[l], cascade.eta * gain * N[0, :] * M[:, 0])
+        assert np.array_equal(rx_dir[l], N[:, 0] / N[0, 0])
+        assert np.array_equal(tx_dir[l], M[0, :] / M[0, 0])
+        assert np.array_equal(hops[l], [M[:, 0], N[0, :]])
 
 
 def test_assemble_zero_amplitude_gives_zero_matrix():
@@ -138,7 +170,7 @@ def test_assemble_bridged_composite_gain_per_irs():
     tx_beam = steering(cascade.tx_spec, angles[0])
     rx_beam = steering(cascade.rx_spec, angles[3])
     gain = abs(np.vdot(rx_beam.coefficients, H @ tx_beam.coefficients))
-    expected = (0.8 * cascade.links[0].eta * c.tx_gain * c.rx_gain
+    expected = (0.8 * cascade.eta * c.tx_gain * c.rx_gain
                 * path_loss(c, 5.0) * path_loss(c, 6.0))
     assert gain == pytest.approx(expected, abs=1e-9)
 
@@ -154,8 +186,8 @@ def test_assemble_common_angle_sum():
     rx_beam = steering(cascade.rx_spec, angles[3])
     gain = abs(np.vdot(rx_beam.coefficients, H @ tx_beam.coefficients))
     expected = sum(
-        link.eta * c.tx_gain * c.rx_gain * path_loss(c, link.distance_in)
-        * path_loss(c, link.distance_out) for link in cascade.links)
+        cascade.eta * c.tx_gain * c.rx_gain * path_loss(c, d_in)
+        * path_loss(c, d_out) for d_in, d_out in cascade.distances)
     assert gain == pytest.approx(expected, abs=1e-9)
 
 
@@ -209,7 +241,7 @@ def test_assemble_matches_literal_diagonal_product():
                                amplitude=0.9) for _ in range(2)]
     H = assemble(cascade, thetas, c)
     literal = sum(
-        link.eta * c.tx_gain * c.rx_gain
+        cascade.eta * c.tx_gain * c.rx_gain
         * link.departing @ np.diag(theta.entries()) @ link.incident
         for link, theta in zip(cascade.links, thetas))
     assert np.allclose(H, literal, atol=1e-18)

@@ -52,6 +52,20 @@ def test_quant_table_rejects_empty_list(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--antennas", ",", "integers"), ("--antennas", "8,x", "integers"),
+    ("--ratios", ",", "numbers"), ("--ratios", "2,a", "numbers")])
+def test_quant_table_list_error_says_what_was_expected(tmp_path, capsys, flag,
+                                                       value, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(["quant-table", flag, value, "--out", str(tmp_path / "q.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument {flag}: expected one or more comma-separated "
+            f"{expected}") in err
+    assert "_parse" not in err and "invalid" not in err
+
+
 def test_codebook_export(tmp_path):
     out = tmp_path / "patterns.csv"
     code = main(["codebook", "--antennas", "8", "--beams", "16",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irsmimo import harness
+from irsmimo import harness, transmission
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              db_to_linear, dbm_to_watts, load_config_file,
@@ -14,7 +14,7 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              scenario_assets, true_composite_loss, write_csv)
 from irsmimo.channel import assemble
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import AngleEstimate
+from irsmimo.training import AngleEstimate, channel_factors, direction_states
 from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
                                   spectral_efficiency, water_filling)
 
@@ -96,7 +96,7 @@ def test_path_geometry_rejects_degenerate():
 
 
 def test_sample_scenario_propagates_other_value_errors(monkeypatch):
-    # only a degenerate ray is redrawn; a failure while building the links
+    # only a degenerate ray is redrawn; a failure while building the cascade
     # surfaces at once instead of after 1000 silent resamples
     calls = []
 
@@ -106,7 +106,7 @@ def test_sample_scenario_propagates_other_value_errors(monkeypatch):
 
     config = tiny_config()
     assets = scenario_assets(config)
-    monkeypatch.setattr(harness, "make_link", broken_link)
+    monkeypatch.setattr(harness, "CascadeChannel", broken_link)
     with pytest.raises(ValueError, match="link model failed"):
         sample_scenario(config, np.random.default_rng(5), assets)
     assert len(calls) == 1
@@ -127,10 +127,10 @@ def test_true_composite_matches_cascade_loss():
     config = tiny_config()
     assets = scenario_assets(config)
     scenario, _ = sample_scenario(config, np.random.default_rng(1), assets)
-    link = scenario.cascade.links[0]
+    d_in, d_out = scenario.cascade.distances[0]
     expected = (config.reflection_amplitude
                 * cascade_loss(assets.consts, config.num_irs_elements,
-                               link.distance_in, link.distance_out))
+                               float(d_in), float(d_out)))
     assert true_composite_loss(scenario, 0) == pytest.approx(expected, rel=1e-12)
 
 
@@ -363,23 +363,26 @@ def test_zero_amplitude_scene_scores_zero():
 
 def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
     # run_trial scores every design of a trial in one stacked pass over
-    # channel factors; each rate must equal its own water-filling, design
-    # and rate calls on the assembled channel. At -90 and -85 dBm the
-    # measured composite losses of this trial are all clipped to zero: those
-    # rows are unusable and score 0 beside live ones.
+    # channel factors, with one water-filling call for the hybrid designs and
+    # the fully digital bounds together; each rate must equal its own
+    # water-filling, design and rate calls on the assembled channel. At -90
+    # and -85 dBm the measured composite losses of this trial are all
+    # clipped to zero: those rows are unusable and score 0 beside live ones.
     config = tiny_config(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0))
     assets = scenario_assets(config)
     calls = []
-    for name in ("water_filling", "build_beamformers", "spectral_efficiency",
-                 "fdb_upper_bound"):
-        def counted(*args, real=getattr(harness, name), name=name):
+    for module, name in ((transmission, "water_filling"),
+                         (transmission, "fdb_upper_bound"),
+                         (harness, "build_beamformers"),
+                         (harness, "spectral_efficiency")):
+        def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     result = run_trial(config, assets, 1)
     monkeypatch.undo()
-    assert sorted(calls) == ["build_beamformers", "fdb_upper_bound",
-                             "spectral_efficiency", "water_filling"]
+    assert sorted(calls) == ["build_beamformers", "spectral_efficiency",
+                             "water_filling"]
     scenario, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
     rand_rng = harness._trial_seed(7, 1, 1)
     random_thetas = [random_mode(16, rand_rng) for _ in range(2)]
@@ -416,3 +419,131 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
                 bound(random_thetas, power))
         assert list(result.rates[p]) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert unusable == 2
+
+
+def trial_parts(config, assets, trial):
+    """run_trial's result, scene, designs and channel factors, the random
+    IRSs' rebuilt with the loop of `irs_control.random_mode` calls."""
+    result = run_trial(config, assets, trial)
+    scenario, _ = sample_scenario(config,
+                                  harness._trial_seed(config.seed, trial, 0),
+                                  assets)
+    rng = harness._trial_seed(config.seed, trial, 1)
+    random_states = [random_mode(config.num_irs_elements, rng,
+                                 amplitude=config.reflection_amplitude).entries()
+                     for _ in range(config.num_irs)]
+    designs = np.concatenate([result.estimates, [result.truth]])
+    sines = np.sin(designs)
+    channels = channel_factors(scenario, np.concatenate([
+        direction_states(scenario, sines[..., 1], sines[..., 2]),
+        [random_states]]))
+    return result, scenario, designs, channels
+
+
+@pytest.mark.parametrize("trial", [0, 1, 2])
+def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
+    # run_trial draws the L random IRS states in one uniform call; they must
+    # be the states of L random_mode calls on the same stream, bit for bit
+    config = tiny_config(num_irs=3, num_streams=3,
+                         irs_positions=((5.0, 4.0), (5.0, 5.0), (5.0, 6.0)),
+                         reflection_amplitude=0.7)
+    assets = scenario_assets(config)
+    seen = []
+
+    def recorded(scenario, states):
+        seen.append(states)
+        return channel_factors(scenario, states)
+
+    monkeypatch.setattr(harness, "channel_factors", recorded)
+    result = run_trial(config, assets, trial)
+    monkeypatch.undo()
+    rng = harness._trial_seed(config.seed, trial, 1)
+    want = [random_mode(config.num_irs_elements, rng, amplitude=0.7).entries()
+            for _ in range(config.num_irs)]
+    assert len(seen) == 1 and np.array_equal(seen[0][-1], want)
+    assert result.rates[:, 3].all()
+
+
+@pytest.mark.parametrize("overrides,zero_rows", [
+    (dict(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0)), 2),   # zero-gain rows
+    (dict(reflection_amplitude=0.0), 2),                    # every rate 0
+    (dict(num_tx_antennas=8, num_rx_antennas=12, num_irs_elements=10), 0)])
+def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
+    # one water-filling call over the 2P hybrid rows and the 2P fully
+    # digital rows gives the rates of a `_hybrid_rates` call and a
+    # `fdb_upper_bound` call, bit for bit, zero-gain rows included
+    config = tiny_config(**overrides)
+    assets = scenario_assets(config)
+    result, scenario, designs, channels = trial_parts(config, assets, 1)
+    powers, noise = assets.powers, assets.noise_power
+    count = powers.size
+    left, cores, right = channels
+    rows = np.r_[np.arange(count), np.full(count, count)]
+    hybrid = harness._hybrid_rates(
+        scenario, config, designs[rows, :, :4], designs[rows, :, 4],
+        np.tile(powers, 2), noise, (left, cores[rows], right))
+    bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
+                             powers, noise)
+    want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
+                    axis=-1)
+    fused = harness._trial_rates(scenario, config, designs, powers, noise,
+                                 channels)
+    assert np.array_equal(fused, want)
+    assert np.array_equal(result.rates, want)
+    assert np.count_nonzero(want[:, 0] == 0.0) == zero_rows
+    assert want.any() == (config.reflection_amplitude > 0.0)
+
+
+def test_sampled_rays_equal_the_per_ray_geometry():
+    # the array-form scene against the per-ray scalar path: same draws, same
+    # distances and the same angles, bit for bit
+    config = tiny_config(num_irs=3, num_streams=3,
+                         irs_positions=((5.0, 4.0), (3.0, 7.5), (6.5, 0.5)))
+    assets = scenario_assets(config)
+    for seed in range(40):
+        scenario, geometry = sample_scenario(
+            config, np.random.default_rng(seed), assets)
+        ys = (geometry.alice_position[1], geometry.bob_position[1])
+        for l, position in enumerate(config.irs_positions):
+            (d_in, s_am, s_rm), (d_out, s_bn, s_rn) = (
+                [float(v) for v in _path_geometry(y, position)] for y in ys)
+            assert scenario.cascade.distances[l].tolist() == [d_in, d_out]
+            assert scenario.cascade.angles[l].tolist() == [
+                float(np.arcsin(v)) for v in (s_am, s_rm, s_rn, s_bn)]
+
+
+def test_terminals_share_one_codebook_when_they_agree():
+    assets = scenario_assets(tiny_config())
+    assert assets.rx_codebook is assets.tx_codebook
+    for stage, beams in assets.tx_codebook.stages.items():
+        with pytest.raises(ValueError, match="read-only"):
+            beams[0, 0] = 0.0
+        for table in ("live", "norms", "calibration", "weights",
+                      "uplink_stages"):
+            assert not getattr(assets.tx_codebook, table)[stage].flags.writeable
+
+
+def test_unequal_terminals_build_two_codebooks_and_run():
+    config = tiny_config(num_tx_antennas=8, num_rx_antennas=12, trials=2)
+    assets = scenario_assets(config)
+    assert assets.rx_codebook is not assets.tx_codebook
+    assert assets.tx_codebook.num_leaves == config.num_tx_beams == 16
+    assert assets.rx_codebook.num_leaves == config.num_rx_beams == 24
+    result = run_rate_experiment(config)
+    assert all(np.isfinite(list(row.values())).all() for row in result.rows)
+
+
+def test_fused_scoring_pass_applies_the_fdb_cutoff():
+    # a singular value at or below 1e-14 of its core's largest is a zero
+    # gain in the fused pass as in fdb_upper_bound, even at an SNR where a
+    # gain that small would take power; the design gains are all zero here,
+    # so only the bound rows are live
+    designs = np.zeros((2, 2, 5))
+    cores = np.array([np.eye(2), np.diag([1.0, 1e-15]), np.diag([1.0, 0.5])])
+    powers, noise = np.array([1e25]), 1e-11
+    fused = harness._trial_rates(None, tiny_config(), designs, powers, noise,
+                                 (np.eye(2), cores, np.eye(2)))
+    bounds = fdb_upper_bound(np.linalg.svd(cores[1:], compute_uv=False),
+                             powers, noise)
+    assert np.array_equal(fused[0], [0.0, 0.0, *bounds[:, 0]])
+    assert fused[0, 2] == fdb_upper_bound([1.0], powers, noise)

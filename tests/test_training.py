@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import scenario_from_angles
+from conftest import estimate_composite_loss, scenario_from_angles
 from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
                             pattern_gain, steering)
 from irsmimo.channel import assemble
@@ -15,7 +15,6 @@ from irsmimo.training import (MeasurementModel, channel_factors,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
-from irsmimo.transmission import estimate_composite_loss
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -187,7 +186,7 @@ def reference_pass(scenario, power, noise_power, tape, p):
             for k, angle in enumerate(grid.directions):
                 theta = return_mode(spec.num_elements, spec.spacing_wavelengths,
                                     angle, consts.reflection_amplitude)
-                roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
+                roundtrip = (cascade.eta * consts.tx_gain * consts.rx_gain
                              * hop.T @ np.diag(theta.entries()) @ hop)
                 heard.append(abs(amplitude * roundtrip[0, 0]
                                  + scale * tape.sweep[p, l, side, k]) ** 2)
@@ -316,7 +315,7 @@ def test_sweep_side_matches_dense_roundtrip(small_scenario):
     for side, hop in enumerate((link.incident, link.departing.T)):
         for k, angle in enumerate(scenario.sweep_grid.directions):
             theta = return_mode(n_elems, 0.5, float(angle))
-            roundtrip = (link.eta * consts.tx_gain * consts.rx_gain
+            roundtrip = (scenario.cascade.eta * consts.tx_gain * consts.rx_gain
                          * hop.T @ np.diag(theta.entries()) @ hop)
             assert responses[0, side, k] == pytest.approx(roundtrip[0, 0],
                                                           rel=1e-10)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_from_angles
+from conftest import estimate_composite_loss, scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import (AngleEstimate, MeasurementModel, channel_factors,
                               direction_states)
-from irsmimo.transmission import (build_beamformers, estimate_composite_loss,
-                                  fdb_upper_bound, parallel_rate,
-                                  spectral_efficiency, water_filling)
+from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
+                                  parallel_rate, spectral_efficiency,
+                                  water_filling)
 
 LN2 = np.log(2.0)
 
