@@ -12,19 +12,22 @@ from .channel import (CascadeChannel, IrsLink, LinkAngles, PhaseShiftMatrix,
                       PhysicalConstants, assemble, cascade_loss,
                       compensation_factor, make_link, path_loss)
 from .codebook import (HierarchicalCodebook, build_codebook, num_stages,
-                       projection_beam, selection_matrix, two_rf_factorization)
+                       projection_beam, selection_matrix, two_rf_factorization,
+                       wide_beam)
 from .harness import (ScenarioConfig, TrialResult, make_config,
                       run_estimation_trace, run_mp_experiment,
                       run_rate_experiment, run_trial, sample_scenario,
                       scenario_assets)
 from .irs_control import absorbing, direction_mode, random_mode, return_mode
 from .quantization import (QuantizationReport, average_error,
-                           quantization_report, worst_error)
+                           estimated_power_ratio, quantization_report,
+                           worst_error)
 from .training import (AngleEstimate, LinkScenario, MeasurementModel,
                        SlotCount, cooperative_estimate, estimate_angles,
                        hierarchical_search, measure_power, misalignment_curve)
 from .transmission import (HybridBeamformer, PowerAllocation,
-                           build_beamformers, fdb_upper_bound, parallel_rate,
-                           spectral_efficiency, water_filling)
+                           build_beamformers, estimate_composite_loss,
+                           fdb_upper_bound, parallel_rate, spectral_efficiency,
+                           water_filling)
 
 __version__ = "0.1.0"

@@ -44,6 +44,9 @@ class BeamVector:
         if abs(np.linalg.norm(coeffs) - 1.0) > 1e-9:
             raise ValueError("beams must have unit norm")
 
+    def conj(self) -> "BeamVector":
+        return BeamVector(np.conj(self.coefficients))
+
 
 @dataclass(frozen=True)
 class BeamGrid:

@@ -111,6 +111,16 @@ def _cmd_quant_table(args) -> int:
     return 0
 
 
+def _list_flag(parse):
+    """`parse` as an argparse type: a ValueError becomes a usage error."""
+    def convert(text: str) -> tuple:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsmimo",
@@ -143,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quant-table",
                        help="worst/average quantization error grid")
-    p.add_argument("--antennas", type=_parse_ints, default=[8, 16, 32, 64])
-    p.add_argument("--ratios", type=_parse_floats, default=[1.0, 2.0, 3.0, 4.0])
+    p.add_argument("--antennas", type=_list_flag(_parse_ints),
+                   default=[8, 16, 32, 64])
+    p.add_argument("--ratios", type=_list_flag(_parse_floats),
+                   default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", metavar="PATH", required=True)
     p.set_defaults(func=_cmd_quant_table)
 

@@ -65,6 +65,17 @@ def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
     return beams
 
 
+def wide_beam(leaves: np.ndarray, stage: int, index: int, branching: int):
+    """Normalized projection wide beam for one tree slot, or None if the slot is dead.
+
+    `leaves` is the N_a x K matrix of bottom-stage codewords.
+    """
+    beams = _stage_beams(leaves, stage, branching)
+    if not 0 <= index < beams.shape[1]:
+        raise ValueError(f"candidate index {index} out of range for stage {stage}")
+    return BeamVector(beams[:, index]) if beams[:, index].any() else None
+
+
 def two_rf_factorization(w: BeamVector):
     """Exact two-RF-chain hybrid realization of an arbitrary beam.
 

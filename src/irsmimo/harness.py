@@ -1,9 +1,7 @@
 """Scenario configuration, geometry sampling, Monte Carlo experiments, and CSV output."""
 
-import argparse
 import csv
 from dataclasses import astuple, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -205,11 +203,15 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
                                  config.num_tx_beams)
     shared = (rx_spec, config.num_rx_beams) == (tx_spec, config.num_tx_beams)
     return ScenarioAssets(
-        consts=consts, tx_spec=tx_spec, rx_spec=rx_spec, irs_spec=irs_spec,
+        consts=consts,
+        tx_spec=tx_spec,
+        rx_spec=rx_spec,
+        irs_spec=irs_spec,
         tx_codebook=tx_codebook,
         rx_codebook=tx_codebook if shared else build_codebook(
             rx_spec, config.branching, config.num_rx_beams),
-        sweep_grid=sweep_grid, sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
+        sweep_grid=sweep_grid,
+        sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
         eta=compensation_factor(consts, config.num_irs_elements),
         powers=np.array([dbm_to_watts(p) for p in config.power_grid_dbm]),
         noise_power=config.noise_power_watts,
@@ -260,14 +262,30 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
             continue
         angles = np.arcsin(np.stack([terminal_sines[0], irs_sines[0],
                                      irs_sines[1], terminal_sines[1]], -1))
-        cascade = CascadeChannel(assets.consts, angles, distances.T,
-                                 assets.eta, assets.tx_spec, assets.rx_spec,
-                                 assets.irs_spec)
-        scenario = LinkScenario(assets.consts, cascade, assets.sweep_grid,
-                                assets.sweep_phasors, assets.tx_codebook,
-                                assets.rx_codebook)
-        return scenario, SampledGeometry((0.0, alice_y), (0.0, bob_y),
-                                         tuple(config.irs_positions), attempt)
+        cascade = CascadeChannel(
+            consts=assets.consts,
+            angles=angles,
+            distances=distances.T,
+            eta=assets.eta,
+            tx_spec=assets.tx_spec,
+            rx_spec=assets.rx_spec,
+            irs_spec=assets.irs_spec,
+        )
+        scenario = LinkScenario(
+            consts=assets.consts,
+            cascade=cascade,
+            sweep_grid=assets.sweep_grid,
+            sweep_phasors=assets.sweep_phasors,
+            tx_codebook=assets.tx_codebook,
+            rx_codebook=assets.rx_codebook,
+        )
+        geometry = SampledGeometry(
+            alice_position=(0.0, alice_y),
+            bob_position=(0.0, bob_y),
+            irs_positions=tuple(config.irs_positions),
+            resamples=attempt,
+        )
+        return scenario, geometry
     raise RuntimeError("could not sample a non-degenerate geometry")
 
 
@@ -300,25 +318,25 @@ def _designed_rates(scenario, estimates, power, noise_power, config):
     of IRSs in direction mode on their angles."""
     rows = np.array([[astuple(e) for e in estimates]])
     sines = np.sin(rows[..., 1:3])
+    powers = np.array([power])
     return float(_hybrid_rates(
-        scenario, config, rows[..., :4], rows[..., 4], np.array([power]),
-        noise_power, channel_factors(scenario, direction_states(
-            scenario, sines[..., 0], sines[..., 1])))[0])
+        scenario, config, rows[..., :4], powers, noise_power,
+        channel_factors(scenario, direction_states(
+            scenario, sines[..., 0], sines[..., 1])),
+        power_factors(rows[..., 4], powers, noise_power))[0])
 
 
-def _hybrid_rates(scenario, config, angles, gains, powers, noise_power,
-                  channels, factors=None):
+def _hybrid_rates(scenario, config, angles, powers, noise_power, channels,
+                  factors):
     """Hybrid rate of the closed-form design from estimates, one per row.
 
     Row b designs from `angles[b]` (N_i, 4), ordered as `estimate_angles`
-    returns them, and composite losses `gains[b]` (N_i) at power
-    `powers[b]`, and is scored on channel b of the factors `channels` that
-    `channel_factors` returns. One call each of water-filling, design and
-    rate serves every row; `factors` may hold the rows' `power_factors`.
-    A row whose gains are all zero scores 0.
+    returns them, and the `power_factors` `factors[b]` (N_i) of its
+    composite losses at power `powers[b]`, and is scored on channel b of
+    the factors `channels` that `channel_factors` returns. One call each of
+    design and rate serves every row. A row whose factors are all zero (no
+    positive composite loss) scores 0.
     """
-    if factors is None:
-        factors = power_factors(gains, powers, noise_power)
     left, cores, right = channels
     rates = np.zeros(len(powers))
     usable = factors.any(axis=1)
@@ -345,9 +363,9 @@ def _trial_rates(scenario, config, designs, powers, noise_power, channels):
         np.linalg.svd(cores[count:], compute_uv=False)), count, axis=0)])
     power = np.tile(powers, 4)
     factors = power_factors(gains, power, noise_power)
-    hybrid = _hybrid_rates(scenario, config, designs[rows, :, :4], gains[:half],
-                           power[:half], noise_power,
-                           (left, cores[rows], right), factors[:half])
+    hybrid = _hybrid_rates(scenario, config, designs[rows, :, :4], power[:half],
+                           noise_power, (left, cores[rows], right),
+                           factors[:half])
     bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
                            noise_power)
     return np.reshape([hybrid, bounds], (4, count)).T
@@ -488,22 +506,26 @@ def _parse_positions(text: str) -> tuple:
     return points
 
 
-class _ListError(ValueError, argparse.ArgumentTypeError):
-    """A malformed list value; argparse shows its message as it is."""
-
-
 def _parse_list(kind, text: str) -> tuple:
-    try:
-        values = tuple(kind(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        values = ()
+    expected = ("expected one or more comma-separated "
+                + ("integers" if kind is int else "numbers"))
+    values = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            raise ValueError(f"{expected}, got {part!r}") from None
     if not values:
-        raise _ListError("expected one or more comma-separated "
-                         + ("integers" if kind is int else "numbers"))
-    return values
+        raise ValueError(expected)
+    return tuple(values)
 
 
-_parse_floats, _parse_ints = partial(_parse_list, float), partial(_parse_list, int)
+def _parse_floats(text: str) -> tuple:
+    return _parse_list(float, text)
+
+
+def _parse_ints(text: str) -> tuple:
+    return _parse_list(int, text)
 
 
 # Scalar keys parse as the type of their default.

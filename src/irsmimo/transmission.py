@@ -6,7 +6,8 @@ import numpy as np
 
 from .arrays import ArraySpec, steering_coefficients
 # unused here, but perfbench/test_smoke.py looks measure_power up here
-from .training import measure_power  # noqa: F401
+from .training import (LinkScenario, MeasurementModel,  # noqa: F401
+                       composite_losses, measure_power)
 
 _LN2 = np.log(2.0)
 
@@ -39,6 +40,20 @@ class PowerAllocation:
 
     factors: np.ndarray
     water_level: float
+
+
+def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
+                            model: MeasurementModel, rng: np.random.Generator,
+                            pilot_repetitions: int = 10) -> float:
+    """Measured end-to-end amplitude of one bridged IRS link: one power's
+    `training.composite_losses` for IRS `irs_index`, pilots drawn from `rng`."""
+    if model.transmit_power <= 0:
+        raise ValueError("composite-loss estimation needs positive power")
+    angles = [[astuple(estimates[irs_index])[:4]]]
+    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
+    return float(composite_losses(scenario, [irs_index], angles,
+                                  [model.transmit_power], model.noise_power,
+                                  noise[..., 0])[0, 0])
 
 
 def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
@@ -78,7 +93,7 @@ def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
     return PowerAllocation(factors=factors, water_level=water_level[..., 0][()])
 
 
-def build_beamformers(estimates, allocation,
+def build_beamformers(estimates, factors: np.ndarray,
                       tx_spec: ArraySpec, rx_spec: ArraySpec,
                       num_tx_chains: int, num_rx_chains: int,
                       num_streams: int) -> HybridBeamformer:
@@ -88,10 +103,10 @@ def build_beamformers(estimates, allocation,
     estimated departure/arrival steering vectors, the rest are zero; the
     digital precoder is diagonal in sqrt(S_l) (with the steering
     normalization folded in) and the digital combiner is the identity block.
-    `allocation` is a `PowerAllocation` or its factors; angles (..., N_i, 4)
-    in `estimates` with factors (..., N_i) build a stack of designs.
+    `factors` are the streams' `water_filling` factors. An array (..., N_i,
+    4) of AngleEstimate angles in `estimates`, with factors (..., N_i),
+    builds a stack of designs.
     """
-    factors = getattr(allocation, "factors", allocation)
     if not isinstance(estimates, np.ndarray):
         estimates = np.array([astuple(e)[:4] for e in estimates]).reshape(-1, 4)
     num_irs = estimates.shape[-2]

@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from irsmimo.arrays import ArraySpec, grid_directions
 from irsmimo.channel import (CascadeChannel, PhysicalConstants,
                              compensation_factor)
 from irsmimo.codebook import build_codebook
-from irsmimo.training import LinkScenario, composite_losses, sweep_phasors
+from irsmimo.training import LinkScenario, sweep_phasors
 
 
 def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
@@ -41,20 +39,6 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
         tx_codebook=book,
         rx_codebook=book,
     )
-
-
-def estimate_composite_loss(scenario, irs_index, estimates, model, rng,
-                            pilot_repetitions=10):
-    """Measured end-to-end amplitude of one bridged IRS link: one power's
-    `training.composite_losses` for IRS `irs_index`, its pilots drawn from
-    `rng` as the tape's composite-loss field draws them."""
-    if model.transmit_power <= 0:
-        raise ValueError("composite-loss estimation needs positive power")
-    angles = [[astuple(estimates[irs_index])[:4]]]
-    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
-    return float(composite_losses(scenario, [irs_index], angles,
-                                  [model.transmit_power], model.noise_power,
-                                  noise[..., 0])[0, 0])
 
 
 @pytest.fixture

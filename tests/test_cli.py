@@ -53,8 +53,10 @@ def test_quant_table_rejects_empty_list(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag,value,expected", [
-    ("--antennas", ",", "integers"), ("--antennas", "8,x", "integers"),
-    ("--ratios", ",", "numbers"), ("--ratios", "2,a", "numbers")])
+    ("--antennas", ",", "integers"),
+    ("--antennas", "8,x", "integers, got 'x'"),
+    ("--antennas", "8,1.5", "integers, got '1.5'"),
+    ("--ratios", ",", "numbers"), ("--ratios", "2,a", "numbers, got 'a'")])
 def test_quant_table_list_error_says_what_was_expected(tmp_path, capsys, flag,
                                                        value, expected):
     with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@ import pytest
 
 from irsmimo.arrays import ArraySpec, beam_gain, steering
 from irsmimo.codebook import (build_codebook, num_stages, projection_beam,
-                              selection_matrix, two_rf_factorization)
+                              selection_matrix, two_rf_factorization, wide_beam)
 
 
 def leaf_matrix(codebook):
@@ -85,10 +85,8 @@ def test_wide_beam_is_least_squares_solution():
 
 
 def test_wide_beam_null_for_dead_slot():
-    # slot 8 of stage 2 covers leaves 24..26, past K = 22: a zero column
-    book = build_codebook(ArraySpec(16), 3, 22)
-    assert book.beam(2, 8) is None
-    assert not book.stages[2][:, 8].any()
+    assert wide_beam(leaf_matrix(build_codebook(ArraySpec(16), 3, 22)),
+                     2, 8, 3) is None
 
 
 def test_wide_beam_descendants_beat_non_descendants_stage_one():

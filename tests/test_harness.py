@@ -100,8 +100,8 @@ def test_sample_scenario_propagates_other_value_errors(monkeypatch):
     # surfaces at once instead of after 1000 silent resamples
     calls = []
 
-    def broken_link(*args):
-        calls.append(args)
+    def broken_link(*args, **kwargs):
+        calls.append(kwargs)
         raise ValueError("link model failed")
 
     config = tiny_config()
@@ -268,6 +268,22 @@ def test_config_file_errors(tmp_path):
         make_config(None, num_irs=5)  # exceeds RF chains
 
 
+@pytest.mark.parametrize("line,message", [
+    ("mp_antenna_counts = 8,1.5", "mp_antenna_counts: expected one or more "
+     "comma-separated integers, got '1.5'"),
+    ("power_grid_dbm = 0,ten", "power_grid_dbm: expected one or more "
+     "comma-separated numbers, got 'ten'"),
+    ("mp_beam_ratios = ,", "mp_beam_ratios: expected one or more "
+     "comma-separated numbers")])
+def test_config_list_error_names_the_key_and_the_bad_entry(tmp_path, line,
+                                                           message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(line + "\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config_file(str(bad))
+    assert str(exc.value) == f"{bad}:1: {message}"
+
+
 def test_trial_record_is_serializable():
     import dataclasses
     import json
@@ -395,7 +411,8 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         gains = [e.composite_loss for e in estimates]
         if not any(gains):
             return 0.0
-        bf = build_beamformers(estimates, water_filling(gains, power, noise),
+        bf = build_beamformers(estimates,
+                               water_filling(gains, power, noise).factors,
                                scenario.cascade.tx_spec,
                                scenario.cascade.rx_spec, 4, 4, 2)
         thetas = [direction_mode(spec.num_elements, spec.spacing_wavelengths,
@@ -480,8 +497,9 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     left, cores, right = channels
     rows = np.r_[np.arange(count), np.full(count, count)]
     hybrid = harness._hybrid_rates(
-        scenario, config, designs[rows, :, :4], designs[rows, :, 4],
-        np.tile(powers, 2), noise, (left, cores[rows], right))
+        scenario, config, designs[rows, :, :4], np.tile(powers, 2), noise,
+        (left, cores[rows], right),
+        harness.power_factors(designs[rows, :, 4], np.tile(powers, 2), noise))
     bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
                              powers, noise)
     want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
@@ -492,6 +510,22 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     assert np.array_equal(result.rates, want)
     assert np.count_nonzero(want[:, 0] == 0.0) == zero_rows
     assert want.any() == (config.reflection_amplitude > 0.0)
+
+
+def test_designed_rates_equal_the_trial_perfect_csi_rates():
+    # `_designed_rates` water-fills the genie's composite losses itself and
+    # must score as the perfect-CSI rows of the fused pass; at these low
+    # powers the water-filling split is far from even
+    config = tiny_config(power_grid_dbm=(-75.0, -70.0, -60.0, 10.0))
+    assets = scenario_assets(config)
+    result = run_trial(config, assets, 2)
+    scenario, _ = sample_scenario(config, harness._trial_seed(7, 2, 0), assets)
+    genie = perfect_estimates(scenario)
+    rates = [harness._designed_rates(scenario, genie, power,
+                                     assets.noise_power, config)
+             for power in assets.powers]
+    assert rates == pytest.approx(result.rates[:, 1], rel=1e-12, abs=0.0)
+    assert min(rates) > 0.0
 
 
 def test_sampled_rays_equal_the_per_ray_geometry():

@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 from irsmimo import quantization
 from irsmimo.arrays import edge_energy, grid_directions, pattern_gain
-from irsmimo.quantization import (average_error, quantization_report,
-                                  worst_error)
+from irsmimo.quantization import (average_error, estimated_power_ratio,
+                                  quantization_report, worst_error)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -57,14 +57,6 @@ def test_average_error_is_finite_despite_endpoint_singularity():
     value = average_error(16, 16)
     assert np.isfinite(value)
     assert 0.0 < value < 1.0
-
-
-def estimated_power_ratio(num_elements, num_beams, true_angle):
-    """Best amplitude gain the K-beam grid achieves on a path at `true_angle`:
-    1 on a beam direction, rho on a coverage edge."""
-    grid = grid_directions(num_elements, num_beams)
-    return float(np.max(pattern_gain(num_elements,
-                                     np.sin(true_angle) - grid.sines)))
 
 
 def test_power_ratio_on_grid_direction():

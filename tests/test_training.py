@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import estimate_composite_loss, scenario_from_angles
+from conftest import scenario_from_angles
 from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
                             pattern_gain, steering)
 from irsmimo.channel import assemble
@@ -15,6 +15,7 @@ from irsmimo.training import (MeasurementModel, channel_factors,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
+from irsmimo.transmission import estimate_composite_loss
 
 
 def exhaustive_leaf(codebook, gain_fn):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import estimate_composite_loss, scenario_from_angles
+from conftest import scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import (AngleEstimate, MeasurementModel, channel_factors,
                               direction_states)
-from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
-                                  parallel_rate, spectral_efficiency,
-                                  water_filling)
+from irsmimo.transmission import (build_beamformers, estimate_composite_loss,
+                                  fdb_upper_bound, parallel_rate,
+                                  spectral_efficiency, water_filling)
 
 LN2 = np.log(2.0)
 
@@ -208,7 +208,8 @@ def make_estimates(angles, losses):
 def test_build_beamformers_single_irs():
     est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [0.1])
     allocation = water_filling([0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation, ArraySpec(16), ArraySpec(8), 4, 4, 3)
+    bf = build_beamformers(est, allocation.factors,
+                           ArraySpec(16), ArraySpec(8), 4, 4, 3)
     F = bf.precoder()
     assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(F[:, 1:]) == 0.0
@@ -218,7 +219,8 @@ def test_build_beamformers_unit_modulus_and_power():
     est = make_estimates([(0.3, -0.2, 0.4, -0.5), (-0.1, 0.5, -0.4, 0.2),
                            (0.7, 0.1, -0.2, -0.6)], [0.2, 0.1, 0.05])
     allocation = water_filling([0.2, 0.1, 0.05], 1.0, 0.001)
-    bf = build_beamformers(est, allocation, ArraySpec(32), ArraySpec(32), 4, 4, 3)
+    bf = build_beamformers(est, allocation.factors,
+                           ArraySpec(32), ArraySpec(32), 4, 4, 3)
     active = bf.analog_precoder[:, :3]
     assert np.max(np.abs(np.abs(active) - 1.0)) < 1e-12
     assert np.linalg.norm(bf.precoder()) == pytest.approx(1.0, abs=1e-9)
@@ -230,13 +232,15 @@ def test_build_beamformers_rejects_too_many_irs():
     est = make_estimates([(0.1, 0.2, 0.3, 0.4)] * 5, [0.1] * 5)
     allocation = water_filling([0.1] * 5, 1.0, 0.01)
     with pytest.raises(ValueError):
-        build_beamformers(est, allocation, ArraySpec(16), ArraySpec(16), 4, 4, 4)
+        build_beamformers(est, allocation.factors,
+                          ArraySpec(16), ArraySpec(16), 4, 4, 4)
 
 
 def test_spectral_efficiency_zero_power():
     est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [0.1])
     allocation = water_filling([0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation, ArraySpec(8), ArraySpec(8), 2, 2, 1)
+    bf = build_beamformers(est, allocation.factors,
+                           ArraySpec(8), ArraySpec(8), 2, 2, 1)
     H = np.eye(8, dtype=complex)
     assert spectral_efficiency(H, bf, 0.0, 0.1) == 0.0
 
@@ -246,7 +250,7 @@ def test_spectral_efficiency_matched_rank_one():
     a = 0.07
     est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [a])
     allocation = water_filling([a], 1.0, 1e-4)
-    bf = build_beamformers(est, allocation, spec, spec, 2, 2, 1)
+    bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
     tx = steering(spec, 0.3).coefficients
     rx = steering(spec, -0.5).coefficients
     H = a * np.outer(rx, np.conj(tx))
@@ -261,7 +265,7 @@ def test_spectral_efficiency_shared_combiner_column():
     est = make_estimates([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)],
                          [0.2, 0.1])
     allocation = water_filling([0.2, 0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation, spec, spec, 2, 2, 2)
+    bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 2)
     rng = np.random.default_rng(43)
     H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     F, W = bf.precoder(), bf.combiner()
@@ -281,8 +285,9 @@ def test_spectral_efficiency_close_to_parallel_form():
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
-    bf = build_beamformers(genie, allocation, scenario.cascade.tx_spec,
-                           scenario.cascade.rx_spec, 4, 4, 3)
+    bf = build_beamformers(genie, allocation.factors,
+                           scenario.cascade.tx_spec, scenario.cascade.rx_spec,
+                           4, 4, 3)
     exact = spectral_efficiency(designed_channel(scenario, genie), bf, power,
                                 noise)
     reduced = parallel_rate(gains, allocation.factors, power, noise)
@@ -317,7 +322,7 @@ def test_fdb_dominates_hybrid_designs():
         a = rng.uniform(0.01, 1.0)
         est = make_estimates([tuple(angles)], [a])
         allocation = water_filling([a], 1.0, 0.01)
-        bf = build_beamformers(est, allocation, spec, spec, 2, 2, 1)
+        bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
         H = (rng.standard_normal((16, 16))
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
         hybrid = spectral_efficiency(H, bf, 1.0, 0.01)
@@ -387,7 +392,7 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
         np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
         rel=1e-12)
-    bf = build_beamformers(genie, water_filling(gains, power, noise),
+    bf = build_beamformers(genie, water_filling(gains, power, noise).factors,
                            scenario.cascade.tx_spec, scenario.cascade.rx_spec,
                            3, 3, 3)
     assert spectral_efficiency((left, cores, right), bf, power, noise) == (
