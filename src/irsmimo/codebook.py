@@ -54,13 +54,14 @@ def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
     """Normalized projection wide beams of one stage, one column per slot.
 
     `leaves` is the N_a x K matrix of bottom-stage codewords; dead slots get
-    zero columns. Each slot is solved on its own, which keeps every beam's
-    bits independent of how many slots the stage holds.
+    zero columns. Each slot is `projection_beam`'s own solve on one shared
+    Gram matrix, so no beam's bits depend on how many slots the stage holds.
     """
     D = selection_matrix(stage, branching, leaves.shape[1])
+    gram = leaves @ leaves.conj().T
     beams = np.zeros((leaves.shape[0], D.shape[1]), dtype=complex)
     for col in np.flatnonzero(D.any(axis=0)):
-        raw = projection_beam(leaves, D[:, col])
+        raw = np.linalg.solve(gram, leaves @ D[:, col])
         beams[:, col] = raw / np.linalg.norm(raw)
     return beams
 

@@ -14,8 +14,8 @@ from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
                        channel_factors, composite_losses, cooperative_estimate,
                        direction_states, estimate_angles, misalignment_curve,
                        noise_tape, slot_count, sweep_phasors)
-from .transmission import (build_beamformers, digital_gains, parallel_rate,
-                           power_factors, spectral_efficiency)
+from .transmission import (HybridBeamformer, build_beamformers, digital_gains,
+                           parallel_rate, power_factors, spectral_efficiency)
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -323,49 +323,53 @@ def _designed_rates(scenario, estimates, power, noise_power, config):
         scenario, config, rows[..., :4], powers, noise_power,
         channel_factors(scenario, direction_states(
             scenario, sines[..., 0], sines[..., 1])),
-        power_factors(rows[..., 4], powers, noise_power))[0])
+        power_factors(rows[..., 4], powers, noise_power)[:, None])[0, 0])
 
 
 def _hybrid_rates(scenario, config, angles, powers, noise_power, channels,
                   factors):
-    """Hybrid rate of the closed-form design from estimates, one per row.
+    """Hybrid rates (D, P) of closed-form designs from estimates.
 
-    Row b designs from `angles[b]` (N_i, 4), ordered as `estimate_angles`
-    returns them, and the `power_factors` `factors[b]` (N_i) of its
-    composite losses at power `powers[b]`, and is scored on channel b of
-    the factors `channels` that `channel_factors` returns. One call each of
-    design and rate serves every row. A row whose factors are all zero (no
-    positive composite loss) scores 0.
+    Design d comes from `angles[d]` (N_i, 4), ordered as `estimate_angles`
+    returns them, is scored on channel d of the `channel_factors` factors
+    `channels` and, at power `powers[p]`, gets the `power_factors`
+    `factors[d, p]` (N_i) of its composite losses. An all-zero pair (no
+    positive loss, or not asked for) scores 0. One call each of design (one
+    steering per design) and rate serves every pair.
     """
     left, cores, right = channels
-    rates = np.zeros(len(powers))
-    usable = factors.any(axis=1)
-    if usable.any():
+    rates = np.zeros(factors.shape[:2])
+    design, power = np.nonzero(factors.any(axis=-1))
+    if design.size:
         bf = build_beamformers(
-            angles[usable], factors[usable], scenario.cascade.tx_spec,
+            angles[:, None], factors, scenario.cascade.tx_spec,
             scenario.cascade.rx_spec, config.num_tx_rf_chains,
             config.num_rx_rf_chains, config.num_streams)
-        rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
-                                            powers[usable], noise_power)
+        rates[design, power] = spectral_efficiency(
+            (left, cores[design], right), HybridBeamformer(
+                bf.analog_precoder[design, 0], bf.digital_precoder[design, power],
+                bf.analog_combiner[design, 0], bf.digital_combiner),
+            powers[power], noise_power)
     return rates
 
 
 def _trial_rates(scenario, config, designs, powers, noise_power, channels):
     """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
-    over 4P rows: the 2P hybrid designs of `designs` (P estimated, then
-    the genie's) and the 2P fully digital bounds of the genie and random
-    cores, the last two `channels` cores, as `fdb_upper_bound` scores them.
+    over 4P rows: 2P hybrid pairs of `designs` (P estimated at their power,
+    the genie's at each) and the 2P fully digital bounds of the genie and
+    random cores, the last two `channels`, as `fdb_upper_bound` scores them.
     """
-    left, cores, right = channels
     count, half = powers.size, 2 * powers.size
     rows = np.minimum(np.arange(half), count)
     gains = np.concatenate([designs[rows, :, 4], np.repeat(digital_gains(
-        np.linalg.svd(cores[count:], compute_uv=False)), count, axis=0)])
+        np.linalg.svd(channels[1][count:], compute_uv=False)), count, axis=0)])
     power = np.tile(powers, 4)
     factors = power_factors(gains, power, noise_power)
-    hybrid = _hybrid_rates(scenario, config, designs[rows, :, :4], power[:half],
-                           noise_power, (left, cores[rows], right),
-                           factors[:half])
+    pairs = rows, np.tile(np.arange(count), 2)
+    grid = np.zeros((count + 1, count, gains.shape[-1]))
+    grid[pairs] = factors[:half]
+    hybrid = _hybrid_rates(scenario, config, designs[..., :4], powers,
+                           noise_power, channels, grid)[pairs]
     bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
                            noise_power)
     return np.reshape([hybrid, bounds], (4, count)).T

@@ -105,7 +105,8 @@ def build_beamformers(estimates, factors: np.ndarray,
     normalization folded in) and the digital combiner is the identity block.
     `factors` are the streams' `water_filling` factors. An array (..., N_i,
     4) of AngleEstimate angles in `estimates`, with factors (..., N_i),
-    builds a stack of designs.
+    builds a stack: analog parts take the leading axes of `estimates`,
+    digital ones those of `factors` (broadcast), so a design is steered once.
     """
     if not isinstance(estimates, np.ndarray):
         estimates = np.array([astuple(e)[:4] for e in estimates]).reshape(-1, 4)
@@ -124,8 +125,8 @@ def build_beamformers(estimates, factors: np.ndarray,
     n_t, n_u = tx_spec.num_elements, rx_spec.num_elements
     analog_precoder = np.zeros(batch + (n_t, num_tx_chains), dtype=complex)
     analog_combiner = np.zeros(batch + (n_u, num_rx_chains), dtype=complex)
-    digital_precoder = np.zeros(batch + (num_tx_chains, num_streams),
-                                dtype=complex)
+    digital_precoder = np.zeros(factors.shape[:-1] + (num_tx_chains,
+                                                      num_streams), dtype=complex)
     analog_precoder[..., :num_irs] = np.sqrt(n_t) * steering_coefficients(
         n_t, tx_spec.spacing_wavelengths, estimates[..., 0, None]).swapaxes(-1, -2)
     analog_combiner[..., :num_irs] = np.sqrt(n_u) * steering_coefficients(

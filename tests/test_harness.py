@@ -481,6 +481,24 @@ def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
     assert result.rates[:, 3].all()
 
 
+def per_row_hybrid_rates(scenario, config, angles, powers, noise_power,
+                         channels, factors):
+    """The per-row scoring that `_hybrid_rates` replaced: row b designs from
+    `angles[b]` and `factors[b]`, steered on its own, and is scored on core
+    b at `powers[b]`; a row whose factors are all zero scores 0."""
+    left, cores, right = channels
+    rates = np.zeros(len(powers))
+    usable = factors.any(axis=1)
+    if usable.any():
+        bf = build_beamformers(
+            angles[usable], factors[usable], scenario.cascade.tx_spec,
+            scenario.cascade.rx_spec, config.num_tx_rf_chains,
+            config.num_rx_rf_chains, config.num_streams)
+        rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
+                                            powers[usable], noise_power)
+    return rates
+
+
 @pytest.mark.parametrize("overrides,zero_rows", [
     (dict(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0)), 2),   # zero-gain rows
     (dict(reflection_amplitude=0.0), 2),                    # every rate 0
@@ -496,7 +514,7 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     count = powers.size
     left, cores, right = channels
     rows = np.r_[np.arange(count), np.full(count, count)]
-    hybrid = harness._hybrid_rates(
+    hybrid = per_row_hybrid_rates(
         scenario, config, designs[rows, :, :4], np.tile(powers, 2), noise,
         (left, cores[rows], right),
         harness.power_factors(designs[rows, :, 4], np.tile(powers, 2), noise))
@@ -510,6 +528,24 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     assert np.array_equal(result.rates, want)
     assert np.count_nonzero(want[:, 0] == 0.0) == zero_rows
     assert want.any() == (config.reflection_amplitude > 0.0)
+
+
+def test_trial_steers_each_design_once(monkeypatch):
+    # the genie's design is scored at every power but steered once: the
+    # analog columns of a trial's one design call cover the P estimated
+    # designs and the genie's, not the 2P scored rows
+    config = tiny_config(power_grid_dbm=(0.0, 10.0, 20.0, 30.0))
+    assets = scenario_assets(config)
+    seen = []
+
+    def recorded(num_elements, spacing, angle,
+                 real=transmission.steering_coefficients):
+        seen.append(np.shape(angle))
+        return real(num_elements, spacing, angle)
+    monkeypatch.setattr(transmission, "steering_coefficients", recorded)
+    result = run_trial(config, assets, 1)
+    assert seen == [(5, 1, config.num_irs, 1)] * 2
+    assert result.rates[:, :2].all()
 
 
 def test_designed_rates_equal_the_trial_perfect_csi_rates():

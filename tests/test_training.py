@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import scenario_from_angles
+from irsmimo import training
 from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
                             pattern_gain, steering)
 from irsmimo.channel import assemble
@@ -488,6 +491,58 @@ def test_misalignment_curve_matches_complex_arithmetic(n, k, seed):
     for (snr, mp), (snr_ref, mp_ref, ties) in zip(curve, reference, strict=True):
         assert snr == snr_ref
         assert round(abs(mp - mp_ref) * trials) <= ties
+
+
+def full_array_misalignment(num_elements, num_beams, snr_grid_db, trials,
+                            rng):
+    """The full-array real-arithmetic mp loop that the trial blocks of
+    misalignment_curve replaced: every (trials, K) term at once, then one
+    pass over them per SNR."""
+    grid = grid_directions(num_elements, num_beams)
+    sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
+    gains = pattern_gain(num_elements, sines[:, None] - grid.sines[None, :])
+    noise = complex_noise(rng, 1.0, size=gains.shape)
+    square, cross = gains * gains, 2.0 * gains * noise.real
+    floor = noise.real ** 2 + noise.imag ** 2
+    curve = []
+    for snr_db in snr_grid_db:
+        amp = np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
+        powers = amp * amp * square + amp * cross + floor
+        diff = np.abs(sines - grid.sines[np.argmax(powers, axis=1)])
+        circular = np.minimum(diff, 2.0 - diff)
+        missed = circular > 2.0 / num_beams * (1.0 + 1e-12)
+        curve.append((float(snr_db), float(np.mean(missed))))
+    return curve
+
+
+@pytest.mark.parametrize("n,ratio", [(16, 1), (16, 3), (32, 1), (32, 3)])
+def test_misalignment_blocks_equal_the_full_array_loop(n, ratio):
+    # trial blocks change where the terms live, not one bit of the curve or
+    # of the generator: one trial, part of a block, exactly one block, a
+    # ragged tail after several blocks and a whole number of blocks
+    k = ratio * n
+    rows = training._BLOCK_VALUES // k
+    snrs = np.arange(-10.0, 22.0, 2.0)
+    for trials in (1, rows - 1, rows, 3 * rows + 7, 4 * rows):
+        seed = 1000 * n + trials
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        curve = misalignment_curve(n, k, snrs, trials=trials, rng=rng)
+        assert curve == full_array_misalignment(n, k, snrs, trials, rng_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_misalignment_memory_stays_near_one_trial_array():
+    # the real parts of the noise are the one (trials, K) array held for
+    # every trial; the full-array loop peaked at about seven of them
+    trials, k = 10_000, 192
+    tracemalloc.start()
+    try:
+        misalignment_curve(64, k, np.arange(-10.0, 22.0, 2.0), trials=trials,
+                           rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * trials * k * 8
 
 
 def test_model_validation():
