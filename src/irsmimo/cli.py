@@ -9,8 +9,9 @@ import numpy as np
 from .arrays import ArraySpec
 from .codebook import build_codebook
 from .harness import (RATE_KEYS, ConfigError, ScenarioConfig, _parse_floats,
-                      _parse_ints, make_config, run_estimation_trace,
-                      run_mp_experiment, run_rate_experiment, write_csv)
+                      _parse_ints, make_config, run_mp_experiment,
+                      run_rate_experiment, run_trial, scenario_assets,
+                      write_csv)
 from .quantization import quantization_report
 from .training import AngleEstimate, slot_count
 
@@ -71,7 +72,9 @@ def _cmd_rate_curve(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _config_from(args)
-    result, top = run_estimation_trace(config)
+    # rate-curve trial 0 at the strongest power
+    result = run_trial(config, scenario_assets(config), 0)
+    top = int(np.argmax(config.power_grid_dbm))
     slots = slot_count(config.num_irs, config.num_irs_sweep_beams, 1,
                        result.search[top])
     geometry = result.geometry
@@ -111,7 +114,14 @@ def _cmd_quant_table(args) -> int:
     return 0
 
 
-def _list_flag(parse):
+def _count(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _flag_type(parse):
     """`parse` as an argparse type: a ValueError becomes a usage error."""
     def convert(text: str) -> tuple:
         try:
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--antennas", type=int, default=32)
     p.add_argument("--branching", type=int, default=2)
     p.add_argument("--beams", type=int, default=64)
-    p.add_argument("--probes", type=int, default=361,
+    p.add_argument("--probes", type=_flag_type(_count), default=361,
                    help="number of probe directions, uniform in sine")
     p.add_argument("--out", metavar="PATH", required=True)
     p.set_defaults(func=_cmd_codebook)
@@ -153,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quant-table",
                        help="worst/average quantization error grid")
-    p.add_argument("--antennas", type=_list_flag(_parse_ints),
+    p.add_argument("--antennas", type=_flag_type(_parse_ints),
                    default=[8, 16, 32, 64])
-    p.add_argument("--ratios", type=_list_flag(_parse_floats),
+    p.add_argument("--ratios", type=_flag_type(_parse_floats),
                    default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", metavar="PATH", required=True)
     p.set_defaults(func=_cmd_quant_table)

@@ -66,17 +66,6 @@ def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
     return beams
 
 
-def wide_beam(leaves: np.ndarray, stage: int, index: int, branching: int):
-    """Normalized projection wide beam for one tree slot, or None if the slot is dead.
-
-    `leaves` is the N_a x K matrix of bottom-stage codewords.
-    """
-    beams = _stage_beams(leaves, stage, branching)
-    if not 0 <= index < beams.shape[1]:
-        raise ValueError(f"candidate index {index} out of range for stage {stage}")
-    return BeamVector(beams[:, index]) if beams[:, index].any() else None
-
-
 def two_rf_factorization(w: BeamVector):
     """Exact two-RF-chain hybrid realization of an arbitrary beam.
 
@@ -106,10 +95,10 @@ class HierarchicalCodebook:
     `stages[s]` is the stage's (N_a, M**s) codeword matrix, with a zero
     column at every null padding slot, and `live[s]` marks the other
     columns. `norms[s]` holds each column's squared norm, which scales its
-    pilot noise. `calibration[s]` holds per-candidate multipliers, known to
-    the receiver from the codebook alone, that equalize adjacent siblings'
-    amplitude responses at their shared territory edge, and `weights[s]`
-    their squares, which multiply measured powers. Comparing calibrated
+    pilot noise. `weights[s]` holds the squares of per-candidate
+    multipliers, known to the receiver from the codebook alone, that
+    equalize adjacent siblings' amplitude responses at their shared
+    territory edge; they multiply measured powers. Comparing calibrated
     measurements makes the stage decision split exactly at leaf-cell
     boundaries even when siblings cover unequal numbers of leaves, which
     plain unit-norm beams do not guarantee. Every array is read-only, so
@@ -122,7 +111,6 @@ class HierarchicalCodebook:
     stages: dict
     live: dict
     norms: dict
-    calibration: dict
     weights: dict
     leaf_grid: BeamGrid
     spec: ArraySpec
@@ -174,7 +162,6 @@ def build_codebook(spec: ArraySpec, branching: int,
         live=_read_only(live),
         norms=_read_only({s: np.array([np.vdot(w, w).real for w in beams.T])
                           for s, beams in stages.items()}),
-        calibration=_read_only(calibration),
         # squared one by one with pow, as the per-beam search squared them;
         # np.square differs from pow in the last bit for some values
         weights=_read_only({s: np.array([c ** 2 for c in values])

@@ -471,12 +471,6 @@ def run_mp_experiment(config: ScenarioConfig):
     return rows
 
 
-def run_estimation_trace(config: ScenarioConfig) -> tuple:
-    """Rate-curve trial 0 and the grid index of its strongest power."""
-    return (run_trial(config, scenario_assets(config), 0),
-            int(np.argmax(config.power_grid_dbm)))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))

@@ -15,7 +15,6 @@ class QuantizationReport:
     num_beams: int
     worst_error: float
     average_error: float
-    quadrature_abs_tol: float
 
 
 def worst_error(num_elements: int, num_beams: int) -> float:
@@ -54,25 +53,11 @@ def average_error(num_elements: int, num_beams: int,
     return float(fine)
 
 
-def estimated_power_ratio(num_elements: int, num_beams: int,
-                          true_angle: float) -> float:
-    """Best amplitude gain the K-beam grid achieves on a path at `true_angle`.
-
-    Maximum over all grid beams of |a(true_angle)^H a(phi_i)|; 1 when the
-    angle lies on a beam direction, rho when it lies on a coverage edge.
-    """
-    grid = grid_directions(num_elements, num_beams)
-    gains = pattern_gain(num_elements, np.sin(true_angle) - grid.sines)
-    return float(np.max(gains))
-
-
-def quantization_report(num_elements: int, num_beams: int,
-                        abs_tol: float = 1e-8) -> QuantizationReport:
+def quantization_report(num_elements: int, num_beams: int) -> QuantizationReport:
     return QuantizationReport(
         num_elements=num_elements,
         num_beams=num_beams,
         worst_error=worst_error(num_elements, num_beams),
-        average_error=average_error(num_elements, num_beams, abs_tol=abs_tol),
-        quadrature_abs_tol=abs_tol,
+        average_error=average_error(num_elements, num_beams),
     )
 

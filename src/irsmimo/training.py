@@ -292,8 +292,7 @@ def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
     """`estimate_angles` at one power on a tape row drawn from `rng`.
 
     Returns one AngleEstimate per IRS (composite loss NaN) and the slot
-    totals. `estimate_composite_loss` for IRS 0, 1, ... next on the same
-    generator reads the row's composite-loss pilots.
+    totals. The row's composite-loss pilots come next on the same generator.
     """
     angles, search = estimate_angles(
         scenario, [model.transmit_power], model.noise_power,

@@ -1,13 +1,12 @@
 """Closed-form hybrid transceiver design, water-filling, and rate evaluation."""
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import ArraySpec, steering_coefficients
 # unused here, but perfbench/test_smoke.py looks measure_power up here
-from .training import (LinkScenario, MeasurementModel,  # noqa: F401
-                       composite_losses, measure_power)
+from .training import measure_power  # noqa: F401
 
 _LN2 = np.log(2.0)
 
@@ -40,20 +39,6 @@ class PowerAllocation:
 
     factors: np.ndarray
     water_level: float
-
-
-def estimate_composite_loss(scenario: LinkScenario, irs_index: int, estimates,
-                            model: MeasurementModel, rng: np.random.Generator,
-                            pilot_repetitions: int = 10) -> float:
-    """Measured end-to-end amplitude of one bridged IRS link: one power's
-    `training.composite_losses` for IRS `irs_index`, pilots drawn from `rng`."""
-    if model.transmit_power <= 0:
-        raise ValueError("composite-loss estimation needs positive power")
-    angles = [[astuple(estimates[irs_index])[:4]]]
-    noise = rng.standard_normal((1, 1, pilot_repetitions, 2)).view(complex)
-    return float(composite_losses(scenario, [irs_index], angles,
-                                  [model.transmit_power], model.noise_power,
-                                  noise[..., 0])[0, 0])
 
 
 def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
@@ -103,13 +88,11 @@ def build_beamformers(estimates, factors: np.ndarray,
     estimated departure/arrival steering vectors, the rest are zero; the
     digital precoder is diagonal in sqrt(S_l) (with the steering
     normalization folded in) and the digital combiner is the identity block.
-    `factors` are the streams' `water_filling` factors. An array (..., N_i,
-    4) of AngleEstimate angles in `estimates`, with factors (..., N_i),
-    builds a stack: analog parts take the leading axes of `estimates`,
-    digital ones those of `factors` (broadcast), so a design is steered once.
+    `estimates` holds the (..., N_i, 4) angles in `AngleEstimate` field
+    order and `factors` the streams' (..., N_i) `water_filling` factors.
+    Analog parts take the leading axes of `estimates`, digital ones those of
+    `factors` (broadcast), so a design is steered once.
     """
-    if not isinstance(estimates, np.ndarray):
-        estimates = np.array([astuple(e)[:4] for e in estimates]).reshape(-1, 4)
     num_irs = estimates.shape[-2]
     if num_irs > num_tx_chains or num_irs > num_rx_chains:
         raise ValueError(
@@ -141,19 +124,19 @@ def build_beamformers(estimates, factors: np.ndarray,
     )
 
 
-def spectral_efficiency(H, bf: HybridBeamformer, power, noise_power: float):
-    """Rate of the hybrid design over channel H, bits/s/Hz.
+def spectral_efficiency(channel, bf: HybridBeamformer, power,
+                        noise_power: float):
+    """Rate of the hybrid design over a channel H, bits/s/Hz.
 
     log2 det(I + P C^-1 W^H H F F^H H^H W), C = sigma^2 W^H W, on the
     streams whose combined and precoded columns are both nonzero, taken as
     log2 det(I + (P / sigma^2) G G^H), G = Q^H H F with Q an orthonormal
     basis of those combiner columns; the latter also holds when two streams
-    share a combiner column and C is singular. H is dense or factors
+    share a combiner column and C is singular. `channel` holds the factors
     (A, core, B) of H = A core B (`training.channel_factors`), and G is
     (Q^H A) core (B F); a dense H is (I, H, I). Leading axes broadcast.
     """
-    A, core, B = H if isinstance(H, tuple) else (
-        np.eye(np.shape(H)[-2]), np.asarray(H), np.eye(np.shape(H)[-1]))
+    A, core, B = channel
     F = bf.precoder()
     W = bf.combiner()
     active = ((np.linalg.norm(W, axis=-2) > 1e-12)

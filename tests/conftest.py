@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
         tx_codebook=book,
         rx_codebook=book,
     )
+
+
+def angle_rows(estimates):
+    """The (N_i, 4) angles of a list of `AngleEstimate`s, in field order."""
+    return np.array([astuple(e)[:4] for e in estimates])
+
+
+def dense(H):
+    """A dense channel as the factors (I, H, I) of `spectral_efficiency`."""
+    return np.eye(H.shape[-2]), H, np.eye(H.shape[-1])
 
 
 @pytest.fixture

@@ -79,6 +79,28 @@ def test_codebook_export(tmp_path):
     assert all(0.0 <= float(r["gain"]) <= 1.0 + 1e-9 for r in rows)
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "x", "2.5"])
+def test_codebook_probe_count_below_one_is_a_usage_error(tmp_path, capsys,
+                                                         value):
+    out = tmp_path / "patterns.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["codebook", "--probes", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument --probes: expected an integer >= 1, got '{value}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_codebook_single_probe(tmp_path):
+    # one row per live beam, at the broadside probe
+    out = tmp_path / "patterns.csv"
+    assert main(["codebook", "--antennas", "8", "--beams", "16",
+                 "--probes", "1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert len(rows) == 2 + 4 + 8 + 16
+    assert {float(r["probe_angle"]) for r in rows} == {0.0}
+
+
 def test_mp_curve_deterministic(tmp_path, tiny_config):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

@@ -3,7 +3,7 @@ import pytest
 
 from irsmimo.arrays import ArraySpec, beam_gain, steering
 from irsmimo.codebook import (build_codebook, num_stages, projection_beam,
-                              selection_matrix, two_rf_factorization, wide_beam)
+                              selection_matrix, two_rf_factorization)
 
 
 def leaf_matrix(codebook):
@@ -85,8 +85,10 @@ def test_wide_beam_is_least_squares_solution():
 
 
 def test_wide_beam_null_for_dead_slot():
-    assert wide_beam(leaf_matrix(build_codebook(ArraySpec(16), 3, 22)),
-                     2, 8, 3) is None
+    # slot 8 of stage 2 covers leaves 24..26, all padding beyond K = 22
+    book = build_codebook(ArraySpec(16), 3, 22)
+    assert not book.stages[2][:, 8].any() and not book.live[2][8]
+    assert book.beam(2, 8) is None and book.beam(2, 7) is not None
 
 
 def test_wide_beam_descendants_beat_non_descendants_stage_one():
@@ -139,7 +141,7 @@ def test_calibration_live_slots_positive():
         for index in range(3 ** stage):
             # a slot is live exactly when its first leaf is
             assert book.live[stage][index] == (index * span < 96)
-            scale = book.calibration[stage][index]
+            scale = book.weights[stage][index]
             if book.beam(stage, index) is None:
                 assert scale == 0.0
             else:

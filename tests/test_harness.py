@@ -1,17 +1,20 @@
+import csv
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import angle_rows, dense
 from irsmimo import harness, transmission
+from irsmimo.cli import main
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              db_to_linear, dbm_to_watts, load_config_file,
                              make_config, perfect_estimates,
-                             run_estimation_trace, run_mp_experiment,
-                             run_rate_experiment, run_trial, sample_scenario,
-                             scenario_assets, true_composite_loss, write_csv)
+                             run_mp_experiment, run_rate_experiment,
+                             run_trial, sample_scenario, scenario_assets,
+                             true_composite_loss, write_csv)
 from irsmimo.channel import assemble
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import AngleEstimate, channel_factors, direction_states
@@ -198,8 +201,9 @@ def test_run_rate_experiment_ordering_and_determinism():
 
 
 def test_run_estimation_trace_fields():
-    result, top = run_estimation_trace(tiny_config())
-    assert top == 1
+    # the trial that `irsmimo estimate` reports; its top power is row 1
+    config, top = tiny_config(), 1
+    result = run_trial(config, scenario_assets(config), 0)
     assert result.truth.shape == (2, 5)
     assert result.estimates.shape == (2, 2, 5)
     assert result.rates.shape == (2, 4)
@@ -207,20 +211,37 @@ def test_run_estimation_trace_fields():
     assert np.all(np.isfinite(result.estimates[top, :, 4]))
     assert np.all(result.truth[:, 4] > 0)
     assert result.rates[top, 3] < result.rates[top, 2]
-    replay, _ = run_estimation_trace(tiny_config())
+    replay = run_trial(config, scenario_assets(config), 0)
     assert replay.geometry == result.geometry
     for name in ("truth", "estimates", "rates", "search"):
         assert np.array_equal(getattr(replay, name), getattr(result, name))
 
 
-def test_estimation_trace_is_top_power_rate_curve_trial():
-    # low powers, where the estimation noise moves the estimated-CSI rate
-    config = tiny_config(power_grid_dbm=(-30.0, -20.0, -40.0))
-    result, top = run_estimation_trace(config)
-    rows = run_rate_experiment(replace(config, trials=1)).rows
-    assert rows[top]["power_dbm"] == max(config.power_grid_dbm) == -20.0
-    assert list(result.rates[top]) == [rows[top][key]
-                                       for key in harness.RATE_KEYS]
+def test_estimation_trace_is_top_power_rate_curve_trial(tmp_path):
+    # `irsmimo estimate` reports trial 0 at the strongest power, here in the
+    # middle of the grid; low powers, where the estimation noise moves the
+    # estimated-CSI rate
+    path = tmp_path / "scene.cfg"
+    path.write_text("num_tx_antennas = 16\nnum_rx_antennas = 16\n"
+                    "num_irs_elements = 16\nnum_irs = 2\nnum_streams = 2\n"
+                    "irs_positions = 5,4; 5,6\nseed = 7\n"
+                    "power_grid_dbm = -30,-20,-40\n")
+    config = make_config(str(path))
+    outs = [tmp_path / name for name in ("trace.csv", "rate.csv")]
+    assert main(["estimate", "--config", str(path), "--out",
+                 str(outs[0])]) == 0
+    assert main(["rate-curve", "--config", str(path), "--trials", "1",
+                 "--out", str(outs[1])]) == 0
+    trace, rates = (list(csv.DictReader(out.read_text().splitlines()))
+                    for out in outs)
+    result = run_trial(config, scenario_assets(config), 0)
+    assert [row["power_dbm"] for row in trace] == ["-20.0"] * 2
+    for row in trace:
+        assert [float(row[key]) for key in harness.RATE_KEYS] == [
+            float(rates[1][key]) for key in harness.RATE_KEYS] == list(
+            result.rates[1])
+    assert [float(row["est_tx_departure"]) for row in trace] == list(
+        result.estimates[1, :, 0])
 
 
 def test_write_csv_deterministic_format(tmp_path):
@@ -288,7 +309,8 @@ def test_trial_record_is_serializable():
     import dataclasses
     import json
 
-    result, top = run_estimation_trace(tiny_config())
+    config, top = tiny_config(), 1
+    result = run_trial(config, scenario_assets(config), 0)
     payload = json.dumps(dataclasses.asdict(result),
                          default=lambda array: array.tolist())
     loaded = json.loads(payload)
@@ -411,7 +433,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         gains = [e.composite_loss for e in estimates]
         if not any(gains):
             return 0.0
-        bf = build_beamformers(estimates,
+        bf = build_beamformers(angle_rows(estimates),
                                water_filling(gains, power, noise).factors,
                                scenario.cascade.tx_spec,
                                scenario.cascade.rx_spec, 4, 4, 2)
@@ -419,7 +441,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
                                  e.irs_arrival, e.irs_departure)
                   for e in estimates]
         H = assemble(scenario.cascade, thetas, scenario.consts)
-        return spectral_efficiency(H, bf, power, noise)
+        return spectral_efficiency(dense(H), bf, power, noise)
 
     def bound(thetas, power):
         H = assemble(scenario.cascade, thetas, scenario.consts)
@@ -564,6 +586,27 @@ def test_designed_rates_equal_the_trial_perfect_csi_rates():
     assert min(rates) > 0.0
 
 
+def test_rates_do_not_depend_on_rf_chain_or_stream_counts():
+    # the closed-form design drives one stream per IRS on the first N_i RF
+    # chains, and spectral_efficiency masks the zero padding columns: more
+    # or fewer chains change no bit, more streams only the last bits
+    base = ScenarioConfig(seed=60)
+    assets = scenario_assets(base)
+    want = [run_trial(base, assets, trial).rates for trial in range(8)]
+    for counts in (dict(num_tx_rf_chains=3, num_rx_rf_chains=3),
+                   dict(num_tx_rf_chains=6), dict(num_rx_rf_chains=6),
+                   dict(num_streams=4),
+                   dict(num_tx_rf_chains=5, num_rx_rf_chains=5,
+                        num_streams=5)):
+        config = replace(base, **counts)
+        for trial, rates in enumerate(want):
+            got = run_trial(config, assets, trial).rates
+            if "num_streams" in counts:
+                assert got == pytest.approx(rates, rel=1e-12, abs=0.0)
+            else:
+                assert np.array_equal(got, rates)
+
+
 def test_sampled_rays_equal_the_per_ray_geometry():
     # the array-form scene against the per-ray scalar path: same draws, same
     # distances and the same angles, bit for bit
@@ -588,8 +631,7 @@ def test_terminals_share_one_codebook_when_they_agree():
     for stage, beams in assets.tx_codebook.stages.items():
         with pytest.raises(ValueError, match="read-only"):
             beams[0, 0] = 0.0
-        for table in ("live", "norms", "calibration", "weights",
-                      "uplink_stages"):
+        for table in ("live", "norms", "weights", "uplink_stages"):
             assert not getattr(assets.tx_codebook, table)[stage].flags.writeable
 
 

@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 from irsmimo import quantization
 from irsmimo.arrays import edge_energy, grid_directions, pattern_gain
-from irsmimo.quantization import (average_error, estimated_power_ratio,
-                                  quantization_report, worst_error)
+from irsmimo.quantization import (average_error, quantization_report,
+                                  worst_error)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -60,16 +60,18 @@ def test_average_error_is_finite_despite_endpoint_singularity():
 
 
 def test_power_ratio_on_grid_direction():
+    # the best amplitude gain of the K-beam grid on a path is its largest
+    # pattern gain at the path's sine offsets
     grid = grid_directions(32, 64)
-    assert estimated_power_ratio(32, 64, float(grid.directions[10])) == \
+    assert pattern_gain(32, grid.sines[10] - grid.sines).max() == \
         pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_ratio_on_coverage_edge():
     grid = grid_directions(32, 64)
     edge = float(np.arcsin(grid.sines[10] + 1 / 64))
-    assert estimated_power_ratio(32, 64, edge) == pytest.approx(
-        edge_energy(32, 64), abs=1e-12)
+    assert pattern_gain(32, np.sin(edge) - grid.sines).max() == \
+        pytest.approx(edge_energy(32, 64), abs=1e-12)
 
 
 def test_power_ratio_matches_exhaustive_scan():
@@ -83,7 +85,7 @@ def test_power_ratio_matches_exhaustive_scan():
     for angle in rng.uniform(-np.pi / 2, np.pi / 2, 25):
         w = steering(spec, angle)
         explicit = max(beam_gain(w, spec, float(d)) for d in grid.directions)
-        assert estimated_power_ratio(16, 32, float(angle)) == \
+        assert pattern_gain(16, np.sin(angle) - grid.sines).max() == \
             pytest.approx(explicit, abs=1e-12)
 
 
@@ -102,7 +104,7 @@ def test_report_fields():
     assert report.num_elements == 16
     assert report.num_beams == 32
     assert 0.0 <= report.average_error <= report.worst_error < 1.0
-    assert report.quadrature_abs_tol == 1e-8
+    assert report.average_error == average_error(16, 32)
 
 
 DEFAULT_GRIDS = [(n, ratio * n) for n in (8, 16, 32, 64) for ratio in (1, 2, 3, 4)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import scenario_from_angles
+from conftest import angle_rows, scenario_from_angles
 from irsmimo import training
 from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
                             pattern_gain, steering)
@@ -18,7 +18,6 @@ from irsmimo.training import (MeasurementModel, channel_factors,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
-from irsmimo.transmission import estimate_composite_loss
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -267,8 +266,8 @@ def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
 
 
 def test_single_power_calls_read_one_tape_row(small_scenario):
-    # cooperative_estimate and then estimate_composite_loss for IRS 0, 1, ...
-    # on one generator read the same numbers as one tape row
+    # cooperative_estimate and then the composite-loss pilots of IRS 0, 1,
+    # ... on one generator read the same numbers as one tape row
     scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
                                      (-0.3, 0.25, -0.45, 0.15)])
     model = MeasurementModel(transmit_power=1e-3, noise_power=1e-12)
@@ -283,9 +282,11 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
     assert [tuple(vars(e).values())[:4] for e in estimates] == [
         tuple(row) for row in angles[0]]
     assert slots.search == search[0]
-    assert [estimate_composite_loss(scenario, l, estimates, model, rng,
-                                    pilot_repetitions=7)
-            for l in range(2)] == pytest.approx(losses[0], rel=1e-12)
+    pilots = rng.standard_normal((1, 2, 7, 2)).view(complex)[..., 0]
+    assert composite_losses(
+        scenario, np.arange(2), angle_rows(estimates)[None],
+        [model.transmit_power], model.noise_power, pilots) == pytest.approx(
+        losses, rel=1e-12)
 
 
 def test_direction_channels_match_assembled_channels():
@@ -529,6 +530,41 @@ def test_misalignment_blocks_equal_the_full_array_loop(n, ratio):
         curve = misalignment_curve(n, k, snrs, trials=trials, rng=rng)
         assert curve == full_array_misalignment(n, k, snrs, trials, rng_ref)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class ScriptedDraws:
+    """Stands in for the generator of `misalignment_curve`, which calls only
+    `uniform` (the angles) and `standard_normal` (the real parts, then the
+    imaginary parts): each call returns the next array given."""
+
+    def __init__(self, angles, *normals):
+        self.angles, self.normals = angles, list(normals)
+
+    def uniform(self, low, high, size):
+        return np.reshape(self.angles, size)
+
+    def standard_normal(self, shape):
+        return np.reshape(self.normals.pop(0), shape)
+
+
+def test_misalignment_power_sum_keeps_its_order():
+    # N = 1 makes every gain exactly 1 and 0 dB makes amp 1, so the noise
+    # alone picks the leaf: beam power (1 + cross) + floor, cross = 2 re and
+    # floor = re^2 + im^2, both parts scaled by sqrt(1/2). Leaf 1 holds the
+    # true angle and no real noise. Leaf 6 ties it to the last bit in that
+    # order and beats it in the order (1 + floor) + cross; a tie goes to the
+    # lower index, so only the first order finds the true leaf.
+    k, scale = 8, np.sqrt(0.5)
+    real, imag = np.full(k, -np.sqrt(2.0)), np.zeros(k)   # powers near 0
+    real[1], imag[1] = 0.0, 0.28536943538179943
+    real[6], imag[6] = -0.099, 0.593
+    noise = scale * real
+    cross, floor = 2.0 * noise, noise ** 2 + (scale * imag) ** 2
+    assert (1.0 + cross[6]) + floor[6] == 1.0 + floor[1]
+    assert (1.0 + floor[6]) + cross[6] > 1.0 + floor[1]
+    draws = ScriptedDraws(grid_directions(1, k).directions[1], real, imag)
+    assert misalignment_curve(1, k, [0.0], 1, draws) == [(0.0, 0.0)]
+    assert not draws.normals
 
 
 def test_misalignment_memory_stays_near_one_trial_array():

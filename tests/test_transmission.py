@@ -5,16 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_from_angles
+from conftest import angle_rows, dense, scenario_from_angles
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import (AngleEstimate, MeasurementModel, channel_factors,
-                              direction_states)
-from irsmimo.transmission import (build_beamformers, estimate_composite_loss,
-                                  fdb_upper_bound, parallel_rate,
-                                  spectral_efficiency, water_filling)
+from irsmimo.training import (AngleEstimate, channel_factors,
+                              composite_losses, direction_states)
+from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
+                                  parallel_rate, spectral_efficiency,
+                                  water_filling)
 
 LN2 = np.log(2.0)
 
@@ -80,10 +80,9 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
 
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
     genie = perfect_estimates(small_scenario)
-    model = MeasurementModel(transmit_power=2.0, noise_power=0.0)
-    value = estimate_composite_loss(small_scenario, 0, genie, model,
-                                    rng=np.random.default_rng(0))
-    assert value == pytest.approx(genie[0].composite_loss, rel=1e-10)
+    value = composite_losses(small_scenario, [0], angle_rows(genie)[None],
+                             [2.0], 0.0, np.ones((1, 1, 10)))
+    assert value[0, 0] == pytest.approx(genie[0].composite_loss, rel=1e-10)
 
 
 def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
@@ -92,20 +91,22 @@ def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
     genie = perfect_estimates(small_scenario)
     truth = genie[0].composite_loss
     noise_power = (truth ** 2) * 0.5  # strong noise relative to the signal
-    model = MeasurementModel(transmit_power=1.0, noise_power=noise_power)
-    rng = np.random.default_rng(21)
-    values = [estimate_composite_loss(small_scenario, 0, genie, model, rng=rng,
-                                      pilot_repetitions=50)
-              for _ in range(400)]
+    # 400 estimates, one per power row, of 50 pilots each
+    noise = np.random.default_rng(21).standard_normal(
+        (400, 1, 50, 2)).view(complex)[..., 0]
+    values = composite_losses(small_scenario, [0], angle_rows(genie)[None],
+                              np.ones(400), noise_power, noise)
+    assert values.shape == (400, 1)
     assert np.mean(np.square(values)) == pytest.approx(truth ** 2, rel=0.05)
 
 
 def test_estimate_composite_loss_absorbing_scene_is_noise_floor():
     scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1)], beta=0.0)
     genie = perfect_estimates(scenario)
-    model = MeasurementModel(transmit_power=1.0, noise_power=1e-9)
-    value = estimate_composite_loss(scenario, 0, genie, model,
-                                    rng=np.random.default_rng(2))
+    noise = np.random.default_rng(2).standard_normal(
+        (1, 1, 10, 2)).view(complex)[..., 0]
+    value = composite_losses(scenario, [0], angle_rows(genie)[None], [1.0],
+                             1e-9, noise)
     assert value < 1e-3
 
 
@@ -201,12 +202,8 @@ def test_water_filling_rejects_degenerate_inputs():
         water_filling([1e-200, 0.0], 1.0, 0.1)  # a^2 underflows to zero
 
 
-def make_estimates(angles, losses):
-    return [AngleEstimate(*a, loss) for a, loss in zip(angles, losses)]
-
-
 def test_build_beamformers_single_irs():
-    est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [0.1])
+    est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
     bf = build_beamformers(est, allocation.factors,
                            ArraySpec(16), ArraySpec(8), 4, 4, 3)
@@ -216,8 +213,8 @@ def test_build_beamformers_single_irs():
 
 
 def test_build_beamformers_unit_modulus_and_power():
-    est = make_estimates([(0.3, -0.2, 0.4, -0.5), (-0.1, 0.5, -0.4, 0.2),
-                           (0.7, 0.1, -0.2, -0.6)], [0.2, 0.1, 0.05])
+    est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.1, 0.5, -0.4, 0.2),
+                    (0.7, 0.1, -0.2, -0.6)])
     allocation = water_filling([0.2, 0.1, 0.05], 1.0, 0.001)
     bf = build_beamformers(est, allocation.factors,
                            ArraySpec(32), ArraySpec(32), 4, 4, 3)
@@ -229,7 +226,7 @@ def test_build_beamformers_unit_modulus_and_power():
 
 
 def test_build_beamformers_rejects_too_many_irs():
-    est = make_estimates([(0.1, 0.2, 0.3, 0.4)] * 5, [0.1] * 5)
+    est = np.array([(0.1, 0.2, 0.3, 0.4)] * 5)
     allocation = water_filling([0.1] * 5, 1.0, 0.01)
     with pytest.raises(ValueError):
         build_beamformers(est, allocation.factors,
@@ -237,24 +234,24 @@ def test_build_beamformers_rejects_too_many_irs():
 
 
 def test_spectral_efficiency_zero_power():
-    est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [0.1])
+    est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
     bf = build_beamformers(est, allocation.factors,
                            ArraySpec(8), ArraySpec(8), 2, 2, 1)
     H = np.eye(8, dtype=complex)
-    assert spectral_efficiency(H, bf, 0.0, 0.1) == 0.0
+    assert spectral_efficiency(dense(H), bf, 0.0, 0.1) == 0.0
 
 
 def test_spectral_efficiency_matched_rank_one():
     spec = ArraySpec(16)
     a = 0.07
-    est = make_estimates([(0.3, -0.2, 0.4, -0.5)], [a])
+    est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([a], 1.0, 1e-4)
     bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
     tx = steering(spec, 0.3).coefficients
     rx = steering(spec, -0.5).coefficients
     H = a * np.outer(rx, np.conj(tx))
-    rate = spectral_efficiency(H, bf, 1.0, 1e-4)
+    rate = spectral_efficiency(dense(H), bf, 1.0, 1e-4)
     assert rate == pytest.approx(np.log2(1 + a ** 2 / 1e-4), rel=1e-9)
 
 
@@ -262,8 +259,7 @@ def test_spectral_efficiency_shared_combiner_column():
     # two streams combined on one arrival angle make C = sigma^2 W^H W
     # singular; the rate is that of the projection onto W's column space
     spec = ArraySpec(8)
-    est = make_estimates([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)],
-                         [0.2, 0.1])
+    est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)])
     allocation = water_filling([0.2, 0.1], 1.0, 0.01)
     bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 2)
     rng = np.random.default_rng(43)
@@ -272,8 +268,8 @@ def test_spectral_efficiency_shared_combiner_column():
     projected = H.conj().T @ W @ np.linalg.pinv(W.conj().T @ W) @ W.conj().T @ H
     want = np.linalg.slogdet(np.eye(2) + 1.0 / 0.01
                              * F.conj().T @ projected @ F)[1] / LN2
-    assert spectral_efficiency(H, bf, 1.0, 0.01) == pytest.approx(want,
-                                                                  rel=1e-9)
+    assert spectral_efficiency(dense(H), bf, 1.0, 0.01) == pytest.approx(
+        want, rel=1e-9)
 
 
 def test_spectral_efficiency_close_to_parallel_form():
@@ -285,7 +281,7 @@ def test_spectral_efficiency_close_to_parallel_form():
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
-    bf = build_beamformers(genie, allocation.factors,
+    bf = build_beamformers(angle_rows(genie), allocation.factors,
                            scenario.cascade.tx_spec, scenario.cascade.rx_spec,
                            4, 4, 3)
     exact = spectral_efficiency(designed_channel(scenario, genie), bf, power,
@@ -320,12 +316,12 @@ def test_fdb_dominates_hybrid_designs():
     for _ in range(1000):
         angles = rng.uniform(-1.2, 1.2, 4)
         a = rng.uniform(0.01, 1.0)
-        est = make_estimates([tuple(angles)], [a])
+        est = angles[None]
         allocation = water_filling([a], 1.0, 0.01)
         bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
         H = (rng.standard_normal((16, 16))
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
-        hybrid = spectral_efficiency(H, bf, 1.0, 0.01)
+        hybrid = spectral_efficiency(dense(H), bf, 1.0, 0.01)
         assert fdb_upper_bound(singular_values(H), 1.0, 0.01) >= hybrid - 1e-9
 
 
@@ -377,10 +373,10 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
               [random_mode(8, rng) for _ in paths]]
     left, cores, right = channel_factors(
         scenario, np.array([[t.entries() for t in s] for s in states]))
-    dense = np.array([assemble(scenario.cascade, s, scenario.consts)
-                      for s in states])
+    channels = np.array([assemble(scenario.cascade, s, scenario.consts)
+                         for s in states])
     sv = np.linalg.svd(cores, compute_uv=False)
-    dense_sv = singular_values(dense)
+    dense_sv = singular_values(channels)
     top = dense_sv[:, :1]
     assert np.allclose(sv, dense_sv[:, :len(paths)], rtol=0, atol=1e-12 * top)
     assert np.all(dense_sv[:, len(paths):] <= 1e-12 * top)
@@ -392,11 +388,13 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
         np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
         rel=1e-12)
-    bf = build_beamformers(genie, water_filling(gains, power, noise).factors,
+    bf = build_beamformers(angle_rows(genie),
+                           water_filling(gains, power, noise).factors,
                            scenario.cascade.tx_spec, scenario.cascade.rx_spec,
                            3, 3, 3)
     assert spectral_efficiency((left, cores, right), bf, power, noise) == (
-        pytest.approx(spectral_efficiency(dense, bf, power, noise), rel=1e-12))
+        pytest.approx(spectral_efficiency(dense(channels), bf, power, noise),
+                      rel=1e-12))
 
 
 def test_fdb_cutoff_is_relative_to_each_row():
