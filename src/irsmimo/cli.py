@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .arrays import ArraySpec
+from .arrays import ArraySpec, steering_coefficients
 from .codebook import build_codebook
 from .harness import (RATE_KEYS, ConfigError, ScenarioConfig, _parse_floats,
                       _parse_ints, make_config, run_mp_experiment,
@@ -33,19 +33,19 @@ def _config_from(args) -> ScenarioConfig:
 
 
 def _cmd_codebook(args) -> int:
-    spec = ArraySpec(args.antennas)
-    book = build_codebook(spec, args.branching, args.beams)
+    if args.beams < args.antennas:
+        args.error(f"argument --beams: expected at least --antennas "
+                   f"({args.antennas}), got {args.beams}")
+    book = build_codebook(ArraySpec(args.antennas), args.branching, args.beams)
     probes = np.arcsin(np.linspace(-1.0, 1.0, args.probes + 2)[1:-1])
-    responses = np.exp(1j * np.pi * np.outer(np.sin(probes),
-                                             np.arange(spec.num_elements)))
+    responses = steering_coefficients(args.antennas, 0.5, probes[:, None])
     rows = []
     for stage in range(1, book.num_stages + 1):
-        for index in np.flatnonzero(book.live[stage]):
-            gains = np.abs(responses @ np.conj(book.stages[stage][:, index]))
-            gains /= np.sqrt(spec.num_elements)
-            for angle, gain in zip(probes, gains):
-                rows.append({"stage": stage, "index": index,
-                             "probe_angle": float(angle), "gain": float(gain)})
+        live = np.flatnonzero(book.live[stage])
+        gains = np.abs(responses.conj() @ book.stages[stage][:, live])
+        rows += [{"stage": stage, "index": index, "probe_angle": float(angle),
+                  "gain": float(gain)} for index, column in zip(live, gains.T)
+                 for angle, gain in zip(probes, column)]
     write_csv(args.out, ["stage", "index", "probe_angle", "gain"], rows)
     return 0
 
@@ -114,11 +114,13 @@ def _cmd_quant_table(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """A count flag's value: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(minimum: int):
+    """The parse of an integer flag whose value must be >= `minimum`."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise ValueError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _flag_type(parse):
@@ -139,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codebook", help="export hierarchical beam patterns")
-    p.add_argument("--antennas", type=int, default=32)
-    p.add_argument("--branching", type=int, default=2)
-    p.add_argument("--beams", type=int, default=64)
-    p.add_argument("--probes", type=_flag_type(_count), default=361,
+    p.add_argument("--antennas", type=_flag_type(_at_least(1)), default=32)
+    p.add_argument("--branching", type=_flag_type(_at_least(2)), default=2)
+    p.add_argument("--beams", type=_flag_type(_at_least(2)), default=64)
+    p.add_argument("--probes", type=_flag_type(_at_least(1)), default=361,
                    help="number of probe directions, uniform in sine")
     p.add_argument("--out", metavar="PATH", required=True)
-    p.set_defaults(func=_cmd_codebook)
+    p.set_defaults(func=_cmd_codebook, error=p.error)
 
     p = sub.add_parser("mp-curve", help="misalignment probability versus SNR")
     _add_common(p)

@@ -24,9 +24,7 @@ def num_stages(branching: int, num_leaves: int) -> int:
     if num_leaves < 1:
         raise ValueError("leaf count must be >= 1")
     stages = 0
-    capacity = 1
-    while capacity < num_leaves:
-        capacity *= branching
+    while branching ** stages < num_leaves:
         stages += 1
     return stages
 
@@ -45,25 +43,12 @@ def selection_matrix(stage: int, branching: int, num_leaves: int) -> np.ndarray:
 
 
 def projection_beam(leaves: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Raw minimum-residual solution of leaves^H w = target, i.e. (L L^H)^-1 L d."""
+    """Raw minimum-residual solution of leaves^H w = target, i.e. (L L^H)^-1 L d.
+
+    The general formula; on the beam grid it reduces to (N/K) L d.
+    """
     gram = leaves @ leaves.conj().T
     return np.linalg.solve(gram, leaves @ target)
-
-
-def _stage_beams(leaves: np.ndarray, stage: int, branching: int) -> np.ndarray:
-    """Normalized projection wide beams of one stage, one column per slot.
-
-    `leaves` is the N_a x K matrix of bottom-stage codewords; dead slots get
-    zero columns. Each slot is `projection_beam`'s own solve on one shared
-    Gram matrix, so no beam's bits depend on how many slots the stage holds.
-    """
-    D = selection_matrix(stage, branching, leaves.shape[1])
-    gram = leaves @ leaves.conj().T
-    beams = np.zeros((leaves.shape[0], D.shape[1]), dtype=complex)
-    for col in np.flatnonzero(D.any(axis=0)):
-        raw = np.linalg.solve(gram, leaves @ D[:, col])
-        beams[:, col] = raw / np.linalg.norm(raw)
-    return beams
 
 
 def two_rf_factorization(w: BeamVector):
@@ -135,65 +120,47 @@ def _read_only(arrays: dict) -> dict:
 
 def build_codebook(spec: ArraySpec, branching: int,
                    num_leaves: int) -> HierarchicalCodebook:
-    """Construct the hierarchical codebook for one terminal array."""
+    """Construct the hierarchical codebook for one terminal array.
+
+    On this grid the leaves' Gram matrix is (K/N) I, so each projection
+    wide beam is the normalized sum of its slot's live leaves.
+    """
     require_half_wavelength(spec)
     grid = grid_directions(spec.num_elements, num_leaves)
     total = num_stages(branching, num_leaves)
     if total < 1:
         raise ValueError("degenerate tree: need at least two leaves")
 
-    leaves = np.stack(
-        [steering_coefficients(spec.num_elements, spec.spacing_wavelengths, ang)
-         for ang in grid.directions],
-        axis=1,
-    )
-    stages = {s: _stage_beams(leaves, s, branching) for s in range(1, total)}
-    stages[total] = np.zeros((spec.num_elements, branching ** total),
-                             dtype=complex)
-    stages[total][:, :num_leaves] = leaves
-    live = {s: beams.any(axis=0) for s, beams in stages.items()}
-    calibration = _boundary_calibration(spec, branching, num_leaves, stages,
-                                        live)
+    bottom = np.zeros((spec.num_elements, branching ** total), dtype=complex)
+    bottom[:, :num_leaves] = steering_coefficients(
+        spec.num_elements, spec.spacing_wavelengths, grid.directions[:, None]).T
+    edges = np.exp(1j * np.pi * np.arange(spec.num_elements)[:, None]
+                   * (-1.0 + np.arange(bottom.shape[1]) * 2.0 / num_leaves))
+    stages = {total: bottom}
+    calibration = {total: bottom.any(axis=0) * 1.0}
+    for s in range(1, total):
+        sums = bottom.reshape(spec.num_elements, branching ** s, -1).sum(axis=2)
+        norm = np.linalg.norm(sums, axis=0)
+        live = norm > 0.0
+        beams = stages[s] = sums / np.where(live, norm, 1.0)
+        # at its left cell edge, a live slot takes its left sibling's multiplier
+        # times their gain ratio; a group's first slot gets 1, a dead slot 0
+        probes = edges[:, ::branching ** (total - s)]
+        own = np.abs(np.sum(beams.conj() * probes, axis=0))
+        left = np.abs(np.sum(beams[:, :-1].conj() * probes[:, 1:], axis=0))
+        ratio = np.zeros(branching ** s)
+        np.divide(left, own[1:], out=ratio[1:], where=live[1:])
+        ratio[::branching] = live[::branching]
+        calibration[s] = np.cumprod(ratio.reshape(-1, branching), 1).ravel()
     return HierarchicalCodebook(
         branching=branching,
         num_leaves=num_leaves,
         num_stages=total,
         stages=_read_only(stages),
-        live=_read_only(live),
-        norms=_read_only({s: np.array([np.vdot(w, w).real for w in beams.T])
+        live=_read_only({s: beams.any(axis=0) for s, beams in stages.items()}),
+        norms=_read_only({s: (beams.conj() * beams).real.sum(axis=0)
                           for s, beams in stages.items()}),
-        # squared one by one with pow, as the per-beam search squared them;
-        # np.square differs from pow in the last bit for some values
-        weights=_read_only({s: np.array([c ** 2 for c in values])
-                            for s, values in calibration.items()}),
+        weights=_read_only({s: c ** 2 for s, c in calibration.items()}),
         leaf_grid=grid,
         spec=spec,
     )
-
-
-def _boundary_calibration(spec: ArraySpec, branching: int, num_leaves: int,
-                          stages: dict, live: dict) -> dict:
-    """Sibling-chain multipliers equalizing responses at shared cell edges."""
-    n = np.arange(spec.num_elements)
-    total = len(stages)
-
-    def gain_at_sine(beam: np.ndarray, x: float) -> float:
-        a = np.exp(1j * 2.0 * np.pi * spec.spacing_wavelengths * n * x)
-        return abs(np.vdot(beam, a)) / np.sqrt(spec.num_elements)
-
-    calibration = {total: live[total].astype(float)}
-    for s in range(1, total):
-        beams = stages[s]
-        span = branching ** (total - s)
-        out = np.zeros(branching ** s)
-        for first in range(0, branching ** s, branching):
-            group = first + np.flatnonzero(live[s][first:first + branching])
-            if not group.size:
-                continue
-            out[group[0]] = 1.0
-            for left, right in zip(group, group[1:]):
-                edge_sine = -1.0 + int(right) * span * 2.0 / num_leaves
-                out[right] = (out[left] * gain_at_sine(beams[:, left], edge_sine)
-                              / gain_at_sine(beams[:, right], edge_sine))
-        calibration[s] = out
-    return calibration

@@ -92,7 +92,8 @@ class ScenarioConfig:
         lowest = dict.fromkeys(_COUNT_KEYS, 1)
         lowest.update(branching=2, beam_ratio=1.0, irs_sweep_ratio=1.0,
                       mp_beam_ratios=1.0, absorption_per_m=0.0,
-                      reflection_amplitude=0.0, seed=0)
+                      reflection_amplitude=0.0, seed=0,
+                      num_tx_antennas=self.num_irs, num_rx_antennas=self.num_irs)
         for key, low in lowest.items():
             if np.any(np.asarray(getattr(self, key)) < low):
                 raise ValueError(f"{key} must be >= {low}")
@@ -113,8 +114,6 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ValueError(f"{name} must be an increasing pair")
-        if self.num_irs > min(self.num_tx_rf_chains, self.num_rx_rf_chains):
-            raise ValueError("num_irs must not exceed the RF chain counts")
         if not self.num_irs <= self.num_streams <= min(self.num_tx_rf_chains,
                                                        self.num_rx_rf_chains):
             raise ValueError("need num_irs <= num_streams <= RF chains")

@@ -91,6 +91,22 @@ def test_codebook_probe_count_below_one_is_a_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,flag,expected", [
+    (["--antennas", "0"], "--antennas", "an integer >= 1, got '0'"),
+    (["--beams", "0"], "--beams", "an integer >= 2, got '0'"),
+    (["--branching", "1"], "--branching", "an integer >= 2, got '1'"),
+    (["--antennas", "32", "--beams", "16"], "--beams",
+     "at least --antennas (32), got 16")])
+def test_codebook_bad_size_is_a_usage_error_naming_its_flag(
+        tmp_path, capsys, args, flag, expected):
+    out = tmp_path / "patterns.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["codebook", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {expected}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_single_probe(tmp_path):
     # one row per live beam, at the broadside probe
     out = tmp_path / "patterns.csv"
@@ -168,6 +184,9 @@ def test_config_error_exit_code(tmp_path):
     ("tx_gain_dbi", "4000"),
     ("tx_gain_dbi", "-4000"),
     ("mp_snr_grid_db", "4000"),
+    # terminal arrays smaller than num_irs = 2
+    ("num_tx_antennas", "1"),
+    ("num_rx_antennas", "1"),
 ])
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"
@@ -176,6 +195,15 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     assert main(["rate-curve", "--config", str(bad), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_terminal_arrays_as_small_as_num_irs_run(tmp_path):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(TINY + "num_tx_antennas = 2\nnum_rx_antennas = 2\n")
+    out = tmp_path / "rate.csv"
+    assert main(["rate-curve", "--config", str(scene), "--trials", "2",
+                 "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 2
 
 
 def test_missing_out_flag_rejected(capsys):

@@ -84,6 +84,66 @@ def test_wide_beam_is_least_squares_solution():
         assert np.allclose(raw, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("num_elements", [1, 2, 3, 8, 16, 33, 64, 96])
+def test_leaf_gram_is_scaled_identity(num_elements):
+    # leaves at sines (2k - 1)/K - 1: every off-diagonal Gram entry sums K
+    # evenly spread unit phasors, so L L^H = (K/N) I for every K >= N
+    for num_leaves in sorted({max(num_elements, 2), num_elements + 1,
+                              2 * num_elements + 1, 3 * num_elements,
+                              4 * num_elements}):
+        book = build_codebook(ArraySpec(num_elements), 2, num_leaves)
+        L = leaf_matrix(book)
+        scale = num_leaves / num_elements
+        gram = L @ L.conj().T
+        assert np.abs(gram - scale * np.eye(num_elements)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("num_elements,branching,num_leaves",
+                         [(16, 3, 22), (40, 4, 100), (64, 2, 192)])
+def test_wide_beams_are_normalized_projection_solves(num_elements, branching,
+                                                     num_leaves):
+    # ragged trees included: each live wide beam is the general solve
+    # (L L^H)^-1 L d, normalized, and every live column has unit norm
+    book = build_codebook(ArraySpec(num_elements), branching, num_leaves)
+    L = leaf_matrix(book)
+    for stage in range(1, book.num_stages):
+        D = selection_matrix(stage, branching, num_leaves)
+        for index in np.flatnonzero(book.live[stage]):
+            raw = projection_beam(L, D[:, index])
+            raw /= np.linalg.norm(raw)
+            beam = book.stages[stage][:, index]
+            phase = np.vdot(beam, raw)
+            assert np.abs(raw * np.conj(phase) / abs(phase) - beam).max() <= 1e-12
+        assert list(book.live[stage]) == list(D.any(axis=0))
+    for stage in range(1, book.num_stages + 1):
+        assert np.allclose(book.norms[stage], book.live[stage], rtol=0,
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("num_elements,branching,num_leaves",
+                         [(16, 3, 22), (40, 4, 100), (64, 2, 192),
+                          (32, 3, 96), (8, 2, 11)])
+def test_calibration_equalizes_siblings_at_shared_edges(num_elements,
+                                                        branching, num_leaves):
+    # the defining property: within each sibling group the first live slot
+    # has multiplier 1, and adjacent live siblings' calibrated responses agree
+    # at the cell edge between them
+    book = build_codebook(ArraySpec(num_elements), branching, num_leaves)
+    for stage in range(1, book.num_stages):
+        span = branching ** (book.num_stages - stage)
+        scale = np.sqrt(book.weights[stage])
+        assert np.all(scale[::branching][book.live[stage][::branching]] == 1.0)
+        for right in np.flatnonzero(book.live[stage]):
+            if right % branching == 0:
+                continue
+            edge = np.arcsin(-1.0 + right * span * 2.0 / num_leaves)
+            left_gain = scale[right - 1] * beam_gain(
+                book.beam(stage, right - 1), book.spec, edge)
+            right_gain = scale[right] * beam_gain(
+                book.beam(stage, right), book.spec, edge)
+            assert right_gain == pytest.approx(left_gain, rel=1e-12)
+
+
 def test_wide_beam_null_for_dead_slot():
     # slot 8 of stage 2 covers leaves 24..26, all padding beyond K = 22
     book = build_codebook(ArraySpec(16), 3, 22)
