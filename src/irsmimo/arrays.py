@@ -64,11 +64,16 @@ class BeamGrid:
         return np.sin(self.directions)
 
 
+def element_phases(num_elements: int, spacing_wavelengths: float, sine):
+    """Phases 2 pi d n x of every array response at x = `sine`, which
+    broadcasts against the elements n = 0..N-1 on the result's last axis."""
+    return 2.0 * np.pi * spacing_wavelengths * np.arange(num_elements) * sine
+
+
 def steering_coefficients(num_elements: int, spacing_wavelengths: float,
                           angle: float) -> np.ndarray:
-    n = np.arange(num_elements)
-    phase = 2.0 * np.pi * spacing_wavelengths * n * np.sin(angle)
-    return np.exp(1j * phase) / np.sqrt(num_elements)
+    return np.exp(1j * element_phases(num_elements, spacing_wavelengths,
+                                      np.sin(angle))) / np.sqrt(num_elements)
 
 
 def steering(spec: ArraySpec, angle: float) -> BeamVector:

@@ -16,14 +16,13 @@ class PhysicalConstants:
 
     carrier_frequency: float
     absorption_coefficient: float
-    light_speed: float = SPEED_OF_LIGHT
     tx_gain: float = 1.0
     rx_gain: float = 1.0
     irs_element_gain: float = 1.0
     reflection_amplitude: float = 1.0
 
     def __post_init__(self):
-        for name in ("carrier_frequency", "light_speed", "tx_gain", "rx_gain",
+        for name in ("carrier_frequency", "tx_gain", "rx_gain",
                      "irs_element_gain"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -142,14 +141,14 @@ def path_loss(consts: PhysicalConstants, distance: float) -> float:
     meters, elementwise over an array of distances."""
     if np.any(np.asarray(distance) <= 0):
         raise ValueError("distance must be positive")
-    spread = consts.light_speed / (4.0 * np.pi * consts.carrier_frequency * distance)
+    spread = SPEED_OF_LIGHT / (4.0 * np.pi * consts.carrier_frequency * distance)
     return spread * np.exp(-0.5 * consts.absorption_coefficient * distance)
 
 
 def compensation_factor(consts: PhysicalConstants, num_irs_elements: int) -> float:
     """Path-loss compensation factor eta = 2 sqrt(pi) f G N_r / c."""
     return (2.0 * np.sqrt(np.pi) * consts.carrier_frequency
-            * consts.irs_element_gain * num_irs_elements / consts.light_speed)
+            * consts.irs_element_gain * num_irs_elements / SPEED_OF_LIGHT)
 
 
 def cascade_loss(consts: PhysicalConstants, num_irs_elements: int,
@@ -163,7 +162,7 @@ def cascade_loss(consts: PhysicalConstants, num_irs_elements: int,
         raise ValueError("distances must be positive")
     f = consts.carrier_frequency
     numer = (consts.tx_gain * consts.rx_gain * consts.irs_element_gain
-             * num_irs_elements * consts.light_speed)
+             * num_irs_elements * SPEED_OF_LIGHT)
     denom = 8.0 * np.sqrt(np.pi ** 3) * f * distance_in * distance_out
     absorption = np.exp(-0.5 * consts.absorption_coefficient
                         * (distance_in + distance_out))

@@ -2,7 +2,7 @@
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -46,23 +46,19 @@ def _cmd_codebook(args) -> int:
         rows += [{"stage": stage, "index": index, "probe_angle": float(angle),
                   "gain": float(gain)} for index, column in zip(live, gains.T)
                  for angle, gain in zip(probes, column)]
-    write_csv(args.out, ["stage", "index", "probe_angle", "gain"], rows)
+    write_csv(args.out, list(rows[0]), rows)
     return 0
 
 
 def _cmd_mp_curve(args) -> int:
     rows = run_mp_experiment(_config_from(args))
-    write_csv(args.out, ["snr_db", "mp", "trials", "num_elements", "num_beams"],
-              rows)
+    write_csv(args.out, list(rows[0]), rows)
     return 0
 
 
 def _cmd_rate_curve(args) -> int:
     result = run_rate_experiment(_config_from(args))
-    write_csv(args.out,
-              ["power_dbm", "rate_proposed_est", "rate_proposed_perfect",
-               "rate_fdb_upper", "rate_no_irs"],
-              result.rows)
+    write_csv(args.out, list(result.rows[0]), result.rows)
     if result.ordering_violations:
         print(f"note: {result.ordering_violations} per-trial random-IRS vs "
               "estimated ordering violations (expected at low power)",
@@ -92,25 +88,15 @@ def _cmd_estimate(args) -> int:
                      "sweep_slots": slots.irs_sweep,
                      "parity_slots": slots.parity,
                      "search_slots": slots.search})
-    write_csv(args.out, list(rows[0].keys()), rows)
+    write_csv(args.out, list(rows[0]), rows)
     return 0
 
 
 def _cmd_quant_table(args) -> int:
-    rows = []
-    for num_elements in args.antennas:
-        for ratio in args.ratios:
-            num_beams = int(round(ratio * num_elements))
-            report = quantization_report(num_elements, num_beams)
-            rows.append({
-                "num_elements": num_elements,
-                "num_beams": num_beams,
-                "worst_error": report.worst_error,
-                "average_error": report.average_error,
-            })
-    write_csv(args.out,
-              ["num_elements", "num_beams", "worst_error", "average_error"],
-              rows)
+    rows = [asdict(quantization_report(num_elements,
+                                       int(round(ratio * num_elements))))
+            for num_elements in args.antennas for ratio in args.ratios]
+    write_csv(args.out, list(rows[0]), rows)
     return 0
 
 

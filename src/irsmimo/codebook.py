@@ -13,8 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, grid_directions,
-                     require_half_wavelength, steering_coefficients)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, element_phases,
+                     grid_directions, require_half_wavelength,
+                     steering_coefficients)
 
 
 def num_stages(branching: int, num_leaves: int) -> int:
@@ -79,11 +80,10 @@ class HierarchicalCodebook:
     The per-stage fields are dicts keyed by stage s = 1..num_stages.
     `stages[s]` is the stage's (N_a, M**s) codeword matrix, with a zero
     column at every null padding slot, and `live[s]` marks the other
-    columns. `norms[s]` holds each column's squared norm, which scales its
-    pilot noise. `weights[s]` holds the squares of per-candidate
-    multipliers, known to the receiver from the codebook alone, that
-    equalize adjacent siblings' amplitude responses at their shared
-    territory edge; they multiply measured powers. Comparing calibrated
+    columns, each of unit norm. `weights[s]` holds the squares of
+    per-candidate multipliers, known to the receiver from the codebook
+    alone, that equalize adjacent siblings' amplitude responses at their
+    shared territory edge; they multiply measured powers. Comparing calibrated
     measurements makes the stage decision split exactly at leaf-cell
     boundaries even when siblings cover unequal numbers of leaves, which
     plain unit-norm beams do not guarantee. Every array is read-only, so
@@ -95,7 +95,6 @@ class HierarchicalCodebook:
     num_stages: int
     stages: dict
     live: dict
-    norms: dict
     weights: dict
     leaf_grid: BeamGrid
     spec: ArraySpec
@@ -134,8 +133,9 @@ def build_codebook(spec: ArraySpec, branching: int,
     bottom = np.zeros((spec.num_elements, branching ** total), dtype=complex)
     bottom[:, :num_leaves] = steering_coefficients(
         spec.num_elements, spec.spacing_wavelengths, grid.directions[:, None]).T
-    edges = np.exp(1j * np.pi * np.arange(spec.num_elements)[:, None]
-                   * (-1.0 + np.arange(bottom.shape[1]) * 2.0 / num_leaves))
+    edge_sines = -1.0 + np.arange(bottom.shape[1])[:, None] * 2.0 / num_leaves
+    edges = np.exp(1j * np.ascontiguousarray(element_phases(
+        spec.num_elements, spec.spacing_wavelengths, edge_sines).T))
     stages = {total: bottom}
     calibration = {total: bottom.any(axis=0) * 1.0}
     for s in range(1, total):
@@ -158,8 +158,6 @@ def build_codebook(spec: ArraySpec, branching: int,
         num_stages=total,
         stages=_read_only(stages),
         live=_read_only({s: beams.any(axis=0) for s, beams in stages.items()}),
-        norms=_read_only({s: (beams.conj() * beams).real.sum(axis=0)
-                          for s, beams in stages.items()}),
         weights=_read_only({s: c ** 2 for s, c in calibration.items()}),
         leaf_grid=grid,
         spec=spec,

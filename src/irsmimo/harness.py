@@ -248,7 +248,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
 
     Every ray is computed at once: one row per terminal (Alice, then Bob),
     one column per IRS. Returns (LinkScenario, SampledGeometry). Draws with
-    a degenerate ray are resampled and counted; any other error propagates.
+    a degenerate ray are redrawn and counted; the 1000th raises ConfigError.
     """
     for attempt in range(1000):
         alice_y = rng.uniform(*config.alice_y_range)
@@ -285,7 +285,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
             resamples=attempt,
         )
         return scenario, geometry
-    raise RuntimeError("could not sample a non-degenerate geometry")
+    raise ConfigError("irs_positions: a degenerate ray in all 1000 draws")
 
 
 def true_composite_loss(scenario: LinkScenario, irs_index):
@@ -415,7 +415,6 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
 @dataclass
 class RateExperimentResult:
     rows: list
-    trials: int
     ordering_violations: int
     slot_totals: SlotCount   # summed over every trial and power point
 
@@ -443,7 +442,7 @@ def run_rate_experiment(config: ScenarioConfig,
              **dict(zip(RATE_KEYS, sums[p_index] / config.trials))}
             for p_index, p_dbm in enumerate(config.power_grid_dbm)]
     return RateExperimentResult(
-        rows=rows, trials=config.trials, ordering_violations=violations,
+        rows=rows, ordering_violations=violations,
         slot_totals=slot_count(config.num_irs, assets.sweep_grid.num_beams,
                                len(rows) * config.trials, search))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .arrays import element_phases
 from .channel import PhaseShiftMatrix
 
 
@@ -11,9 +12,9 @@ def return_mode(num_elements: int, spacing_wavelengths: float, incident_angle: f
 
     theta_n = -2 * (2 pi d) * (n - 1) * sin(incident_angle).
     """
-    n = np.arange(num_elements)
-    phases = -2.0 * (2.0 * np.pi * spacing_wavelengths) * n * np.sin(incident_angle)
-    return PhaseShiftMatrix(phases=phases, amplitude=amplitude)
+    return PhaseShiftMatrix(phases=element_phases(
+        num_elements, spacing_wavelengths, -2.0 * np.sin(incident_angle)),
+        amplitude=amplitude)
 
 
 def direction_mode(num_elements: int, spacing_wavelengths: float,
@@ -25,17 +26,9 @@ def direction_mode(num_elements: int, spacing_wavelengths: float,
     result to the incident steering vector yields exactly amplitude times the
     departure steering vector.
     """
-    return PhaseShiftMatrix(phases=direction_phases(
-        num_elements, spacing_wavelengths, np.sin(incident_angle),
-        np.sin(departure_angle)), amplitude=amplitude)
-
-
-def direction_phases(num_elements: int, spacing_wavelengths: float,
-                     incident_sine, departure_sine) -> np.ndarray:
-    """Direction-mode phases for arrays of sines, elements on a new last axis."""
-    n = np.arange(num_elements)
-    return ((2.0 * np.pi * spacing_wavelengths) * n
-            * np.subtract(departure_sine, incident_sine)[..., None])
+    return PhaseShiftMatrix(phases=element_phases(
+        num_elements, spacing_wavelengths,
+        np.sin(departure_angle) - np.sin(incident_angle)), amplitude=amplitude)
 
 
 def random_mode(num_elements: int, rng: np.random.Generator,

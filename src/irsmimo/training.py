@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, grid_directions,
-                     pattern_gain, steering_coefficients)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, element_phases,
+                     grid_directions, pattern_gain, steering_coefficients)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook
-from .irs_control import direction_phases
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,9 @@ class LinkScenario:
 def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
     """exp(j * return-mode phases) of every sweep slot, one row each. The
     phases are -2 (2 pi d) n sin(direction)."""
-    n = np.arange(irs_spec.num_elements)
-    return np.exp(-4j * np.pi * irs_spec.spacing_wavelengths
-                  * np.outer(grid.sines, n))
+    return np.exp(1j * element_phases(irs_spec.num_elements,
+                                      irs_spec.spacing_wavelengths,
+                                      -2.0 * grid.sines[:, None]))
 
 
 def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
@@ -176,9 +175,9 @@ def direction_states(scenario: LinkScenario, incident_sine,
                      departure_sine) -> np.ndarray:
     """Diagonals of the direction-mode IRS states between arrays of sines."""
     spec = scenario.cascade.irs_spec
-    return scenario.consts.reflection_amplitude * np.exp(1j * direction_phases(
-        spec.num_elements, spec.spacing_wavelengths, incident_sine,
-        departure_sine))
+    return scenario.consts.reflection_amplitude * np.exp(1j * element_phases(
+        spec.num_elements, spec.spacing_wavelengths,
+        np.subtract(departure_sine, incident_sine)[..., None]))
 
 
 def channel_factors(scenario: LinkScenario, states) -> tuple:
@@ -247,11 +246,9 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
         draws = tape.search[:, :, side].reshape(owner.size, -1,
                                                 tape.search.shape[-1])
 
-        def measure(stage, children, book=book, responses=responses,
-                    draws=draws):
+        def measure(stage, children):
             signal = reach.reshape(-1, 1) * responses[stage][children, owner[:, None]]
-            noise = np.sqrt(noise_power * book.norms[stage][children] / 2.0)
-            return np.abs(signal + noise * draws[:, stage - 1,
+            return np.abs(signal + scale * draws[:, stage - 1,
                                                  :book.branching]) ** 2
         leaf, count = _descend(book, measure, owner.size)
         leaves.append(book.leaf_grid.directions[leaf].reshape(reach.shape))

@@ -94,11 +94,6 @@ def build_beamformers(estimates, factors: np.ndarray,
     `factors` (broadcast), so a design is steered once.
     """
     num_irs = estimates.shape[-2]
-    if num_irs > num_tx_chains or num_irs > num_rx_chains:
-        raise ValueError(
-            f"{num_irs} IRSs exceed the RF chain counts "
-            f"({num_tx_chains} tx, {num_rx_chains} rx)"
-        )
     if not num_irs <= num_streams <= min(num_tx_chains, num_rx_chains):
         raise ValueError("need N_i <= N_s <= RF chains")
     if factors.shape[-1] != num_irs:

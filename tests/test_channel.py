@@ -18,7 +18,7 @@ def consts_with(**kwargs):
 
 def test_path_loss_unit_cancellation():
     c = consts_with(absorption_coefficient=0.0)
-    d = c.light_speed / (4 * np.pi * c.carrier_frequency)
+    d = SPEED_OF_LIGHT / (4 * np.pi * c.carrier_frequency)
     assert path_loss(c, d) == pytest.approx(1.0, abs=1e-15)
 
 

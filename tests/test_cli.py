@@ -117,6 +117,23 @@ def test_codebook_single_probe(tmp_path):
     assert {float(r["probe_angle"]) for r in rows} == {0.0}
 
 
+# the column order the README's CLI section documents for each command
+@pytest.mark.parametrize("command,args,columns", [
+    ("codebook", ["--antennas", "8", "--beams", "16", "--probes", "3"],
+     "stage,index,probe_angle,gain"),
+    ("mp-curve", ["--trials", "20"], "snr_db,mp,trials,num_elements,num_beams"),
+    ("rate-curve", ["--trials", "1"], "power_dbm,rate_proposed_est,"
+     "rate_proposed_perfect,rate_fdb_upper,rate_no_irs"),
+    ("quant-table", ["--antennas", "8", "--ratios", "2"],
+     "num_elements,num_beams,worst_error,average_error")])
+def test_csv_header_is_the_documented_column_order(tmp_path, tiny_config,
+                                                   command, args, columns):
+    scene = ["--config", tiny_config] if command.endswith("curve") else []
+    out = tmp_path / "out.csv"
+    assert main([command, *args, *scene, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == columns
+
+
 def test_mp_curve_deterministic(tmp_path, tiny_config):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -194,6 +211,19 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, key, value):
     out = tmp_path / "rate.csv"
     assert main(["rate-curve", "--config", str(bad), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rate-curve", "estimate"])
+def test_irs_on_the_terminal_wall_is_a_config_error(tmp_path, capsys, command):
+    # every room draw puts a ray along an array axis, so no trial can run
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(TINY + "irs_positions = 1e-9,4; 5,6\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(scene), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: irs_positions")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

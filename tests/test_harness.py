@@ -631,7 +631,7 @@ def test_terminals_share_one_codebook_when_they_agree():
     for stage, beams in assets.tx_codebook.stages.items():
         with pytest.raises(ValueError, match="read-only"):
             beams[0, 0] = 0.0
-        for table in ("live", "norms", "weights", "uplink_stages"):
+        for table in ("live", "weights", "uplink_stages"):
             assert not getattr(assets.tx_codebook, table)[stage].flags.writeable
 
 
