@@ -8,9 +8,9 @@ design with water-filling, and Monte Carlo experiment harnesses.
 from .arrays import (ArraySpec, BeamGrid, BeamVector, beam_gain, edge_energy,
                      grid_directions, nearest_direction, omni, pattern_gain,
                      steering)
-from .channel import (CascadeChannel, IrsLink, LinkAngles, PhaseShiftMatrix,
-                      PhysicalConstants, assemble, cascade_loss,
-                      compensation_factor, make_link, path_loss)
+from .channel import (CascadeChannel, PhaseShiftMatrix, PhysicalConstants,
+                      assemble, cascade_loss, compensation_factor, make_link,
+                      path_loss)
 from .codebook import (HierarchicalCodebook, build_codebook, num_stages,
                        projection_beam, selection_matrix, two_rf_factorization)
 from .harness import (ScenarioConfig, TrialResult, make_config,
@@ -19,7 +19,7 @@ from .harness import (ScenarioConfig, TrialResult, make_config,
 from .irs_control import absorbing, direction_mode, random_mode, return_mode
 from .quantization import (QuantizationReport, average_error,
                            quantization_report, worst_error)
-from .training import (AngleEstimate, LinkScenario, MeasurementModel,
+from .training import (AngleEstimate, MeasurementModel, ScenarioAssets,
                        SlotCount, cooperative_estimate, estimate_angles,
                        hierarchical_search, measure_power, misalignment_curve)
 from .transmission import (HybridBeamformer, PowerAllocation,

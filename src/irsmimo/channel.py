@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import ArraySpec, steering_coefficients
+from .arrays import ArraySpec, element_phases, steering_coefficients
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -61,35 +61,14 @@ class PhaseShiftMatrix:
 
 
 @dataclass(frozen=True)
-class LinkAngles:
-    """True azimuth angles of one reflecting path, radians, front-range."""
-
-    tx_departure: float   # AoD at the transmit terminal toward the IRS
-    irs_arrival: float    # AoA at the IRS from the transmit terminal
-    irs_departure: float  # AoD at the IRS toward the receive terminal
-    rx_arrival: float     # AoA at the receive terminal from the IRS
-
-
-@dataclass(frozen=True)
-class IrsLink:
-    """One IRS's dense rank-one hop channels and its true angles."""
-
-    incident: np.ndarray     # transmit terminal -> IRS, shape (N_r, N_t)
-    departing: np.ndarray    # IRS -> receive terminal, shape (N_u, N_r)
-    angles: LinkAngles
-
-
-@dataclass(frozen=True)
 class CascadeChannel:
     """Every reflecting path of a scene, one row per IRS: `angles` (N_i, 4)
-    in `LinkAngles` field order, hop lengths in and out `distances` (N_i, 2)
-    in meters, and the shared compensation factor `eta`. Dense hops are
-    formed only on demand (`links`)."""
+    ordered as (transmit departure, IRS arrival, IRS departure, receive
+    arrival) and hop lengths in and out `distances` (N_i, 2) in meters."""
 
     consts: PhysicalConstants
     angles: np.ndarray
     distances: np.ndarray
-    eta: float
     tx_spec: ArraySpec
     rx_spec: ArraySpec
     irs_spec: ArraySpec
@@ -98,42 +77,40 @@ class CascadeChannel:
     def num_irs(self) -> int:
         return len(self.angles)
 
+    @property
+    def eta(self) -> float:
+        """The compensation factor of the IRS arrays."""
+        return compensation_factor(self.consts, self.irs_spec.num_elements)
+
     @cached_property
     def bridge_terms(self) -> tuple:
         """(chain, rx_dir, tx_dir, hops), stacked by IRS, from the rays.
 
         With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
-        has rank one: H = H[0, 0] outer(rx_dir, tx_dir), with
-        rx_dir = N[:, 0] / N[0, 0], tx_dir = M[0, :] / M[0, 0] and
-        H[0, 0] = sum_n chain_n Theta_nn, chain = eta G_t G_r N[0, :] M[:, 0];
-        `hops` (N_i, 2, N_r) holds M[:, 0] and N[0, :]. Each hop entry is
-        computed as in the dense hop of `make_link`.
+        has rank one: H = H[0, 0] outer(rx_dir, tx_dir), where H[0, 0] =
+        sum_n chain_n Theta_nn and chain = eta G_t G_r N[0, :] M[:, 0].
+        rx_dir = N[:, 0] / N[0, 0] and tx_dir = M[0, :] / M[0, 0] are formed
+        as exp(+-j 2 pi d n sin theta) of the receive arrival and transmit
+        departure, free of path amplitudes that may underflow. `hops` holds
+        M[:, 0] and N[0, :] (N_i, 2, N_r), each entry as `make_link` has it.
         """
-        a_tx, a_in, a_out, a_rx = (
-            steering_coefficients(spec.num_elements, spec.spacing_wavelengths,
-                                  angle[:, None])
-            for spec, angle in zip((self.tx_spec, self.irs_spec,
-                                    self.irs_spec, self.rx_spec),
-                                   np.transpose(self.angles)))
+        tx, irs, rx = self.tx_spec, self.irs_spec, self.rx_spec
+        sines = np.sin(self.angles)
+        tx_dir = np.exp(-1j * element_phases(
+            tx.num_elements, tx.spacing_wavelengths, sines[:, :1]))
+        rx_dir = np.exp(1j * element_phases(
+            rx.num_elements, rx.spacing_wavelengths, sines[:, 3:]))
+        a_in, a_out = (steering_coefficients(
+            irs.num_elements, irs.spacing_wavelengths, self.angles[:, k, None])
+            for k in (1, 2))
         amp_in, amp_out = path_loss(self.consts, self.distances).T[..., None]
-        conj_tx, conj_out = np.conj(a_tx), np.conj(a_out)
-        incident_row = amp_in * (a_in[:, :1] * conj_tx)
-        departing_column = amp_out * (a_rx * conj_out[:, :1])
-        hops = np.stack([amp_in * (a_in * conj_tx[:, :1]),
-                         amp_out * (a_rx[:, :1] * conj_out)], axis=1)
+        # the first entry of a terminal's steering vector is 1 / sqrt(N)
+        hops = np.stack([amp_in * (a_in * (1.0 / np.sqrt(tx.num_elements))),
+                         amp_out * (np.conj(a_out)
+                                    * (1.0 / np.sqrt(rx.num_elements)))],
+                        axis=1)
         gain = self.consts.tx_gain * self.consts.rx_gain
-        return (self.eta * gain * hops[:, 1] * hops[:, 0],
-                departing_column / departing_column[:, :1],
-                incident_row / incident_row[:, :1], hops)
-
-    @cached_property
-    def links(self) -> tuple:
-        """Each IRS's `IrsLink`, with its dense hops."""
-        return tuple(IrsLink(
-            make_link(self.consts, self.tx_spec, self.irs_spec, a[0], a[1], d_in),
-            make_link(self.consts, self.irs_spec, self.rx_spec, a[2], a[3], d_out),
-            LinkAngles(*a)) for a, (d_in, d_out) in zip(
-                self.angles.tolist(), self.distances.tolist()))
+        return self.eta * gain * hops[:, 1] * hops[:, 0], rx_dir, tx_dir, hops
 
 
 def path_loss(consts: PhysicalConstants, distance: float) -> float:
@@ -181,23 +158,27 @@ def make_link(consts: PhysicalConstants, tx_spec: ArraySpec, rx_spec: ArraySpec,
     return amp * np.outer(a_rx, np.conj(a_tx))
 
 
-def assemble(cascade: CascadeChannel, thetas, consts: PhysicalConstants) -> np.ndarray:
+def assemble(cascade: CascadeChannel, thetas) -> np.ndarray:
     """End-to-end channel H = sum_l eta G_t G_r N_l Theta_l M_l, from the
-    dense hops (`CascadeChannel.links`)."""
+    dense hops of `make_link`."""
     if len(thetas) != cascade.num_irs:
         raise ValueError(
             f"got {len(thetas)} phase matrices for {cascade.num_irs} IRSs"
         )
-    n_u = cascade.rx_spec.num_elements
-    n_t = cascade.tx_spec.num_elements
-    H = np.zeros((n_u, n_t), dtype=complex)
-    for link, theta in zip(cascade.links, thetas):
-        if theta.num_elements != cascade.irs_spec.num_elements:
+    consts, irs_spec = cascade.consts, cascade.irs_spec
+    H = np.zeros((cascade.rx_spec.num_elements,
+                  cascade.tx_spec.num_elements), dtype=complex)
+    for (aod, aoa, dep, arr), (d_in, d_out), theta in zip(
+            cascade.angles.tolist(), cascade.distances.tolist(), thetas):
+        if theta.num_elements != irs_spec.num_elements:
             raise ValueError("phase matrix size does not match the IRS array")
         if theta.amplitude == 0.0:
             continue   # an absorbing IRS adds exactly zero
+        incident = make_link(consts, cascade.tx_spec, irs_spec, aod, aoa, d_in)
+        departing = make_link(consts, irs_spec, cascade.rx_spec, dep, arr,
+                              d_out)
         # diagonal Theta applied row-wise, O(N_r N_t) instead of a matmul
-        reflected = theta.entries()[:, None] * link.incident
+        reflected = theta.entries()[:, None] * incident
         H += (cascade.eta * consts.tx_gain * consts.rx_gain
-              * (link.departing @ reflected))
+              * (departing @ reflected))
     return H

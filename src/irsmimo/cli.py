@@ -73,14 +73,13 @@ def _cmd_estimate(args) -> int:
     top = int(np.argmax(config.power_grid_dbm))
     slots = slot_count(config.num_irs, config.num_irs_sweep_beams, 1,
                        result.search[top])
-    geometry = result.geometry
     rows = []
     for l, (true, est) in enumerate(zip(result.truth, result.estimates[top])):
         row = {"irs_index": l,
-               "alice_y": geometry.alice_position[1],
-               "bob_y": geometry.bob_position[1],
-               "irs_x": geometry.irs_positions[l][0],
-               "irs_y": geometry.irs_positions[l][1],
+               "alice_y": result.geometry.alice_y,
+               "bob_y": result.geometry.bob_y,
+               "irs_x": config.irs_positions[l][0],
+               "irs_y": config.irs_positions[l][1],
                "power_dbm": config.power_grid_dbm[top]}
         for field, t, e in zip(fields(AngleEstimate), true, est):
             row.update({f"true_{field.name}": t, f"est_{field.name}": e})

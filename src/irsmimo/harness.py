@@ -5,15 +5,15 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .arrays import ArraySpec, BeamGrid, grid_directions
-from .channel import (CascadeChannel, PhysicalConstants, cascade_loss,
-                      compensation_factor)
-from .codebook import HierarchicalCodebook, build_codebook
+from .arrays import ArraySpec, grid_directions
+from .channel import CascadeChannel, PhysicalConstants, cascade_loss
+from .codebook import build_codebook
 # unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
-from .training import (AngleEstimate, LinkScenario, SlotCount,  # noqa: F401
-                       channel_factors, composite_losses, cooperative_estimate,
-                       direction_states, estimate_angles, misalignment_curve,
-                       noise_tape, slot_count, sweep_phasors)
+from .training import (AngleEstimate, ScenarioAssets,  # noqa: F401
+                       SlotCount, channel_factors, composite_losses,
+                       cooperative_estimate, direction_states,
+                       estimate_angles, misalignment_curve, noise_tape,
+                       slot_count, sweep_phasors)
 from .transmission import (HybridBeamformer, build_beamformers, digital_gains,
                            parallel_rate, power_factors, spectral_efficiency)
 
@@ -97,6 +97,10 @@ class ScenarioConfig:
         for key, low in lowest.items():
             if np.any(np.asarray(getattr(self, key)) < low):
                 raise ValueError(f"{key} must be >= {low}")
+        for side in ("tx", "rx"):
+            if getattr(self, f"num_{side}_beams") < 2:
+                raise ValueError(f"beam_ratio * num_{side}_antennas must "
+                                 "give at least 2 beams")
         if not self.frequency_hz > 0.0:
             raise ValueError("frequency_hz must be positive")
         if self.reflection_amplitude > 1.0:
@@ -118,7 +122,8 @@ class ScenarioConfig:
                                                        self.num_rx_rf_chains):
             raise ValueError("need num_irs <= num_streams <= RF chains")
         if self.num_irs_sweep_beams % 2 != 0:
-            raise ValueError("the IRS sweep grid size K_r must be even")
+            raise ValueError("irs_sweep_ratio * num_irs_elements must give "
+                             "an even sweep grid size K_r")
         self.physical_constants()
 
     @property
@@ -149,27 +154,11 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class ScenarioAssets:
-    """Per-config values reused across trials; `powers` is in Watts."""
-
-    consts: PhysicalConstants
-    tx_spec: ArraySpec
-    rx_spec: ArraySpec
-    irs_spec: ArraySpec
-    tx_codebook: HierarchicalCodebook
-    rx_codebook: HierarchicalCodebook
-    sweep_grid: BeamGrid
-    sweep_phasors: np.ndarray
-    eta: float
-    powers: np.ndarray
-    noise_power: float
-
-
-@dataclass(frozen=True)
 class SampledGeometry:
-    alice_position: tuple
-    bob_position: tuple
-    irs_positions: tuple
+    """Terminal y on the x = 0 wall, and the room redraws it took."""
+
+    alice_y: float
+    bob_y: float
     resamples: int
 
 
@@ -211,7 +200,6 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
             rx_spec, config.branching, config.num_rx_beams),
         sweep_grid=sweep_grid,
         sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
-        eta=compensation_factor(consts, config.num_irs_elements),
         powers=np.array([dbm_to_watts(p) for p in config.power_grid_dbm]),
         noise_power=config.noise_power_watts,
     )
@@ -247,7 +235,7 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
     """Draw terminal positions and build the cascade channel they induce.
 
     Every ray is computed at once: one row per terminal (Alice, then Bob),
-    one column per IRS. Returns (LinkScenario, SampledGeometry). Draws with
+    one column per IRS. Returns (CascadeChannel, SampledGeometry). Draws with
     a degenerate ray are redrawn and counted; the 1000th raises ConfigError.
     """
     for attempt in range(1000):
@@ -261,50 +249,30 @@ def sample_scenario(config: ScenarioConfig, rng: np.random.Generator,
             continue
         angles = np.arcsin(np.stack([terminal_sines[0], irs_sines[0],
                                      irs_sines[1], terminal_sines[1]], -1))
-        cascade = CascadeChannel(
-            consts=assets.consts,
-            angles=angles,
-            distances=distances.T,
-            eta=assets.eta,
-            tx_spec=assets.tx_spec,
-            rx_spec=assets.rx_spec,
-            irs_spec=assets.irs_spec,
-        )
-        scenario = LinkScenario(
-            consts=assets.consts,
-            cascade=cascade,
-            sweep_grid=assets.sweep_grid,
-            sweep_phasors=assets.sweep_phasors,
-            tx_codebook=assets.tx_codebook,
-            rx_codebook=assets.rx_codebook,
-        )
-        geometry = SampledGeometry(
-            alice_position=(0.0, alice_y),
-            bob_position=(0.0, bob_y),
-            irs_positions=tuple(config.irs_positions),
-            resamples=attempt,
-        )
-        return scenario, geometry
+        return (CascadeChannel(assets.consts, angles, distances.T,
+                               assets.tx_spec, assets.rx_spec,
+                               assets.irs_spec),
+                SampledGeometry(alice_y, bob_y, attempt))
     raise ConfigError("irs_positions: a degenerate ray in all 1000 draws")
 
 
-def true_composite_loss(scenario: LinkScenario, irs_index):
+def true_composite_loss(cascade: CascadeChannel, irs_index):
     """Exact bridged end-to-end amplitude beta * cascade_loss(d_in, d_out)
     of IRS `irs_index`, or of every IRS an index array or slice selects."""
-    d_in, d_out = np.transpose(scenario.cascade.distances[irs_index])
-    return scenario.consts.reflection_amplitude * cascade_loss(
-        scenario.consts, scenario.cascade.irs_spec.num_elements, d_in, d_out)
+    d_in, d_out = np.transpose(cascade.distances[irs_index])
+    return cascade.consts.reflection_amplitude * cascade_loss(
+        cascade.consts, cascade.irs_spec.num_elements, d_in, d_out)
 
 
-def _truth(scenario: LinkScenario) -> np.ndarray:
+def _truth(cascade: CascadeChannel) -> np.ndarray:
     """The genie's estimates (N_i, 5) in `AngleEstimate` field order."""
-    return np.concatenate([scenario.cascade.angles, true_composite_loss(
-        scenario, slice(None))[:, None]], axis=1)
+    return np.concatenate([cascade.angles, true_composite_loss(
+        cascade, slice(None))[:, None]], axis=1)
 
 
-def perfect_estimates(scenario: LinkScenario):
+def perfect_estimates(cascade: CascadeChannel):
     """Estimates an ideal genie would report: true angles and true losses."""
-    return [AngleEstimate(*map(float, row)) for row in _truth(scenario)]
+    return [AngleEstimate(*map(float, row)) for row in _truth(cascade)]
 
 
 def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -312,20 +280,20 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial, stream)))
 
 
-def _designed_rates(scenario, estimates, power, noise_power, config):
+def _designed_rates(cascade, estimates, power, noise_power, config):
     """`_hybrid_rates` of a list of estimates at one power, over the channel
     of IRSs in direction mode on their angles."""
     rows = np.array([[astuple(e) for e in estimates]])
     sines = np.sin(rows[..., 1:3])
     powers = np.array([power])
     return float(_hybrid_rates(
-        scenario, config, rows[..., :4], powers, noise_power,
-        channel_factors(scenario, direction_states(
-            scenario, sines[..., 0], sines[..., 1])),
+        cascade, config, rows[..., :4], powers, noise_power,
+        channel_factors(cascade, direction_states(
+            cascade, sines[..., 0], sines[..., 1])),
         power_factors(rows[..., 4], powers, noise_power)[:, None])[0, 0])
 
 
-def _hybrid_rates(scenario, config, angles, powers, noise_power, channels,
+def _hybrid_rates(cascade, config, angles, powers, noise_power, channels,
                   factors):
     """Hybrid rates (D, P) of closed-form designs from estimates.
 
@@ -341,8 +309,8 @@ def _hybrid_rates(scenario, config, angles, powers, noise_power, channels,
     design, power = np.nonzero(factors.any(axis=-1))
     if design.size:
         bf = build_beamformers(
-            angles[:, None], factors, scenario.cascade.tx_spec,
-            scenario.cascade.rx_spec, config.num_tx_rf_chains,
+            angles[:, None], factors, cascade.tx_spec,
+            cascade.rx_spec, config.num_tx_rf_chains,
             config.num_rx_rf_chains, config.num_streams)
         rates[design, power] = spectral_efficiency(
             (left, cores[design], right), HybridBeamformer(
@@ -352,7 +320,7 @@ def _hybrid_rates(scenario, config, angles, powers, noise_power, channels,
     return rates
 
 
-def _trial_rates(scenario, config, designs, powers, noise_power, channels):
+def _trial_rates(cascade, config, designs, powers, noise_power, channels):
     """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
     over 4P rows: 2P hybrid pairs of `designs` (P estimated at their power,
     the genie's at each) and the 2P fully digital bounds of the genie and
@@ -367,7 +335,7 @@ def _trial_rates(scenario, config, designs, powers, noise_power, channels):
     pairs = rows, np.tile(np.arange(count), 2)
     grid = np.zeros((count + 1, count, gains.shape[-1]))
     grid[pairs] = factors[:half]
-    hybrid = _hybrid_rates(scenario, config, designs[..., :4], powers,
+    hybrid = _hybrid_rates(cascade, config, designs[..., :4], powers,
                            noise_power, channels, grid)[pairs]
     bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
                            noise_power)
@@ -386,27 +354,28 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     channel, the random IRSs' included, is scored from its N_i x N_i core
     (`channel_factors`) in one pass (`_trial_rates`).
     """
-    scenario, geometry = sample_scenario(
+    cascade, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
     # the L random_mode states of an irs_control loop, from one draw
     random_states = config.reflection_amplitude * np.exp(
         1j * _trial_seed(config.seed, trial, 1).uniform(
             0.0, 2.0 * np.pi, (config.num_irs, config.num_irs_elements)))
     powers, noise_power = assets.powers, assets.noise_power
-    tape = noise_tape(scenario, config.pilot_repetitions,
+    tape = noise_tape(cascade, assets, config.pilot_repetitions,
                       [_trial_seed(config.seed, trial, 2 + p_index)
                        for p_index in range(powers.size)])
-    angles, search = estimate_angles(scenario, powers, noise_power, tape)
-    losses = composite_losses(scenario, np.arange(config.num_irs), angles,
+    angles, search = estimate_angles(cascade, assets, powers, noise_power,
+                                     tape)
+    losses = composite_losses(cascade, np.arange(config.num_irs), angles,
                               powers, noise_power, tape.pilots)
     # each power's estimated design, then the genie design
     designs = np.concatenate([np.concatenate([angles, losses[..., None]], -1),
-                              [_truth(scenario)]])
+                              [_truth(cascade)]])
     sines = np.sin(designs)
-    channels = channel_factors(scenario, np.concatenate([
-        direction_states(scenario, sines[..., 1], sines[..., 2]),
+    channels = channel_factors(cascade, np.concatenate([
+        direction_states(cascade, sines[..., 1], sines[..., 2]),
         [random_states]]))
-    rates = _trial_rates(scenario, config, designs, powers, noise_power,
+    rates = _trial_rates(cascade, config, designs, powers, noise_power,
                          channels)
     return TrialResult(geometry=geometry, truth=designs[-1],
                        estimates=designs[:-1], rates=rates, search=search)
@@ -469,23 +438,26 @@ def run_mp_experiment(config: ScenarioConfig):
     return rows
 
 
-def _format_cell(value) -> str:
+def _format_cell(key, value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise ValueError(f"{key}: refusing to write {value!r} to a CSV")
         return repr(float(value))
     return str(value)
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Fixed column order, full-precision floats, no locale dependence."""
+    """Fixed column order, full-precision floats, no locale dependence.
+    Raises ValueError, before the file is opened, on a NaN or infinity."""
+    lines = [[_format_cell(key, row[key]) for key in header] for row in rows]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row[key]) for key in header])
+        writer.writerows(lines)
 
 
 def _parse_pair(text: str) -> tuple:

@@ -54,15 +54,19 @@ class SlotCount:
 
 
 @dataclass(frozen=True)
-class LinkScenario:
-    """Everything the protocol needs about one sampled scene."""
+class ScenarioAssets:
+    """Per-config values reused across trials; `powers` is in Watts."""
 
     consts: PhysicalConstants
-    cascade: CascadeChannel
-    sweep_grid: BeamGrid
-    sweep_phasors: np.ndarray   # `sweep_phasors(irs_spec, sweep_grid)`
+    tx_spec: ArraySpec
+    rx_spec: ArraySpec
+    irs_spec: ArraySpec
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
+    sweep_grid: BeamGrid
+    sweep_phasors: np.ndarray   # `sweep_phasors(irs_spec, sweep_grid)`
+    powers: np.ndarray
+    noise_power: float
 
 
 def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
@@ -119,12 +123,12 @@ class NoiseTape:
     pilots: np.ndarray
 
 
-def noise_tape(scenario: LinkScenario, pilot_repetitions: int,
-               rngs) -> NoiseTape:
+def noise_tape(cascade: CascadeChannel, assets: ScenarioAssets,
+               pilot_repetitions: int, rngs) -> NoiseTape:
     """Draw the tape of one trial, one row from each generator in `rngs`."""
-    books = (scenario.tx_codebook, scenario.rx_codebook)
-    num_irs = scenario.cascade.num_irs
-    shapes = ((num_irs, 2, scenario.sweep_grid.num_beams), (num_irs, 2),
+    books = (assets.tx_codebook, assets.rx_codebook)
+    num_irs = cascade.num_irs
+    shapes = ((num_irs, 2, assets.sweep_grid.num_beams), (num_irs, 2),
               (num_irs, 2, max(b.num_stages for b in books),
                max(b.branching for b in books)),
               (num_irs, pilot_repetitions))
@@ -171,40 +175,41 @@ def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
     return int(_descend(codebook, measure)[0][0])
 
 
-def direction_states(scenario: LinkScenario, incident_sine,
+def direction_states(cascade: CascadeChannel, incident_sine,
                      departure_sine) -> np.ndarray:
     """Diagonals of the direction-mode IRS states between arrays of sines."""
-    spec = scenario.cascade.irs_spec
-    return scenario.consts.reflection_amplitude * np.exp(1j * element_phases(
+    spec = cascade.irs_spec
+    return cascade.consts.reflection_amplitude * np.exp(1j * element_phases(
         spec.num_elements, spec.spacing_wavelengths,
         np.subtract(departure_sine, incident_sine)[..., None]))
 
 
-def channel_factors(scenario: LinkScenario, states) -> tuple:
+def channel_factors(cascade: CascadeChannel, states) -> tuple:
     """Channels with IRS l in the state of diagonal states[..., l, :], as
     factors (Q_a, cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T
     with g_l = sum_n chain_ln states_ln, core = R_a diag(g) R_b^T (..., N_i,
     N_i) and the reduced QRs rx_dir^T = Q_a R_a and tx_dir^T = Q_b R_b."""
-    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
+    chain, rx_dir, tx_dir, _ = cascade.bridge_terms
     q_a, r_a = np.linalg.qr(rx_dir.T)
     q_b, r_b = np.linalg.qr(tx_dir.T)
     gains = np.sum(chain * states, axis=-1)
     return q_a, (r_a * gains[..., None, :]) @ r_b.T, q_b.T
 
 
-def _sweep_responses(scenario: LinkScenario) -> np.ndarray:
+def _sweep_responses(cascade: CascadeChannel,
+                     assets: ScenarioAssets) -> np.ndarray:
     """Noise-free return-mode responses (N_i, side, K_r) of every sweep slot:
     a terminal sending and receiving on its first element through state
     Theta hears eta G_t G_r sum_n Theta_nn h_n^2, h the omni entries of its
     hop (the transposed return hop repeats them, unconjugated)."""
-    consts, cascade = scenario.consts, scenario.cascade
+    consts = cascade.consts
     weights = (cascade.eta * consts.tx_gain * consts.rx_gain
                * cascade.bridge_terms[3] ** 2)
-    return consts.reflection_amplitude * (weights @ scenario.sweep_phasors.T)
+    return consts.reflection_amplitude * (weights @ assets.sweep_phasors.T)
 
 
-def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
-                    tape: NoiseTape) -> tuple:
+def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
+                    noise_power: float, tape: NoiseTape) -> tuple:
     """The cooperative estimation of every IRS at every power, from `tape`.
 
     Phase 1, per IRS with the others absorbing: return-mode sweeps by the
@@ -217,12 +222,13 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     (power, IRS) the transmit departure, IRS arrival, IRS departure and
     receive arrival (P, N_i, 4), and the phase-2 pilots per power (P,).
     """
-    grid = scenario.sweep_grid
+    grid = assets.sweep_grid
     amplitude = np.sqrt(np.asarray(powers, dtype=float))[:, None]
     scale = np.sqrt(noise_power / 2.0)
-    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
+    chain, rx_dir, tx_dir, _ = cascade.bridge_terms
 
-    heard = np.abs(amplitude[..., None, None] * _sweep_responses(scenario)
+    heard = np.abs(amplitude[..., None, None]
+                   * _sweep_responses(cascade, assets)
                    + scale * tape.sweep) ** 2
     slots = np.argmax(heard, axis=-1)
     arrival = slots[..., 0]
@@ -230,7 +236,7 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     candidates = np.stack(
         [departure, (departure + grid.num_beams // 2) % grid.num_beams], -1)
     gains = np.sum(chain[:, None] * direction_states(
-        scenario, grid.sines[arrival][..., None], grid.sines[candidates]), -1)
+        cascade, grid.sines[arrival][..., None], grid.sines[candidates]), -1)
     heard = np.abs(amplitude[..., None] * gains + scale * tape.bridge) ** 2
     pick = np.argmax(heard, axis=-1)[..., None]
     departure = np.take_along_axis(candidates, pick, axis=-1)[..., 0]
@@ -240,7 +246,7 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
     owner = np.broadcast_to(np.arange(reach.shape[1]), reach.shape).ravel()
     leaves, search = [], 0
     for side, (book, direction) in enumerate(
-            ((scenario.tx_codebook, tx_dir), (scenario.rx_codebook, rx_dir))):
+            ((assets.tx_codebook, tx_dir), (assets.rx_codebook, rx_dir))):
         responses = {s: beams.T @ direction.T for s, beams in (
             book.uplink_stages if side else book.stages).items()}
         draws = tape.search[:, :, side].reshape(owner.size, -1,
@@ -257,7 +263,7 @@ def estimate_angles(scenario: LinkScenario, powers, noise_power: float,
                      grid.directions[departure], leaves[1]], axis=-1), search
 
 
-def composite_losses(scenario: LinkScenario, irs, angles, powers,
+def composite_losses(cascade: CascadeChannel, irs, angles, powers,
                      noise_power: float, noise) -> np.ndarray:
     """Measured end-to-end amplitudes (P, len(irs)) of bridged IRS links.
 
@@ -266,15 +272,15 @@ def composite_losses(scenario: LinkScenario, irs, angles, powers,
     those angles, and the amplitude comes from the power averaged over the
     pilots `noise[p, j]` less the noise floor, clipped at zero.
     """
-    chain, rx_dir, tx_dir, _ = scenario.cascade.bridge_terms
+    chain, rx_dir, tx_dir, _ = cascade.bridge_terms
     angles = np.asarray(angles, dtype=float)
-    tx_spec, rx_spec = scenario.cascade.tx_spec, scenario.cascade.rx_spec
+    tx_spec, rx_spec = cascade.tx_spec, cascade.rx_spec
     w = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,
                               angles[..., 3, None])
     f = steering_coefficients(tx_spec.num_elements, tx_spec.spacing_wavelengths,
                               angles[..., 0, None])
     sines = np.sin(angles)
-    signal = (np.sum(chain[irs] * direction_states(scenario, sines[..., 1],
+    signal = (np.sum(chain[irs] * direction_states(cascade, sines[..., 1],
                                                    sines[..., 2]), axis=-1)
               * np.sum(w.conj() * rx_dir[irs], axis=-1)
               * np.sum(tx_dir[irs] * f, axis=-1))
@@ -284,19 +290,19 @@ def composite_losses(scenario: LinkScenario, irs, angles, powers,
     return np.sqrt(np.maximum(heard - noise_power, 0.0) / powers)
 
 
-def cooperative_estimate(scenario: LinkScenario, model: MeasurementModel,
-                         rng: np.random.Generator):
+def cooperative_estimate(cascade: CascadeChannel, assets: ScenarioAssets,
+                         model: MeasurementModel, rng: np.random.Generator):
     """`estimate_angles` at one power on a tape row drawn from `rng`.
 
     Returns one AngleEstimate per IRS (composite loss NaN) and the slot
     totals. The row's composite-loss pilots come next on the same generator.
     """
     angles, search = estimate_angles(
-        scenario, [model.transmit_power], model.noise_power,
-        noise_tape(scenario, 0, [rng]))
+        cascade, assets, [model.transmit_power], model.noise_power,
+        noise_tape(cascade, assets, 0, [rng]))
     return ([AngleEstimate(*map(float, row)) for row in angles[0]],
-            slot_count(scenario.cascade.num_irs, scenario.sweep_grid.num_beams,
-                       1, search[0]))
+            slot_count(cascade.num_irs, assets.sweep_grid.num_beams, 1,
+                       search[0]))
 
 
 def slot_count(num_irs: int, sweep_beams: int, passes: int,

@@ -56,14 +56,13 @@ def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
     gains = np.asarray(gains, dtype=float)
     if gains.ndim == 0 or gains.size == 0 or np.any(gains < 0):
         raise ValueError("gains must be a nonempty nonnegative vector")
-    total_power = np.asarray(total_power, dtype=float)[..., None]
+    total_power = np.asarray(total_power, dtype=float)
     if np.any(total_power <= 0) or noise_power <= 0:
         raise ValueError("powers must be positive")
 
-    with np.errstate(divide="ignore"):   # a zero gain has an infinite floor
-        floors = noise_power / (total_power * gains ** 2)
+    floors, usable = _floors(gains, total_power, noise_power)
     lowest = floors.min(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(lowest)):
+    if not np.all(usable):
         raise ValueError("water-filling needs a positive gain with a finite "
                          "floor sigma^2 / (P a^2)")
     excess = floors - lowest
@@ -126,10 +125,12 @@ def spectral_efficiency(channel, bf: HybridBeamformer, power,
     log2 det(I + P C^-1 W^H H F F^H H^H W), C = sigma^2 W^H W, on the
     streams whose combined and precoded columns are both nonzero, taken as
     log2 det(I + (P / sigma^2) G G^H), G = Q^H H F with Q an orthonormal
-    basis of those combiner columns; the latter also holds when two streams
-    share a combiner column and C is singular. `channel` holds the factors
-    (A, core, B) of H = A core B (`training.channel_factors`), and G is
-    (Q^H A) core (B F); a dense H is (I, H, I). Leading axes broadcast.
+    basis of those combiner columns, as the `parallel_rate` of G's singular
+    values (exact also where (P / sigma^2) |G|^2 dwarfs the identity); this
+    holds when two streams share a combiner column and C is singular too.
+    `channel` holds the factors (A, core, B) of H = A core B
+    (`training.channel_factors`), and G is (Q^H A) core (B F); a dense H is
+    (I, H, I). Leading axes broadcast.
     """
     A, core, B = channel
     F = bf.precoder()
@@ -139,10 +140,9 @@ def spectral_efficiency(channel, bf: HybridBeamformer, power,
     U, s, _ = np.linalg.svd(W * active, full_matrices=False)
     Q = U * (s > 1e-10 * s.max(axis=-1, keepdims=True))[..., None, :]
     G = (Q.conj().swapaxes(-1, -2) @ A) @ core @ (B @ (F * active))
-    snr = np.maximum(np.asarray(power, dtype=float), 0.0) / noise_power
-    _, logdet = np.linalg.slogdet(np.eye(G.shape[-2]) + snr[..., None, None]
-                                  * (G @ G.conj().swapaxes(-1, -2)))
-    return (logdet / _LN2)[()]
+    power = np.maximum(np.asarray(power, dtype=float), 0.0)[..., None]
+    return parallel_rate(np.linalg.svd(G, compute_uv=False), 1.0, power,
+                         noise_power)[()]
 
 
 def parallel_rate(gains, factors, power, noise_power: float):
@@ -165,11 +165,20 @@ def digital_gains(singular_values):
     return sv * (sv > 1e-14 * sv.max(axis=-1, initial=0.0, keepdims=True))
 
 
+def _floors(gains, powers, noise_power: float) -> tuple:
+    """Floors sigma^2 / (P a^2) of the rows of `gains` at `powers` (infinite
+    where a^2 is 0 or underflows), and whether each row's lowest is finite."""
+    with np.errstate(divide="ignore"):
+        floors = noise_power / (powers[..., None] * gains ** 2)
+    return floors, np.isfinite(floors.min(axis=-1))
+
+
 def power_factors(gains, powers, noise_power: float) -> np.ndarray:
     """`water_filling` factors of each row of `gains` at `powers`, in one
-    call; a row without a positive gain or power gets zero factors."""
+    call; a row without a positive power, or without a gain whose floor is
+    finite, gets zero factors."""
     factors = np.zeros(gains.shape)
-    live = (powers > 0) & np.any(gains > 0, axis=-1)
+    live = (powers > 0) & _floors(gains, powers, noise_power)[1]
     if live.any():
         factors[live] = water_filling(gains[live], powers[live],
                                       noise_power).factors

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from irsmimo.arrays import ArraySpec, grid_directions
-from irsmimo.channel import (CascadeChannel, PhysicalConstants,
-                             compensation_factor)
+from irsmimo.channel import CascadeChannel, PhysicalConstants, make_link
 from irsmimo.codebook import build_codebook
-from irsmimo.training import LinkScenario, sweep_phasors
+from irsmimo.training import ScenarioAssets, sweep_phasors
 
 
 def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
                          num_irs_elements=16, num_beams=32, sweep_beams=32,
                          branching=2, beta=1.0):
-    """Small scene with hand-picked true angles for protocol tests."""
+    """Small scene with hand-picked true angles for protocol tests, as
+    (cascade, assets); the assets' power grid is 1 W and noise 1e-12 W."""
     consts = PhysicalConstants(
         carrier_frequency=3e11,
         absorption_coefficient=0.0033,
@@ -28,19 +28,26 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
         distances = [(5.0, 6.0)] * len(angle_sets)
     cascade = CascadeChannel(
         consts=consts, angles=np.array(angle_sets, dtype=float),
-        distances=np.array(distances, dtype=float),
-        eta=compensation_factor(consts, num_irs_elements), tx_spec=tx,
+        distances=np.array(distances, dtype=float), tx_spec=tx,
         rx_spec=rx, irs_spec=irs)
     book = build_codebook(tx, branching, num_beams)
     grid = grid_directions(num_irs_elements, sweep_beams)
-    return LinkScenario(
-        consts=consts,
-        cascade=cascade,
-        sweep_grid=grid,
-        sweep_phasors=sweep_phasors(irs, grid),
-        tx_codebook=book,
-        rx_codebook=book,
-    )
+    return cascade, ScenarioAssets(
+        consts=consts, tx_spec=tx, rx_spec=rx, irs_spec=irs,
+        tx_codebook=book, rx_codebook=book, sweep_grid=grid,
+        sweep_phasors=sweep_phasors(irs, grid), powers=np.array([1.0]),
+        noise_power=1e-12)
+
+
+def dense_hops(cascade, irs_index):
+    """IRS `irs_index`'s dense hops (M, N) from `make_link`: transmit
+    terminal to IRS (N_r, N_t) and IRS to receive terminal (N_u, N_r)."""
+    aod, aoa, dep, arr = cascade.angles[irs_index].tolist()
+    d_in, d_out = cascade.distances[irs_index].tolist()
+    return (make_link(cascade.consts, cascade.tx_spec, cascade.irs_spec, aod,
+                      aoa, d_in),
+            make_link(cascade.consts, cascade.irs_spec, cascade.rx_spec, dep,
+                      arr, d_out))
 
 
 def angle_rows(estimates):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_hops
 from irsmimo.arrays import ArraySpec, steering
-from irsmimo.channel import (SPEED_OF_LIGHT, CascadeChannel, LinkAngles,
-                             PhaseShiftMatrix, PhysicalConstants, assemble,
-                             cascade_loss, compensation_factor, make_link,
-                             path_loss)
+from irsmimo.channel import (SPEED_OF_LIGHT, CascadeChannel, PhaseShiftMatrix,
+                             PhysicalConstants, assemble, cascade_loss,
+                             compensation_factor, make_link, path_loss)
 from irsmimo.irs_control import absorbing, direction_mode
 
 
@@ -97,23 +97,14 @@ def test_make_link_rank_one_and_norm():
 
 def make_cascade(consts, angle_sets, distances, n_t=8, n_r=16, n_u=8):
     return CascadeChannel(consts, np.array(angle_sets, dtype=float),
-                          np.array(distances, dtype=float),
-                          compensation_factor(consts, n_r), ArraySpec(n_t),
+                          np.array(distances, dtype=float), ArraySpec(n_t),
                           ArraySpec(n_u), ArraySpec(n_r))
 
 
-def test_links_hold_the_dense_hops_of_make_link():
-    c = consts_with()
-    angles = [(0.1, -0.2, 0.3, -0.4), (0.5, 0.2, -0.3, 0.1)]
-    distances = [(5.0, 6.0), (4.0, 8.0)]
-    cascade = make_cascade(c, angles, distances)
-    tx, rx, irs = cascade.tx_spec, cascade.rx_spec, cascade.irs_spec
-    for link, a, (d_in, d_out) in zip(cascade.links, angles, distances):
-        assert link.angles == LinkAngles(*a)
-        assert np.array_equal(link.incident, make_link(c, tx, irs, a[0], a[1],
-                                                       d_in))
-        assert np.array_equal(link.departing, make_link(c, irs, rx, a[2],
-                                                        a[3], d_out))
+def test_cascade_eta_is_the_compensation_factor_of_its_irs():
+    c = consts_with(irs_element_gain=2.5)
+    cascade = make_cascade(c, [(0.1, -0.2, 0.3, -0.4)], [(5.0, 6.0)], n_r=24)
+    assert cascade.eta == compensation_factor(c, 24)
 
 
 ray = st.tuples(st.tuples(*[st.floats(-0.999, 0.999)] * 4),
@@ -125,27 +116,39 @@ ray = st.tuples(st.tuples(*[st.floats(-0.999, 0.999)] * 4),
        rays=st.lists(ray, min_size=1, max_size=4),
        gains=st.tuples(st.floats(0.5, 200.0), st.floats(0.5, 200.0)))
 def test_bridge_terms_equal_dense_hop_entries(sizes, rays, gains):
-    # the rank-one factors come straight from the rays; each must equal, bit
-    # for bit, what the dense hops of make_link give: chain, rx_dir and
-    # tx_dir of the single-IRS channels and the sweep's omni hop entries
+    # the rank-one factors come straight from the rays. The chain of the
+    # single-IRS channels and the sweep's omni hop entries must equal, bit
+    # for bit, what the dense hops of make_link give; rx_dir and tx_dir are
+    # unit-first-entry responses, the dense ratios up to rounding
     n_t, n_r, n_u = sizes
     c = consts_with(tx_gain=gains[0], rx_gain=gains[1])
     sines, distances = zip(*rays)
     cascade = make_cascade(c, np.arcsin(sines), distances, n_t, n_r, n_u)
     chain, rx_dir, tx_dir, hops = cascade.bridge_terms
     gain = c.tx_gain * c.rx_gain
-    for l, link in enumerate(cascade.links):
-        M, N = link.incident, link.departing
+    for l in range(cascade.num_irs):
+        M, N = dense_hops(cascade, l)
         assert np.array_equal(chain[l], cascade.eta * gain * N[0, :] * M[:, 0])
-        assert np.array_equal(rx_dir[l], N[:, 0] / N[0, 0])
-        assert np.array_equal(tx_dir[l], M[0, :] / M[0, 0])
         assert np.array_equal(hops[l], [M[:, 0], N[0, :]])
+        assert np.allclose(rx_dir[l], N[:, 0] / N[0, 0], rtol=0, atol=1e-14)
+        assert np.allclose(tx_dir[l], M[0, :] / M[0, 0], rtol=0, atol=1e-14)
+
+
+def test_bridge_terms_stay_finite_when_the_path_loss_underflows():
+    # exp(-absorption d / 2) underflows to 0: the factors keep their unit
+    # first entries and the amplitude terms are exact zeros, not 0 / 0
+    cascade = make_cascade(consts_with(absorption_coefficient=1e6),
+                           [(0.1, -0.2, 0.3, -0.4)], [(5.0, 6.0)])
+    chain, rx_dir, tx_dir, hops = cascade.bridge_terms
+    assert np.all(chain == 0) and np.all(hops == 0)
+    assert np.all(np.abs(rx_dir) == pytest.approx(1.0))
+    assert np.all(np.abs(tx_dir) == pytest.approx(1.0))
 
 
 def test_assemble_zero_amplitude_gives_zero_matrix():
     c = consts_with()
     cascade = make_cascade(c, [(0.1, -0.2, 0.3, -0.4)], [(5.0, 6.0)])
-    H = assemble(cascade, [absorbing(16)], c)
+    H = assemble(cascade, [absorbing(16)])
     assert np.all(H == 0)
 
 
@@ -154,7 +157,7 @@ def test_assemble_rank_bounded_by_irs_count():
     cascade = make_cascade(c, [(0.1, -0.2, 0.3, -0.4), (0.5, 0.2, -0.3, 0.1)],
                            [(5.0, 6.0), (4.0, 8.0)])
     thetas = [direction_mode(16, 0.5, -0.2, 0.3), direction_mode(16, 0.5, 0.2, -0.3)]
-    H = assemble(cascade, thetas, c)
+    H = assemble(cascade, thetas)
     s = np.linalg.svd(H, compute_uv=False)
     assert np.sum(s > s[0] * 1e-10) <= 2
 
@@ -166,7 +169,7 @@ def test_assemble_bridged_composite_gain_per_irs():
     angles = (0.1, -0.35, 0.55, -0.2)
     cascade = make_cascade(c, [angles], [(5.0, 6.0)])
     theta = direction_mode(16, 0.5, angles[1], angles[2], amplitude=0.8)
-    H = assemble(cascade, [theta], c)
+    H = assemble(cascade, [theta])
     tx_beam = steering(cascade.tx_spec, angles[0])
     rx_beam = steering(cascade.rx_spec, angles[3])
     gain = abs(np.vdot(rx_beam.coefficients, H @ tx_beam.coefficients))
@@ -181,7 +184,7 @@ def test_assemble_common_angle_sum():
     angles = (0.15, -0.3, 0.25, -0.1)
     cascade = make_cascade(c, [angles, angles], [(5.0, 6.0), (7.0, 9.0)])
     thetas = [direction_mode(16, 0.5, angles[1], angles[2]) for _ in range(2)]
-    H = assemble(cascade, thetas, c)
+    H = assemble(cascade, thetas)
     tx_beam = steering(cascade.tx_spec, angles[0])
     rx_beam = steering(cascade.rx_spec, angles[3])
     gain = abs(np.vdot(rx_beam.coefficients, H @ tx_beam.coefficients))
@@ -199,8 +202,8 @@ def test_assemble_linearity_over_irs_subsets():
     first = make_cascade(c, sets[:1], dists[:1])
     second = make_cascade(c, sets[1:], dists[1:])
     thetas = [direction_mode(16, 0.5, 0.0, 0.4), direction_mode(16, 0.5, 0.1, -0.2)]
-    H = assemble(both, thetas, c)
-    H_split = (assemble(first, thetas[:1], c) + assemble(second, thetas[1:], c))
+    H = assemble(both, thetas)
+    H_split = (assemble(first, thetas[:1]) + assemble(second, thetas[1:]))
     assert np.array_equal(H, H_split)
 
 
@@ -208,7 +211,7 @@ def test_assemble_rejects_wrong_theta_count():
     c = consts_with()
     cascade = make_cascade(c, [(0.1, -0.2, 0.3, -0.4)], [(5.0, 6.0)])
     with pytest.raises(ValueError):
-        assemble(cascade, [], c)
+        assemble(cascade, [])
 
 
 def test_phase_matrix_amplitude_and_range():
@@ -239,9 +242,10 @@ def test_assemble_matches_literal_diagonal_product():
     rng = np.random.default_rng(12)
     thetas = [PhaseShiftMatrix(phases=rng.uniform(0, 2 * np.pi, 16),
                                amplitude=0.9) for _ in range(2)]
-    H = assemble(cascade, thetas, c)
+    H = assemble(cascade, thetas)
+    hops = [dense_hops(cascade, l) for l in range(2)]
     literal = sum(
         cascade.eta * c.tx_gain * c.rx_gain
-        * link.departing @ np.diag(theta.entries()) @ link.incident
-        for link, theta in zip(cascade.links, thetas))
+        * N @ np.diag(theta.entries()) @ M
+        for (M, N), theta in zip(hops, thetas))
     assert np.allclose(H, literal, atol=1e-18)

@@ -1,8 +1,14 @@
 import csv
+import io
+import math
+from contextlib import redirect_stderr
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irsmimo.cli import main
+from irsmimo.harness import RATE_KEYS, ScenarioConfig
 
 TINY = """
 num_tx_antennas = 16
@@ -234,6 +240,103 @@ def test_terminal_arrays_as_small_as_num_irs_run(tmp_path):
     assert main(["rate-curve", "--config", str(scene), "--trials", "2",
                  "--out", str(out)]) == 0
     assert len(read_rows(out)) == 2
+
+
+@pytest.mark.parametrize("side", ["tx", "rx"])
+def test_terminal_grid_below_two_beams_is_a_config_error(tmp_path, capsys,
+                                                         side):
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(TINY + "num_irs = 1\nnum_streams = 1\n"
+                     "irs_positions = 5,5\nbeam_ratio = 1.4\n"
+                     f"num_{side}_antennas = 1\n")
+    out = tmp_path / "rate.csv"
+    assert main(["rate-curve", "--config", str(scene), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "beam_ratio" in err and f"num_{side}_antennas" in err
+    assert not out.exists()
+
+
+def _exponent(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def scene_configs(draw):
+    """Config-file text with every rate-curve key drawn across its range:
+    dB keys within +-300, frequency 1e-3 to 1e250 Hz, absorption 0 to 1e7
+    per meter, IRS x 1e-6 to 1e6 m, arrays of at most 24 elements."""
+    num_irs = draw(st.integers(1, 3))
+    streams = num_irs + draw(st.integers(0, 1))
+    xs = draw(st.lists(_exponent(-6, 6), min_size=num_irs, max_size=num_irs))
+    ys = draw(st.lists(st.floats(-10, 20), min_size=num_irs,
+                       max_size=num_irs, unique=True))
+    values = {
+        "frequency_hz": draw(_exponent(-3, 250)),
+        "absorption_per_m": draw(st.just(0.0) | _exponent(-6, 7)),
+        "reflection_amplitude": draw(st.floats(0, 1)),
+        "num_irs": num_irs,
+        "num_streams": streams,
+        "irs_positions": "; ".join(f"{x!r},{y!r}" for x, y in zip(xs, ys)),
+        "power_grid_dbm": ",".join(map(repr, draw(st.lists(
+            st.floats(-300, 300), min_size=1, max_size=3)))),
+        "beam_ratio": draw(st.floats(1, 4)),
+        # an odd K_r is a config error; draw even ones often
+        "irs_sweep_ratio": draw(st.sampled_from([2.0, 4.0]) | st.floats(1, 4)),
+        "branching": draw(st.integers(2, 4)),
+        "pilot_repetitions": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    for key in ("noise_power_dbm", "tx_gain_dbi", "rx_gain_dbi",
+                "irs_element_gain_dbi"):
+        values[key] = draw(st.floats(-300, 300))
+    for key in ("num_tx_antennas", "num_rx_antennas", "num_irs_elements"):
+        values[key] = draw(st.integers(1, 24))
+    for key in ("num_tx_rf_chains", "num_rx_rf_chains"):
+        values[key] = streams + draw(st.integers(0, 1))
+    for key in ("alice_y_range", "bob_y_range"):
+        low = draw(st.floats(-10, 10))
+        values[key] = f"{low!r},{low + draw(st.floats(0.1, 10))!r}"
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=scene_configs(), command=st.sampled_from(["rate-curve",
+                                                      "estimate"]))
+def test_every_config_exits_2_naming_a_key_or_0_with_a_finite_csv(
+        tmp_path_factory, text, command):
+    folder = tmp_path_factory.getbasetemp()
+    scene, out = folder / "fuzz.cfg", folder / "fuzz.csv"
+    scene.write_text(text)
+    out.unlink(missing_ok=True)
+    trials = ["--trials", "1"] if command == "rate-curve" else []
+    with redirect_stderr(io.StringIO()) as stderr:
+        code = main([command, "--config", str(scene), *trials,
+                     "--out", str(out)])
+    err = stderr.getvalue()
+    if code == 2:
+        assert any(f.name in err for f in fields(ScenarioConfig)), err
+        assert not out.exists()
+    else:
+        assert code == 0, err
+        # every rate-curve and estimate column is numeric
+        assert all(math.isfinite(float(cell)) for row in read_rows(out)
+                   for cell in row.values())
+
+
+@pytest.mark.parametrize("command", ["rate-curve", "estimate"])
+@pytest.mark.parametrize("line", [
+    "absorption_per_m = 1e6", "irs_positions = 1e6,4; 1e6,6",
+    "absorption_per_m = 100", "frequency_hz = 1e200"])
+def test_vanishing_path_loss_scores_zero_rates(tmp_path, command, line):
+    # the path loss, or the square of a composite gain, underflows to zero
+    scene = tmp_path / "scene.cfg"
+    scene.write_text(TINY + line + "\n")
+    out = tmp_path / "out.csv"
+    trials = ["--trials", "1"] if command == "rate-curve" else []
+    assert main([command, "--config", str(scene), *trials,
+                 "--out", str(out)]) == 0
+    for row in read_rows(out):
+        assert [float(row[key]) for key in RATE_KEYS] == [0.0] * 4
 
 
 def test_missing_out_flag_rejected(capsys):

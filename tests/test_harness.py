@@ -118,53 +118,53 @@ def test_sample_scenario_propagates_other_value_errors(monkeypatch):
 def test_sample_scenario_reproducible():
     config = tiny_config()
     assets = scenario_assets(config)
-    s1, g1 = sample_scenario(config, np.random.default_rng(5), assets)
-    s2, g2 = sample_scenario(config, np.random.default_rng(5), assets)
+    c1, g1 = sample_scenario(config, np.random.default_rng(5), assets)
+    c2, g2 = sample_scenario(config, np.random.default_rng(5), assets)
     assert g1 == g2
-    for a, b in zip(s1.cascade.links, s2.cascade.links):
-        assert np.array_equal(a.incident, b.incident)
-    assert g1.alice_position[1] >= 0.0 and g1.alice_position[1] <= 5.0
+    assert np.array_equal(c1.angles, c2.angles)
+    assert np.array_equal(c1.distances, c2.distances)
+    assert 0.0 <= g1.alice_y <= 5.0
 
 
 def test_true_composite_matches_cascade_loss():
     config = tiny_config()
     assets = scenario_assets(config)
-    scenario, _ = sample_scenario(config, np.random.default_rng(1), assets)
-    d_in, d_out = scenario.cascade.distances[0]
+    cascade, _ = sample_scenario(config, np.random.default_rng(1), assets)
+    d_in, d_out = cascade.distances[0]
     expected = (config.reflection_amplitude
                 * cascade_loss(assets.consts, config.num_irs_elements,
                                float(d_in), float(d_out)))
-    assert true_composite_loss(scenario, 0) == pytest.approx(expected, rel=1e-12)
+    assert true_composite_loss(cascade, 0) == pytest.approx(expected,
+                                                            rel=1e-12)
 
 
 def test_perfect_estimates_carry_true_angles():
     config = tiny_config()
     assets = scenario_assets(config)
-    scenario, _ = sample_scenario(config, np.random.default_rng(2), assets)
-    genie = perfect_estimates(scenario)
-    for est, link in zip(genie, scenario.cascade.links):
-        assert est.tx_departure == link.angles.tx_departure
+    cascade, _ = sample_scenario(config, np.random.default_rng(2), assets)
+    genie = perfect_estimates(cascade)
+    for est, angles in zip(genie, cascade.angles):
+        assert est.tx_departure == angles[0]
         assert est.composite_loss > 0
 
 
-def genie_states(scenario):
+def genie_states(cascade):
     """Direction-mode states on the true angles, one irs_control call each,
     independent of the engine's `direction_states`."""
-    spec = scenario.cascade.irs_spec
+    spec = cascade.irs_spec
     return [direction_mode(spec.num_elements, spec.spacing_wavelengths,
-                           link.angles.irs_arrival, link.angles.irs_departure,
-                           amplitude=scenario.consts.reflection_amplitude)
-            for link in scenario.cascade.links]
+                           irs_arrival, irs_departure,
+                           amplitude=cascade.consts.reflection_amplitude)
+            for _, irs_arrival, irs_departure, _ in cascade.angles]
 
 
 def test_non_irs_benchmark_below_optimized():
     config = tiny_config()
     assets = scenario_assets(config)
-    scenario, _ = sample_scenario(config, np.random.default_rng(3), assets)
-    H_opt = assemble(scenario.cascade, genie_states(scenario), assets.consts)
+    cascade, _ = sample_scenario(config, np.random.default_rng(3), assets)
+    H_opt = assemble(cascade, genie_states(cascade))
     rng = np.random.default_rng(4)
-    H_rand = assemble(scenario.cascade,
-                      [random_mode(16, rng) for _ in range(2)], assets.consts)
+    H_rand = assemble(cascade, [random_mode(16, rng) for _ in range(2)])
     power, noise = 0.1, config.noise_power_watts
 
     def fdb(H):
@@ -421,12 +421,12 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
     monkeypatch.undo()
     assert sorted(calls) == ["build_beamformers", "spectral_efficiency",
                              "water_filling"]
-    scenario, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
+    cascade, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
     rand_rng = harness._trial_seed(7, 1, 1)
     random_thetas = [random_mode(16, rand_rng) for _ in range(2)]
-    genie = perfect_estimates(scenario)
+    genie = perfect_estimates(cascade)
     noise = config.noise_power_watts
-    spec = scenario.cascade.irs_spec
+    spec = cascade.irs_spec
     assert np.array_equal(result.truth, [astuple(g) for g in genie])
 
     def hybrid(estimates, power):
@@ -435,16 +435,15 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
             return 0.0
         bf = build_beamformers(angle_rows(estimates),
                                water_filling(gains, power, noise).factors,
-                               scenario.cascade.tx_spec,
-                               scenario.cascade.rx_spec, 4, 4, 2)
+                               cascade.tx_spec, cascade.rx_spec, 4, 4, 2)
         thetas = [direction_mode(spec.num_elements, spec.spacing_wavelengths,
                                  e.irs_arrival, e.irs_departure)
                   for e in estimates]
-        H = assemble(scenario.cascade, thetas, scenario.consts)
+        H = assemble(cascade, thetas)
         return spectral_efficiency(dense(H), bf, power, noise)
 
     def bound(thetas, power):
-        H = assemble(scenario.cascade, thetas, scenario.consts)
+        H = assemble(cascade, thetas)
         return fdb_upper_bound(np.linalg.svd(H, compute_uv=False), power,
                                noise)
 
@@ -454,7 +453,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         estimates = [AngleEstimate(*row) for row in result.estimates[p]]
         unusable += not any(e.composite_loss for e in estimates)
         want = (hybrid(estimates, power), hybrid(genie, power),
-                bound(genie_states(scenario), power),
+                bound(genie_states(cascade), power),
                 bound(random_thetas, power))
         assert list(result.rates[p]) == pytest.approx(want, rel=1e-12, abs=0.0)
     assert unusable == 2
@@ -464,7 +463,7 @@ def trial_parts(config, assets, trial):
     """run_trial's result, scene, designs and channel factors, the random
     IRSs' rebuilt with the loop of `irs_control.random_mode` calls."""
     result = run_trial(config, assets, trial)
-    scenario, _ = sample_scenario(config,
+    cascade, _ = sample_scenario(config,
                                   harness._trial_seed(config.seed, trial, 0),
                                   assets)
     rng = harness._trial_seed(config.seed, trial, 1)
@@ -473,10 +472,10 @@ def trial_parts(config, assets, trial):
                      for _ in range(config.num_irs)]
     designs = np.concatenate([result.estimates, [result.truth]])
     sines = np.sin(designs)
-    channels = channel_factors(scenario, np.concatenate([
-        direction_states(scenario, sines[..., 1], sines[..., 2]),
+    channels = channel_factors(cascade, np.concatenate([
+        direction_states(cascade, sines[..., 1], sines[..., 2]),
         [random_states]]))
-    return result, scenario, designs, channels
+    return result, cascade, designs, channels
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -489,9 +488,9 @@ def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
     assets = scenario_assets(config)
     seen = []
 
-    def recorded(scenario, states):
+    def recorded(cascade, states):
         seen.append(states)
-        return channel_factors(scenario, states)
+        return channel_factors(cascade, states)
 
     monkeypatch.setattr(harness, "channel_factors", recorded)
     result = run_trial(config, assets, trial)
@@ -503,7 +502,7 @@ def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
     assert result.rates[:, 3].all()
 
 
-def per_row_hybrid_rates(scenario, config, angles, powers, noise_power,
+def per_row_hybrid_rates(cascade, config, angles, powers, noise_power,
                          channels, factors):
     """The per-row scoring that `_hybrid_rates` replaced: row b designs from
     `angles[b]` and `factors[b]`, steered on its own, and is scored on core
@@ -513,9 +512,9 @@ def per_row_hybrid_rates(scenario, config, angles, powers, noise_power,
     usable = factors.any(axis=1)
     if usable.any():
         bf = build_beamformers(
-            angles[usable], factors[usable], scenario.cascade.tx_spec,
-            scenario.cascade.rx_spec, config.num_tx_rf_chains,
-            config.num_rx_rf_chains, config.num_streams)
+            angles[usable], factors[usable], cascade.tx_spec, cascade.rx_spec,
+            config.num_tx_rf_chains, config.num_rx_rf_chains,
+            config.num_streams)
         rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
                                             powers[usable], noise_power)
     return rates
@@ -531,20 +530,20 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     # `fdb_upper_bound` call, bit for bit, zero-gain rows included
     config = tiny_config(**overrides)
     assets = scenario_assets(config)
-    result, scenario, designs, channels = trial_parts(config, assets, 1)
+    result, cascade, designs, channels = trial_parts(config, assets, 1)
     powers, noise = assets.powers, assets.noise_power
     count = powers.size
     left, cores, right = channels
     rows = np.r_[np.arange(count), np.full(count, count)]
     hybrid = per_row_hybrid_rates(
-        scenario, config, designs[rows, :, :4], np.tile(powers, 2), noise,
+        cascade, config, designs[rows, :, :4], np.tile(powers, 2), noise,
         (left, cores[rows], right),
         harness.power_factors(designs[rows, :, 4], np.tile(powers, 2), noise))
     bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
                              powers, noise)
     want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
                     axis=-1)
-    fused = harness._trial_rates(scenario, config, designs, powers, noise,
+    fused = harness._trial_rates(cascade, config, designs, powers, noise,
                                  channels)
     assert np.array_equal(fused, want)
     assert np.array_equal(result.rates, want)
@@ -577,9 +576,9 @@ def test_designed_rates_equal_the_trial_perfect_csi_rates():
     config = tiny_config(power_grid_dbm=(-75.0, -70.0, -60.0, 10.0))
     assets = scenario_assets(config)
     result = run_trial(config, assets, 2)
-    scenario, _ = sample_scenario(config, harness._trial_seed(7, 2, 0), assets)
-    genie = perfect_estimates(scenario)
-    rates = [harness._designed_rates(scenario, genie, power,
+    cascade, _ = sample_scenario(config, harness._trial_seed(7, 2, 0), assets)
+    genie = perfect_estimates(cascade)
+    rates = [harness._designed_rates(cascade, genie, power,
                                      assets.noise_power, config)
              for power in assets.powers]
     assert rates == pytest.approx(result.rates[:, 1], rel=1e-12, abs=0.0)
@@ -614,14 +613,14 @@ def test_sampled_rays_equal_the_per_ray_geometry():
                          irs_positions=((5.0, 4.0), (3.0, 7.5), (6.5, 0.5)))
     assets = scenario_assets(config)
     for seed in range(40):
-        scenario, geometry = sample_scenario(
+        cascade, geometry = sample_scenario(
             config, np.random.default_rng(seed), assets)
-        ys = (geometry.alice_position[1], geometry.bob_position[1])
+        ys = (geometry.alice_y, geometry.bob_y)
         for l, position in enumerate(config.irs_positions):
             (d_in, s_am, s_rm), (d_out, s_bn, s_rn) = (
                 [float(v) for v in _path_geometry(y, position)] for y in ys)
-            assert scenario.cascade.distances[l].tolist() == [d_in, d_out]
-            assert scenario.cascade.angles[l].tolist() == [
+            assert cascade.distances[l].tolist() == [d_in, d_out]
+            assert cascade.angles[l].tolist() == [
                 float(np.arcsin(v)) for v in (s_am, s_rm, s_rn, s_bn)]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import angle_rows, scenario_from_angles
+from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
 from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
                             pattern_gain, steering)
@@ -142,14 +142,14 @@ def test_noiseless_search_near_square_grid():
     assert hierarchical_search(book, oracle) == exhaustive_leaf(book, oracle)
 
 
-def bridged(scenario, irs_index, arrival, departure):
+def bridged(cascade, irs_index, arrival, departure):
     """Assembled channel with one IRS in direction mode, the others absorbing."""
-    spec = scenario.cascade.irs_spec
-    thetas = [absorbing(spec.num_elements)] * scenario.cascade.num_irs
+    spec = cascade.irs_spec
+    thetas = [absorbing(spec.num_elements)] * cascade.num_irs
     thetas[irs_index] = direction_mode(
         spec.num_elements, spec.spacing_wavelengths, arrival, departure,
-        amplitude=scenario.consts.reflection_amplitude)
-    return assemble(scenario.cascade, thetas, scenario.consts)
+        amplitude=cascade.consts.reflection_amplitude)
+    return assemble(cascade, thetas)
 
 
 class SlotRecorder:
@@ -167,7 +167,7 @@ class SlotRecorder:
         return self.codebook.beam(stage, index)
 
 
-def reference_pass(scenario, power, noise_power, tape, p):
+def reference_pass(cascade, assets, power, noise_power, tape, p):
     """Pilot-by-pilot cooperative estimation at one power, from tape row p.
 
     A scalar sweep loop over literal return-mode round trips, bridge slots
@@ -175,16 +175,16 @@ def reference_pass(scenario, power, noise_power, tape, p):
     each child's tape position, and composite-loss pilots with the
     arithmetic of `measure_power`. Returns (angles, search pilots, losses).
     """
-    grid = scenario.sweep_grid
-    cascade, consts = scenario.cascade, scenario.consts
-    spec = cascade.irs_spec
+    grid = assets.sweep_grid
+    consts, spec = cascade.consts, cascade.irs_spec
     amplitude, scale = np.sqrt(power), np.sqrt(noise_power / 2.0)
-    books = (scenario.tx_codebook, scenario.rx_codebook)
+    books = (assets.tx_codebook, assets.rx_codebook)
     angles, losses, pilots = [], [], 0
-    for l, link in enumerate(cascade.links):
+    for l in range(cascade.num_irs):
         # a terminal on its first element hears e1^T (eta G_t G_r A^T Theta A) e1
         best = []
-        for side, hop in enumerate((link.incident, link.departing.T)):
+        incident, departing = dense_hops(cascade, l)
+        for side, hop in enumerate((incident, departing.T)):
             heard = []
             for k, angle in enumerate(grid.directions):
                 theta = return_mode(spec.num_elements, spec.spacing_wavelengths,
@@ -198,12 +198,12 @@ def reference_pass(scenario, power, noise_power, tape, p):
         slot = grid.num_beams - 1 - best[1]
         half = grid.num_beams // 2
         candidates = (slot, slot - half if slot >= half else slot + half)
-        heard = [abs(amplitude * bridged(scenario, l, arrival,
+        heard = [abs(amplitude * bridged(cascade, l, arrival,
                                          grid.directions[c])[0, 0]
                      + scale * tape.bridge[p, l, i]) ** 2
                  for i, c in enumerate(candidates)]
         departure = grid.directions[candidates[int(np.argmax(heard))]]
-        H = bridged(scenario, l, arrival, departure)
+        H = bridged(cascade, l, arrival, departure)
 
         leaves = []
         for side, book in enumerate(books):
@@ -244,20 +244,19 @@ def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
                                                     repetitions, seed):
     # the whole engine, every (power, IRS) pair, against the per-pilot
     # reference reading the same tape positions
-    scenario = scenario_from_angles(angles, num_antennas=num_antennas,
-                                    num_irs_elements=8, sweep_beams=16,
-                                    num_beams=num_antennas + extra,
-                                    branching=branching)
-    level = np.max(np.abs(_sweep_responses(scenario))) ** 2
+    cascade, assets = scenario_from_angles(
+        angles, num_antennas=num_antennas, num_irs_elements=8,
+        sweep_beams=16, num_beams=num_antennas + extra, branching=branching)
+    level = np.max(np.abs(_sweep_responses(cascade, assets))) ** 2
     noise_power = level * 10.0 ** (-snr_db / 10.0)
     powers = np.array([1.0, 10.0])
-    tape = noise_tape(scenario, repetitions,
+    tape = noise_tape(cascade, assets, repetitions,
                       [np.random.default_rng((seed, p)) for p in range(2)])
-    got, search = estimate_angles(scenario, powers, noise_power, tape)
-    losses = composite_losses(scenario, np.arange(len(angles)), got, powers,
+    got, search = estimate_angles(cascade, assets, powers, noise_power, tape)
+    losses = composite_losses(cascade, np.arange(len(angles)), got, powers,
                               noise_power, tape.pilots)
     for p, power in enumerate(powers):
-        want, pilots, want_losses = reference_pass(scenario, power,
+        want, pilots, want_losses = reference_pass(cascade, assets, power,
                                                    noise_power, tape, p)
         assert np.array_equal(got[p], want)
         assert search[p] == pilots
@@ -268,23 +267,23 @@ def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
 def test_single_power_calls_read_one_tape_row(small_scenario):
     # cooperative_estimate and then the composite-loss pilots of IRS 0, 1,
     # ... on one generator read the same numbers as one tape row
-    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
-                                     (-0.3, 0.25, -0.45, 0.15)])
+    cascade, assets = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                            (-0.3, 0.25, -0.45, 0.15)])
     model = MeasurementModel(transmit_power=1e-3, noise_power=1e-12)
-    tape = noise_tape(scenario, 7, [np.random.default_rng(11)])
-    angles, search = estimate_angles(scenario, [model.transmit_power],
+    tape = noise_tape(cascade, assets, 7, [np.random.default_rng(11)])
+    angles, search = estimate_angles(cascade, assets, [model.transmit_power],
                                      model.noise_power, tape)
-    losses = composite_losses(scenario, np.arange(2), angles,
+    losses = composite_losses(cascade, np.arange(2), angles,
                               [model.transmit_power], model.noise_power,
                               tape.pilots)
     rng = np.random.default_rng(11)
-    estimates, slots = cooperative_estimate(scenario, model, rng)
+    estimates, slots = cooperative_estimate(cascade, assets, model, rng)
     assert [tuple(vars(e).values())[:4] for e in estimates] == [
         tuple(row) for row in angles[0]]
     assert slots.search == search[0]
     pilots = rng.standard_normal((1, 2, 7, 2)).view(complex)[..., 0]
     assert composite_losses(
-        scenario, np.arange(2), angle_rows(estimates)[None],
+        cascade, np.arange(2), angle_rows(estimates)[None],
         [model.transmit_power], model.noise_power, pilots) == pytest.approx(
         losses, rel=1e-12)
 
@@ -292,35 +291,35 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
 def test_direction_channels_match_assembled_channels():
     # the factor form of direction-mode channels against the full assembly,
     # for a stack of IRS states
-    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
-                                     (-0.3, 0.25, -0.45, 0.15)])
-    spec = scenario.cascade.irs_spec
+    cascade, _ = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                       (-0.3, 0.25, -0.45, 0.15)])
+    spec = cascade.irs_spec
     sines = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 2))
-    left, cores, right = channel_factors(scenario, direction_states(
-        scenario, sines[..., 0], sines[..., 1]))
+    left, cores, right = channel_factors(cascade, direction_states(
+        cascade, sines[..., 0], sines[..., 1]))
     assert cores.shape == (3, 2, 2)
     stack = left @ cores @ right
     for H, pair in zip(stack, sines):
         thetas = [direction_mode(spec.num_elements, 0.5, *np.arcsin(s),
-                                 amplitude=scenario.consts.reflection_amplitude)
+                                 amplitude=cascade.consts.reflection_amplitude)
                   for s in pair]
-        want = assemble(scenario.cascade, thetas, scenario.consts)
+        want = assemble(cascade, thetas)
         assert np.allclose(H, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 def test_sweep_side_matches_dense_roundtrip(small_scenario):
     # the vectorized sweep must equal the literal e1^T (eta G A^T Theta A) e1
     # of each terminal, A its hop (the receive terminal's uplink is N^T)
-    scenario = small_scenario
-    link = scenario.cascade.links[0]
-    consts = scenario.consts
-    n_elems = scenario.cascade.irs_spec.num_elements
-    responses = _sweep_responses(scenario)
-    assert responses.shape == (1, 2, scenario.sweep_grid.num_beams)
-    for side, hop in enumerate((link.incident, link.departing.T)):
-        for k, angle in enumerate(scenario.sweep_grid.directions):
+    cascade, assets = small_scenario
+    incident, departing = dense_hops(cascade, 0)
+    consts = cascade.consts
+    n_elems = cascade.irs_spec.num_elements
+    responses = _sweep_responses(cascade, assets)
+    assert responses.shape == (1, 2, assets.sweep_grid.num_beams)
+    for side, hop in enumerate((incident, departing.T)):
+        for k, angle in enumerate(assets.sweep_grid.directions):
             theta = return_mode(n_elems, 0.5, float(angle))
-            roundtrip = (scenario.cascade.eta * consts.tx_gain * consts.rx_gain
+            roundtrip = (cascade.eta * consts.tx_gain * consts.rx_gain
                          * hop.T @ np.diag(theta.entries()) @ hop)
             assert responses[0, side, k] == pytest.approx(roundtrip[0, 0],
                                                           rel=1e-10)
@@ -331,8 +330,7 @@ def circular_sine_gap(estimate, truth):
     return min(gap, 1.0 - gap)
 
 
-def theta_equivalent(scenario, pair_a, pair_b, tol=1e-9):
-    spec = scenario.cascade.irs_spec
+def theta_equivalent(spec, pair_a, pair_b, tol=1e-9):
     ta = direction_mode(spec.num_elements, 0.5, *pair_a)
     tb = direction_mode(spec.num_elements, 0.5, *pair_b)
     delta = np.mod(ta.phases - tb.phases, 2 * np.pi)
@@ -340,9 +338,9 @@ def theta_equivalent(scenario, pair_a, pair_b, tol=1e-9):
     return float(np.max(delta)) <= tol
 
 
-def estimate_one(scenario, model, seed):
+def estimate_one(cascade, assets, model, seed):
     """The single IRS's estimate of a one-IRS scene."""
-    estimates, _ = cooperative_estimate(scenario, model,
+    estimates, _ = cooperative_estimate(cascade, assets, model,
                                         rng=np.random.default_rng(seed))
     return estimates[0]
 
@@ -352,23 +350,24 @@ def test_phase1_noiseless_recovers_angles_up_to_twin():
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     for _ in range(25):
         truth = tuple(rng.uniform(-1.2, 1.2, 4))
-        scenario = scenario_from_angles([truth])
-        est = estimate_one(scenario, model, 0)
+        cascade, assets = scenario_from_angles([truth])
+        est = estimate_one(cascade, assets, model, 0)
         arrival, departure = est.irs_arrival, est.irs_departure
-        cell = 1.0 / scenario.sweep_grid.num_beams
+        cell = 1.0 / assets.sweep_grid.num_beams
         assert circular_sine_gap(arrival, truth[1]) <= cell + 1e-12
         assert circular_sine_gap(departure, truth[2]) <= cell + 1e-12
         # the estimated pair drives the same IRS state as the sine-nearest pair
-        grid = scenario.sweep_grid
+        grid = assets.sweep_grid
         nearest = (float(grid.directions[np.argmin(abs(grid.sines - np.sin(truth[1])))]),
                    float(grid.directions[np.argmin(abs(grid.sines - np.sin(truth[2])))]))
-        assert theta_equivalent(scenario, (arrival, departure), nearest)
+        assert theta_equivalent(cascade.irs_spec, (arrival, departure),
+                                nearest)
 
 
 def test_phase1_angles_are_grid_members(small_scenario):
     model = MeasurementModel(transmit_power=1.0, noise_power=1e-3)
-    est = estimate_one(small_scenario, model, 5)
-    sines = small_scenario.sweep_grid.sines
+    est = estimate_one(*small_scenario, model, 5)
+    sines = small_scenario[1].sweep_grid.sines
     assert np.min(np.abs(sines - np.sin(est.irs_arrival))) < 1e-12
     assert np.min(np.abs(sines - np.sin(est.irs_departure))) < 1e-12
 
@@ -377,7 +376,7 @@ def test_phase1_noise_dominated_still_returns_grid_member(small_scenario):
     model = MeasurementModel(transmit_power=1e-12, noise_power=1e3)
     seen = set()
     for seed in range(12):
-        est = estimate_one(small_scenario, model, seed)
+        est = estimate_one(*small_scenario, model, seed)
         seen.add(round(float(np.sin(est.irs_arrival)), 9))
     assert len(seen) > 1  # noise-dominated sweeps scatter across the grid
 
@@ -387,9 +386,9 @@ def test_phase2_noiseless_finds_sine_nearest_leaves():
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
     for _ in range(10):
         truth = tuple(rng.uniform(-1.2, 1.2, 4))
-        scenario = scenario_from_angles([truth])
-        est = estimate_one(scenario, model, 0)
-        grid = scenario.tx_codebook.leaf_grid
+        cascade, assets = scenario_from_angles([truth])
+        est = estimate_one(cascade, assets, model, 0)
+        grid = assets.tx_codebook.leaf_grid
         assert abs(np.sin(est.rx_arrival) - np.sin(truth[3])) <= 1 / grid.num_beams + 1e-12
         assert abs(np.sin(est.tx_departure) - np.sin(truth[0])) <= 1 / grid.num_beams + 1e-12
 
@@ -398,17 +397,18 @@ def test_phase2_total_with_misaligned_phase1(small_scenario):
     # a tape that drowns one far-off sweep slot on both sides makes phase 1
     # bridge the wrong pair; phase 2 degrades but still returns leaves and a
     # full count
-    scenario = small_scenario
-    tape = noise_tape(scenario, 1, [np.random.default_rng(0)])
+    cascade, assets = small_scenario
+    tape = noise_tape(cascade, assets, 1, [np.random.default_rng(0)])
     for field in vars(tape).values():
         field[...] = 0.0
-    grid = scenario.sweep_grid
+    grid = assets.sweep_grid
     bad = int(np.argmax(np.abs(grid.sines - np.sin(0.9))))
     tape.sweep[0, 0, :, bad] = 1e9
-    noise_power = np.max(np.abs(_sweep_responses(scenario))) ** 2
-    angles, search = estimate_angles(scenario, [1.0], noise_power, tape)
+    noise_power = np.max(np.abs(_sweep_responses(cascade, assets))) ** 2
+    angles, search = estimate_angles(cascade, assets, [1.0], noise_power,
+                                     tape)
     assert angles[0, 0, 1] == grid.directions[bad]
-    book = scenario.tx_codebook
+    book = assets.tx_codebook
     grid = book.leaf_grid.directions
     assert angles[0, 0, 0] in grid and angles[0, 0, 3] in grid
     assert search[0] == 2 * book.branching * book.num_stages
@@ -416,24 +416,24 @@ def test_phase2_total_with_misaligned_phase1(small_scenario):
 
 def test_cooperative_estimate_deterministic(small_scenario):
     model = MeasurementModel(transmit_power=1.0, noise_power=1e-6)
-    est_a, slots_a = cooperative_estimate(small_scenario, model,
+    est_a, slots_a = cooperative_estimate(*small_scenario, model,
                                           rng=np.random.default_rng(42))
-    est_b, slots_b = cooperative_estimate(small_scenario, model,
+    est_b, slots_b = cooperative_estimate(*small_scenario, model,
                                           rng=np.random.default_rng(42))
     assert est_a == est_b
     assert slots_a == slots_b
 
 
 def test_cooperative_estimate_slot_accounting():
-    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
-                                     (-0.3, 0.25, -0.45, 0.15)])
+    cascade, assets = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                            (-0.3, 0.25, -0.45, 0.15)])
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
-    _, slots = cooperative_estimate(scenario, model,
+    _, slots = cooperative_estimate(cascade, assets, model,
                                     rng=np.random.default_rng(0))
-    k_r = scenario.sweep_grid.num_beams
+    k_r = assets.sweep_grid.num_beams
     assert slots.irs_sweep == 2 * k_r * 2
     assert slots.parity == 2 * 2
-    per_search = scenario.tx_codebook.branching * scenario.tx_codebook.num_stages
+    per_search = assets.tx_codebook.branching * assets.tx_codebook.num_stages
     assert 0 < slots.search <= 2 * 2 * per_search
 
 

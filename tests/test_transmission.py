@@ -12,8 +12,9 @@ from irsmimo.harness import perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import (AngleEstimate, channel_factors,
                               composite_losses, direction_states)
-from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
-                                  parallel_rate, spectral_efficiency,
+from irsmimo.transmission import (HybridBeamformer, build_beamformers,
+                                  fdb_upper_bound, parallel_rate,
+                                  power_factors, spectral_efficiency,
                                   water_filling)
 
 LN2 = np.log(2.0)
@@ -23,37 +24,37 @@ def singular_values(H):
     return np.linalg.svd(H, compute_uv=False)
 
 
-def designed_channel(scenario, estimates):
+def designed_channel(cascade, estimates):
     """Factors of the channel with each IRS in direction mode on its
     estimate, designed by the engine's `direction_states`."""
     sines = np.sin(np.array([astuple(e) for e in estimates])[:, 1:3])
-    return channel_factors(scenario, direction_states(scenario, sines[:, 0],
-                                                      sines[:, 1]))
+    return channel_factors(cascade, direction_states(cascade, sines[:, 0],
+                                                     sines[:, 1]))
 
 
-def bridged_gain(scenario, estimates):
-    left, core, right = designed_channel(scenario, estimates)
+def bridged_gain(cascade, estimates):
+    left, core, right = designed_channel(cascade, estimates)
     H = left @ core @ right
-    link = scenario.cascade.links[0]
-    tx = steering(scenario.cascade.tx_spec, link.angles.tx_departure)
-    rx = steering(scenario.cascade.rx_spec, link.angles.rx_arrival)
+    tx_departure, _, _, rx_arrival = cascade.angles[0]
+    tx = steering(cascade.tx_spec, tx_departure)
+    rx = steering(cascade.rx_spec, rx_arrival)
     return abs(np.vdot(rx.coefficients, H @ tx.coefficients))
 
 
 def test_design_irs_perfect_estimates_hit_exact_composite(small_scenario):
-    genie = perfect_estimates(small_scenario)
-    assert bridged_gain(small_scenario, genie) == pytest.approx(
+    cascade, _ = small_scenario
+    genie = perfect_estimates(cascade)
+    assert bridged_gain(cascade, genie) == pytest.approx(
         genie[0].composite_loss, rel=1e-12)
 
 
 def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario):
     # per-hop pattern losses multiply; the assembled gain cannot fall below
     # their product and cannot exceed the exact composite
-    scenario = small_scenario
-    link = scenario.cascade.links[0]
-    truth = link.angles
-    grid = scenario.sweep_grid
-    spec = scenario.cascade.irs_spec
+    cascade, assets = small_scenario
+    truth = perfect_estimates(cascade)[0]
+    grid = assets.sweep_grid
+    spec = cascade.irs_spec
 
     def snap(angle):
         return float(grid.directions[np.argmin(np.abs(grid.sines
@@ -66,8 +67,8 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
         rx_arrival=truth.rx_arrival,
         composite_loss=float("nan"),
     )
-    exact = perfect_estimates(scenario)[0].composite_loss
-    gain = bridged_gain(scenario, [quantized])
+    exact = truth.composite_loss
+    gain = bridged_gain(cascade, [quantized])
     # the bridge factor is the pattern at the summed sine offsets of the two
     # IRS-side hops (they share one phase profile)
     offset = ((np.sin(truth.irs_arrival) - np.sin(quantized.irs_arrival))
@@ -79,8 +80,9 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
 
 
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
-    genie = perfect_estimates(small_scenario)
-    value = composite_losses(small_scenario, [0], angle_rows(genie)[None],
+    cascade, _ = small_scenario
+    genie = perfect_estimates(cascade)
+    value = composite_losses(cascade, [0], angle_rows(genie)[None],
                              [2.0], 0.0, np.ones((1, 1, 10)))
     assert value[0, 0] == pytest.approx(genie[0].composite_loss, rel=1e-10)
 
@@ -88,24 +90,25 @@ def test_estimate_composite_loss_noiseless_exact(small_scenario):
 def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
     # with the sigma^2 / P correction the power estimate is unbiased:
     # averaging many pilot blocks should approach the true amplitude
-    genie = perfect_estimates(small_scenario)
+    cascade, _ = small_scenario
+    genie = perfect_estimates(cascade)
     truth = genie[0].composite_loss
     noise_power = (truth ** 2) * 0.5  # strong noise relative to the signal
     # 400 estimates, one per power row, of 50 pilots each
     noise = np.random.default_rng(21).standard_normal(
         (400, 1, 50, 2)).view(complex)[..., 0]
-    values = composite_losses(small_scenario, [0], angle_rows(genie)[None],
+    values = composite_losses(cascade, [0], angle_rows(genie)[None],
                               np.ones(400), noise_power, noise)
     assert values.shape == (400, 1)
     assert np.mean(np.square(values)) == pytest.approx(truth ** 2, rel=0.05)
 
 
 def test_estimate_composite_loss_absorbing_scene_is_noise_floor():
-    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1)], beta=0.0)
-    genie = perfect_estimates(scenario)
+    cascade, _ = scenario_from_angles([(0.2, -0.55, 0.4, -0.1)], beta=0.0)
+    genie = perfect_estimates(cascade)
     noise = np.random.default_rng(2).standard_normal(
         (1, 1, 10, 2)).view(complex)[..., 0]
-    value = composite_losses(scenario, [0], angle_rows(genie)[None], [1.0],
+    value = composite_losses(cascade, [0], angle_rows(genie)[None], [1.0],
                              1e-9, noise)
     assert value < 1e-3
 
@@ -202,6 +205,16 @@ def test_water_filling_rejects_degenerate_inputs():
         water_filling([1e-200, 0.0], 1.0, 0.1)  # a^2 underflows to zero
 
 
+def test_gains_whose_squares_underflow_get_zero_factors():
+    # a positive gain with no finite floor sigma^2 / (P a^2) is no usable
+    # channel: power_factors gives its row zero factors, and water_filling
+    # itself refuses it
+    gains = np.array([[1e-200, 0.0], [1e-200, 0.3]])
+    factors = power_factors(gains, np.array([1.0, 1.0]), 0.1)
+    assert np.array_equal(factors, [[0.0, 0.0], [0.0, 1.0]])
+    assert fdb_upper_bound([1e-200], 1.0, 0.1) == 0.0
+
+
 def test_build_beamformers_single_irs():
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
@@ -272,19 +285,33 @@ def test_spectral_efficiency_shared_combiner_column():
         want, rel=1e-9)
 
 
+def test_spectral_efficiency_exact_when_the_snr_dwarfs_the_identity():
+    # singular values 1e9, 1e3 and 1e-12 at unit SNR: in floating point the
+    # identity of I + G G^H is lost beside 1e18, so its determinant would be
+    # off by bits; each stream must still add log2(1 + s^2)
+    rng = np.random.default_rng(4)
+    u, v = (np.linalg.qr(rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3)))[0]
+            for _ in range(2))
+    s = np.array([1e9, 1e3, 1e-12])
+    eye = np.eye(3, dtype=complex)
+    rate = spectral_efficiency(dense(u @ np.diag(s) @ v),
+                               HybridBeamformer(eye, eye, eye, eye), 1.0, 1.0)
+    assert rate == pytest.approx(np.sum(np.log2(1 + s ** 2)), rel=1e-9)
+
+
 def test_spectral_efficiency_close_to_parallel_form():
-    scenario = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
-                                     (-0.6, 0.3, -0.2, 0.5),
-                                     (0.9, -0.1, 0.6, -0.8)],
-                                    num_antennas=32, num_beams=64)
-    genie = perfect_estimates(scenario)
+    cascade, _ = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
+                                       (-0.6, 0.3, -0.2, 0.5),
+                                       (0.9, -0.1, 0.6, -0.8)],
+                                      num_antennas=32, num_beams=64)
+    genie = perfect_estimates(cascade)
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
     bf = build_beamformers(angle_rows(genie), allocation.factors,
-                           scenario.cascade.tx_spec, scenario.cascade.rx_spec,
-                           4, 4, 3)
-    exact = spectral_efficiency(designed_channel(scenario, genie), bf, power,
+                           cascade.tx_spec, cascade.rx_spec, 4, 4, 3)
+    exact = spectral_efficiency(designed_channel(cascade, genie), bf, power,
                                 noise)
     reduced = parallel_rate(gains, allocation.factors, power, noise)
     assert exact == pytest.approx(reduced, rel=0.05)
@@ -363,18 +390,17 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     angles = [list(path[:4]) for path in paths]
     if shared is not None and len(angles) > 1:
         angles[1][shared] = angles[0][shared]
-    scenario = scenario_from_angles([tuple(a) for a in angles],
-                                    [path[4:] for path in paths],
-                                    num_antennas=num_antennas,
-                                    num_irs_elements=8)
-    genie = perfect_estimates(scenario)
+    cascade, _ = scenario_from_angles([tuple(a) for a in angles],
+                                      [path[4:] for path in paths],
+                                      num_antennas=num_antennas,
+                                      num_irs_elements=8)
+    genie = perfect_estimates(cascade)
     rng = np.random.default_rng(seed)
     states = [[direction_mode(8, 0.5, a[1], a[2]) for a in angles],
               [random_mode(8, rng) for _ in paths]]
     left, cores, right = channel_factors(
-        scenario, np.array([[t.entries() for t in s] for s in states]))
-    channels = np.array([assemble(scenario.cascade, s, scenario.consts)
-                         for s in states])
+        cascade, np.array([[t.entries() for t in s] for s in states]))
+    channels = np.array([assemble(cascade, s) for s in states])
     sv = np.linalg.svd(cores, compute_uv=False)
     dense_sv = singular_values(channels)
     top = dense_sv[:, :1]
@@ -390,8 +416,7 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
         rel=1e-12)
     bf = build_beamformers(angle_rows(genie),
                            water_filling(gains, power, noise).factors,
-                           scenario.cascade.tx_spec, scenario.cascade.rx_spec,
-                           3, 3, 3)
+                           cascade.tx_spec, cascade.rx_spec, 3, 3, 3)
     assert spectral_efficiency((left, cores, right), bf, power, noise) == (
         pytest.approx(spectral_efficiency(dense(channels), bf, power, noise),
                       rel=1e-12))
