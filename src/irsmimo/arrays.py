@@ -50,18 +50,15 @@ class BeamGrid:
     """K narrow-beam directions whose sines uniformly partition (-1, 1).
 
     `directions` holds the front-range representatives; back-range twins are
-    pi minus them. `edge_energy` is the common amplitude gain rho at every
-    coverage edge.
+    pi minus them, and `sines` their sines. `edge_energy` is the common
+    amplitude gain rho at every coverage edge.
     """
 
     num_elements: int
     num_beams: int
     directions: np.ndarray
+    sines: np.ndarray
     edge_energy: float
-
-    @property
-    def sines(self) -> np.ndarray:
-        return np.sin(self.directions)
 
 
 def element_phases(num_elements: int, spacing_wavelengths: float, sine):
@@ -139,6 +136,7 @@ def grid_directions(num_elements: int, num_beams: int) -> BeamGrid:
         num_elements=num_elements,
         num_beams=num_beams,
         directions=directions,
+        sines=np.sin(directions),
         edge_energy=edge_energy(num_elements, num_beams),
     )
 

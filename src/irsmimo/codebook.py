@@ -4,12 +4,12 @@ Stages are numbered 1..num_stages; stage s holds M**s candidate slots, indexed
 from 0. The bottom stage holds the K narrow grid beams in grid order followed
 by null padding; upper stages hold projection-designed wide beams, with a slot
 null whenever none of its descendant leaves is live. Each stage is one
-(N_a, M**s) matrix whose null slots are zero columns, so a search measures
-a parent's children with one matrix product.
+(N_a, M**s) matrix whose null slots are zero columns, and the stages sit
+side by side in one (N_a, M + M**2 + ... + M**S) table, so a search
+measures every node of the tree with one matrix product.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +80,10 @@ class HierarchicalCodebook:
     The per-stage fields are dicts keyed by stage s = 1..num_stages.
     `stages[s]` is the stage's (N_a, M**s) codeword matrix, with a zero
     column at every null padding slot, and `live[s]` marks the other
-    columns, each of unit norm. `weights[s]` holds the squares of
+    columns, each of unit norm. `table` holds every stage in order, one
+    column per tree node, and `stages[s]` is the view of its M**s columns
+    from `stage_offset(M, s)`; `uplink_table` is its conjugate, the
+    codewords of an uplink search. `weights[s]` holds the squares of
     per-candidate multipliers, known to the receiver from the codebook
     alone, that equalize adjacent siblings' amplitude responses at their
     shared territory edge; they multiply measured powers. Comparing calibrated
@@ -93,6 +96,8 @@ class HierarchicalCodebook:
     branching: int
     num_leaves: int
     num_stages: int
+    table: np.ndarray
+    uplink_table: np.ndarray
     stages: dict
     live: dict
     weights: dict
@@ -105,16 +110,16 @@ class HierarchicalCodebook:
             return None
         return BeamVector(self.stages[stage][:, index].copy())
 
-    @cached_property
-    def uplink_stages(self) -> dict:
-        """`stages` conjugated: the codewords of an uplink search."""
-        return _read_only({s: beams.conj() for s, beams in self.stages.items()})
+
+def stage_offset(branching: int, stage: int) -> int:
+    """First table column of `stage`: the M + M**2 + ... + M**(stage - 1)
+    slots of the stages above it."""
+    return (branching ** stage - branching) // (branching - 1)
 
 
-def _read_only(arrays: dict) -> dict:
-    for values in arrays.values():
+def _read_only(*arrays):
+    for values in arrays:
         values.flags.writeable = False
-    return arrays
 
 
 def build_codebook(spec: ArraySpec, branching: int,
@@ -130,19 +135,23 @@ def build_codebook(spec: ArraySpec, branching: int,
     if total < 1:
         raise ValueError("degenerate tree: need at least two leaves")
 
-    bottom = np.zeros((spec.num_elements, branching ** total), dtype=complex)
+    table = np.zeros((spec.num_elements, stage_offset(branching, total + 1)),
+                     dtype=complex)
+    columns = {s: slice(stage_offset(branching, s),
+                        stage_offset(branching, s + 1))
+               for s in range(1, total + 1)}
+    bottom = table[:, columns[total]]
     bottom[:, :num_leaves] = steering_coefficients(
         spec.num_elements, spec.spacing_wavelengths, grid.directions[:, None]).T
     edge_sines = -1.0 + np.arange(bottom.shape[1])[:, None] * 2.0 / num_leaves
     edges = np.exp(1j * np.ascontiguousarray(element_phases(
         spec.num_elements, spec.spacing_wavelengths, edge_sines).T))
-    stages = {total: bottom}
     calibration = {total: bottom.any(axis=0) * 1.0}
     for s in range(1, total):
         sums = bottom.reshape(spec.num_elements, branching ** s, -1).sum(axis=2)
         norm = np.linalg.norm(sums, axis=0)
         live = norm > 0.0
-        beams = stages[s] = sums / np.where(live, norm, 1.0)
+        beams = table[:, columns[s]] = sums / np.where(live, norm, 1.0)
         # at its left cell edge, a live slot takes its left sibling's multiplier
         # times their gain ratio; a group's first slot gets 1, a dead slot 0
         probes = edges[:, ::branching ** (total - s)]
@@ -152,13 +161,21 @@ def build_codebook(spec: ArraySpec, branching: int,
         np.divide(left, own[1:], out=ratio[1:], where=live[1:])
         ratio[::branching] = live[::branching]
         calibration[s] = np.cumprod(ratio.reshape(-1, branching), 1).ravel()
+    uplink_table = table.conj()
+    _read_only(table, uplink_table)
+    stages = {s: table[:, cols] for s, cols in columns.items()}
+    live = {s: beams.any(axis=0) for s, beams in stages.items()}
+    weights = {s: c ** 2 for s, c in calibration.items()}
+    _read_only(*live.values(), *weights.values())
     return HierarchicalCodebook(
         branching=branching,
         num_leaves=num_leaves,
         num_stages=total,
-        stages=_read_only(stages),
-        live=_read_only({s: beams.any(axis=0) for s, beams in stages.items()}),
-        weights=_read_only({s: c ** 2 for s, c in calibration.items()}),
+        table=table,
+        uplink_table=uplink_table,
+        stages=stages,
+        live=live,
+        weights=weights,
         leaf_grid=grid,
         spec=spec,
     )

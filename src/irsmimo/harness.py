@@ -10,12 +10,12 @@ from .channel import CascadeChannel, PhysicalConstants, cascade_loss
 from .codebook import build_codebook
 # unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
 from .training import (AngleEstimate, ScenarioAssets,  # noqa: F401
-                       SlotCount, channel_factors, composite_losses,
-                       cooperative_estimate, direction_states,
+                       SlotCount, chain_gains, channel_factors,
+                       composite_losses, cooperative_estimate, design_pass,
                        estimate_angles, misalignment_curve, noise_tape,
                        slot_count, sweep_phasors)
-from .transmission import (HybridBeamformer, build_beamformers, digital_gains,
-                           parallel_rate, power_factors, spectral_efficiency)
+from .transmission import (build_beamformers, digital_gains, parallel_rate,
+                           power_factors, spectral_efficiency)
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -281,62 +281,36 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
 
 
 def _designed_rates(cascade, estimates, power, noise_power, config):
-    """`_hybrid_rates` of a list of estimates at one power, over the channel
-    of IRSs in direction mode on their angles."""
+    """The hybrid rate of a list of estimates at one power, over the
+    channel of IRSs in direction mode on their angles."""
     rows = np.array([[astuple(e) for e in estimates]])
-    sines = np.sin(rows[..., 1:3])
     powers = np.array([power])
-    return float(_hybrid_rates(
-        cascade, config, rows[..., :4], powers, noise_power,
-        channel_factors(cascade, direction_states(
-            cascade, sines[..., 0], sines[..., 1])),
-        power_factors(rows[..., 4], powers, noise_power)[:, None])[0, 0])
+    steering, gains = design_pass(cascade, rows[..., :4])
+    return float(spectral_efficiency(
+        channel_factors(cascade, gains), *build_beamformers(
+            steering, power_factors(rows[..., 4], powers, noise_power)),
+        powers, noise_power)[0])
 
 
-def _hybrid_rates(cascade, config, angles, powers, noise_power, channels,
-                  factors):
-    """Hybrid rates (D, P) of closed-form designs from estimates.
-
-    Design d comes from `angles[d]` (N_i, 4), ordered as `estimate_angles`
-    returns them, is scored on channel d of the `channel_factors` factors
-    `channels` and, at power `powers[p]`, gets the `power_factors`
-    `factors[d, p]` (N_i) of its composite losses. An all-zero pair (no
-    positive loss, or not asked for) scores 0. One call each of design (one
-    steering per design) and rate serves every pair.
-    """
-    left, cores, right = channels
-    rates = np.zeros(factors.shape[:2])
-    design, power = np.nonzero(factors.any(axis=-1))
-    if design.size:
-        bf = build_beamformers(
-            angles[:, None], factors, cascade.tx_spec,
-            cascade.rx_spec, config.num_tx_rf_chains,
-            config.num_rx_rf_chains, config.num_streams)
-        rates[design, power] = spectral_efficiency(
-            (left, cores[design], right), HybridBeamformer(
-                bf.analog_precoder[design, 0], bf.digital_precoder[design, power],
-                bf.analog_combiner[design, 0], bf.digital_combiner),
-            powers[power], noise_power)
-    return rates
-
-
-def _trial_rates(cascade, config, designs, powers, noise_power, channels):
+def _trial_rates(steering, losses, powers, noise_power, channels):
     """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
-    over 4P rows: 2P hybrid pairs of `designs` (P estimated at their power,
-    the genie's at each) and the 2P fully digital bounds of the genie and
-    random cores, the last two `channels`, as `fdb_upper_bound` scores them.
+    over 4P rows: 2P hybrid pairs of the P + 1 designs whose `steering` and
+    composite `losses` are given (P estimated at their power, the genie's,
+    last, at each) and the 2P fully digital bounds of the genie and random
+    cores, the last two `channels`, as `fdb_upper_bound` scores them.
     """
     count, half = powers.size, 2 * powers.size
     rows = np.minimum(np.arange(half), count)
-    gains = np.concatenate([designs[rows, :, 4], np.repeat(digital_gains(
-        np.linalg.svd(channels[1][count:], compute_uv=False)), count, axis=0)])
-    power = np.tile(powers, 4)
+    left, cores, right = channels
+    gains = np.concatenate([losses[rows], digital_gains(np.linalg.svd(
+        cores[count:], compute_uv=False)).repeat(count, axis=0)])
+    power = np.concatenate([powers] * 4)
     factors = power_factors(gains, power, noise_power)
-    pairs = rows, np.tile(np.arange(count), 2)
-    grid = np.zeros((count + 1, count, gains.shape[-1]))
-    grid[pairs] = factors[:half]
-    hybrid = _hybrid_rates(cascade, config, designs[..., :4], powers,
-                           noise_power, channels, grid)[pairs]
+    # a pair with all-zero factors has no active stream and scores 0
+    hybrid = spectral_efficiency(
+        (left, cores[rows], right), *build_beamformers(
+            [part[rows] for part in steering], factors[:half]),
+        power[:half], noise_power)
     bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
                            noise_power)
     return np.reshape([hybrid, bounds], (4, count)).T
@@ -348,11 +322,11 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
 
     Samples the room (stream 0) and draws the random IRS phases (stream 1).
     Then, in one pass over every power at once, reading power p's noise
-    tape row from stream 2 + p, runs the cooperative estimation and the
-    composite-loss pilots. The P estimated designs and the genie design
-    give the direction-mode IRS states in one `direction_states` call; each
-    channel, the random IRSs' included, is scored from its N_i x N_i core
-    (`channel_factors`) in one pass (`_trial_rates`).
+    tape row from stream 2 + p, runs the cooperative estimation. One
+    `design_pass` steers the P estimated designs and the genie's and gives
+    their IRS chain gains; the composite-loss pilots and the scoring read
+    those arrays. Each channel, the random IRSs' included, is scored from
+    its N_i x N_i core (`channel_factors`) in one pass (`_trial_rates`).
     """
     cascade, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
@@ -366,19 +340,20 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
                        for p_index in range(powers.size)])
     angles, search = estimate_angles(cascade, assets, powers, noise_power,
                                      tape)
-    losses = composite_losses(cascade, np.arange(config.num_irs), angles,
-                              powers, noise_power, tape.pilots)
+    truth = _truth(cascade)
     # each power's estimated design, then the genie design
-    designs = np.concatenate([np.concatenate([angles, losses[..., None]], -1),
-                              [_truth(cascade)]])
-    sines = np.sin(designs)
+    (f, w), gains = design_pass(cascade, np.concatenate([angles,
+                                                         [cascade.angles]]))
+    losses = composite_losses(cascade, (f[:-1], w[:-1]), gains[:-1], powers,
+                              noise_power, tape.pilots)
     channels = channel_factors(cascade, np.concatenate([
-        direction_states(cascade, sines[..., 1], sines[..., 2]),
-        [random_states]]))
-    rates = _trial_rates(cascade, config, designs, powers, noise_power,
-                         channels)
-    return TrialResult(geometry=geometry, truth=designs[-1],
-                       estimates=designs[:-1], rates=rates, search=search)
+        gains, [chain_gains(cascade, random_states)]]))
+    rates = _trial_rates((f, w), np.concatenate([losses, [truth[:, 4]]]),
+                         powers, noise_power, channels)
+    return TrialResult(geometry=geometry, truth=truth,
+                       estimates=np.concatenate([angles, losses[..., None]],
+                                                -1),
+                       rates=rates, search=search)
 
 
 @dataclass

@@ -12,13 +12,14 @@ check that keeps the parity-consistent member of the twin pair.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, element_phases,
                      grid_directions, pattern_gain, steering_coefficients)
 from .channel import CascadeChannel, PhysicalConstants
-from .codebook import HierarchicalCodebook
+from .codebook import HierarchicalCodebook, stage_offset
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,15 @@ def noise_tape(cascade: CascadeChannel, assets: ScenarioAssets,
               (num_irs, 2, max(b.num_stages for b in books),
                max(b.branching for b in books)),
               (num_irs, pilot_repetitions))
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    rows = np.array([rng.standard_normal((sum(sizes), 2)).view(complex)[:, 0]
-                     for rng in rngs])
-    parts = np.split(rows, np.cumsum(sizes)[:-1], axis=1)
-    return NoiseTape(*(part.reshape(len(rows), *shape)
-                       for part, shape in zip(parts, shapes)))
+    sizes = [prod(shape) for shape in shapes]
+    pairs = np.empty((len(rngs), sum(sizes), 2))
+    for row, rng in zip(pairs, rngs):
+        rng.standard_normal(out=row)
+    rows, fields = pairs.view(complex)[..., 0], []
+    for size, shape in zip(sizes, shapes):
+        fields.append(rows[:, :size].reshape(len(rows), *shape))
+        rows = rows[:, size:]
+    return NoiseTape(*fields)
 
 
 def _descend(codebook: HierarchicalCodebook, measure, batch: int = 1) -> tuple:
@@ -150,16 +154,17 @@ def _descend(codebook: HierarchicalCodebook, measure, batch: int = 1) -> tuple:
     measured, both (batch,).
     """
     index = np.zeros(batch, dtype=int)
-    measurements = np.zeros(batch, dtype=int)
+    searches = np.arange(batch)
+    slots = np.arange(codebook.branching)
+    measured = np.zeros((batch, codebook.branching), dtype=int)
     for stage in range(1, codebook.num_stages + 1):
-        children = index[:, None] * codebook.branching + np.arange(
-            codebook.branching)
+        children = index[:, None] * codebook.branching + slots
         live = codebook.live[stage][children]
         stats = np.where(live, measure(stage, children)
                          * codebook.weights[stage][children], -np.inf)
-        index = children[np.arange(batch), np.argmax(stats, axis=1)]
-        measurements += live.sum(axis=1)
-    return index, measurements
+        index = children[searches, stats.argmax(axis=1)]
+        measured += live
+    return index, measured.sum(axis=1)
 
 
 def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
@@ -184,15 +189,37 @@ def direction_states(cascade: CascadeChannel, incident_sine,
         np.subtract(departure_sine, incident_sine)[..., None]))
 
 
-def channel_factors(cascade: CascadeChannel, states) -> tuple:
-    """Channels with IRS l in the state of diagonal states[..., l, :], as
-    factors (Q_a, cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T
-    with g_l = sum_n chain_ln states_ln, core = R_a diag(g) R_b^T (..., N_i,
-    N_i) and the reduced QRs rx_dir^T = Q_a R_a and tx_dir^T = Q_b R_b."""
-    chain, rx_dir, tx_dir, _ = cascade.bridge_terms
+def chain_gains(cascade: CascadeChannel, states) -> np.ndarray:
+    """Gains g_l = sum_n chain_ln states_ln (..., N_i), the H[0, 0] of each
+    IRS l reflecting alone in the state of diagonal states[..., l, :]."""
+    return (cascade.bridge_terms[0] * states).sum(axis=-1)
+
+
+def design_pass(cascade: CascadeChannel, angles) -> tuple:
+    """Everything the closed-form design takes from `angles` (..., N_i, 4),
+    ordered as `estimate_angles` returns them, each formed once: the
+    unit-norm steering toward every transmit departure (..., N_i, N_t) and
+    every receive arrival (..., N_i, N_u) as a pair (f, w), and the
+    `chain_gains` of the IRSs in direction mode on their angles."""
+    angles = np.asarray(angles, dtype=float)
+    sines = np.sin(angles)
+    tx, rx = cascade.tx_spec, cascade.rx_spec
+    steering = (steering_coefficients(tx.num_elements, tx.spacing_wavelengths,
+                                      angles[..., 0, None]),
+                steering_coefficients(rx.num_elements, rx.spacing_wavelengths,
+                                      angles[..., 3, None]))
+    return steering, chain_gains(cascade, direction_states(
+        cascade, sines[..., 1], sines[..., 2]))
+
+
+def channel_factors(cascade: CascadeChannel, gains) -> tuple:
+    """Channels with IRS l at `chain_gains` gains[..., l], as factors (Q_a,
+    cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T with core =
+    R_a diag(g) R_b^T (..., N_i, N_i) and the reduced QRs rx_dir^T = Q_a R_a
+    and tx_dir^T = Q_b R_b."""
+    _, rx_dir, tx_dir, _ = cascade.bridge_terms
     q_a, r_a = np.linalg.qr(rx_dir.T)
     q_b, r_b = np.linalg.qr(tx_dir.T)
-    gains = np.sum(chain * states, axis=-1)
     return q_a, (r_a * gains[..., None, :]) @ r_b.T, q_b.T
 
 
@@ -230,63 +257,64 @@ def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
     heard = np.abs(amplitude[..., None, None]
                    * _sweep_responses(cascade, assets)
                    + scale * tape.sweep) ** 2
-    slots = np.argmax(heard, axis=-1)
+    slots = heard.argmax(axis=-1)
     arrival = slots[..., 0]
     departure = grid.num_beams - 1 - slots[..., 1]
-    candidates = np.stack(
-        [departure, (departure + grid.num_beams // 2) % grid.num_beams], -1)
-    gains = np.sum(chain[:, None] * direction_states(
-        cascade, grid.sines[arrival][..., None], grid.sines[candidates]), -1)
+    candidates = (departure[..., None] + [0, grid.num_beams // 2]) % grid.num_beams
+    gains = (chain[:, None] * direction_states(
+        cascade, grid.sines[arrival][..., None], grid.sines[candidates])).sum(-1)
     heard = np.abs(amplitude[..., None] * gains + scale * tape.bridge) ** 2
-    pick = np.argmax(heard, axis=-1)[..., None]
-    departure = np.take_along_axis(candidates, pick, axis=-1)[..., 0]
-    reach = (amplitude * np.take_along_axis(gains, pick, axis=-1)[..., 0])
+    twin = heard.argmax(axis=-1) == 1
+    angles = np.empty(twin.shape + (4,))
+    angles[..., 1] = grid.directions[arrival]
+    angles[..., 2] = grid.directions[np.where(twin, candidates[..., 1],
+                                              candidates[..., 0])]
+    reach = amplitude * np.where(twin, gains[..., 1], gains[..., 0])
 
-    # the pair's H[:, 0] is H[0, 0] rx_dir and its H[0, :] is H[0, 0] tx_dir
-    owner = np.broadcast_to(np.arange(reach.shape[1]), reach.shape).ravel()
-    leaves, search = [], 0
+    # the pair's H[:, 0] is H[0, 0] rx_dir and its H[0, :] is H[0, 0] tx_dir;
+    # every tree node's power is heard at once, and the descent gathers them
+    searches = np.arange(reach.size)[:, None]
+    owner = searches[:, 0] % reach.shape[1]
+    count = 0
     for side, (book, direction) in enumerate(
             ((assets.tx_codebook, tx_dir), (assets.rx_codebook, rx_dir))):
-        responses = {s: beams.T @ direction.T for s, beams in (
-            book.uplink_stages if side else book.stages).items()}
-        draws = tape.search[:, :, side].reshape(owner.size, -1,
-                                                tape.search.shape[-1])
+        responses = (book.uplink_table if side else book.table).T @ direction.T
+        # node (stage s, child c) reads tape slot (s - 1, c % M): each of the
+        # M**(s - 1) sibling groups of stage s repeats that stage's M draws
+        draws = np.repeat(tape.search[:, :, side, :book.num_stages,
+                                      :book.branching].reshape(
+            reach.size, book.num_stages, book.branching),
+            book.branching ** np.arange(book.num_stages), axis=1)
+        node_power = np.abs(reach.reshape(-1, 1) * responses.T[owner]
+                            + scale * draws.reshape(reach.size, -1)) ** 2
 
         def measure(stage, children):
-            signal = reach.reshape(-1, 1) * responses[stage][children, owner[:, None]]
-            return np.abs(signal + scale * draws[:, stage - 1,
-                                                 :book.branching]) ** 2
-        leaf, count = _descend(book, measure, owner.size)
-        leaves.append(book.leaf_grid.directions[leaf].reshape(reach.shape))
-        search = search + count.reshape(reach.shape).sum(axis=1)
-    return np.stack([leaves[0], grid.directions[arrival],
-                     grid.directions[departure], leaves[1]], axis=-1), search
+            return node_power[searches, children + stage_offset(
+                book.branching, stage)]
+        leaf, measured = _descend(book, measure, reach.size)
+        angles[..., 3 * side] = book.leaf_grid.directions[leaf].reshape(
+            reach.shape)
+        count = count + measured
+    return angles, count.reshape(reach.shape).sum(axis=1)
 
 
-def composite_losses(cascade: CascadeChannel, irs, angles, powers,
+def composite_losses(cascade: CascadeChannel, steering, gains, powers,
                      noise_power: float, noise) -> np.ndarray:
-    """Measured end-to-end amplitudes (P, len(irs)) of bridged IRS links.
+    """Measured end-to-end amplitudes (P, N_i) of bridged IRS links.
 
-    IRS `irs[j]` alone reflects, in direction mode on `angles[p, j]`
-    (ordered as `estimate_angles` returns them), both terminals beamform on
-    those angles, and the amplitude comes from the power averaged over the
-    pilots `noise[p, j]` less the noise floor, clipped at zero.
+    IRS l alone reflects at chain gain `gains[p, l]`, both terminals
+    beamform with the steering pair `steering` (f, w) [p, l] (a
+    `design_pass` of the estimated angles), and the amplitude comes from
+    the power averaged over the pilots `noise[p, l]` less the noise floor,
+    clipped at zero.
     """
-    chain, rx_dir, tx_dir, _ = cascade.bridge_terms
-    angles = np.asarray(angles, dtype=float)
-    tx_spec, rx_spec = cascade.tx_spec, cascade.rx_spec
-    w = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,
-                              angles[..., 3, None])
-    f = steering_coefficients(tx_spec.num_elements, tx_spec.spacing_wavelengths,
-                              angles[..., 0, None])
-    sines = np.sin(angles)
-    signal = (np.sum(chain[irs] * direction_states(cascade, sines[..., 1],
-                                                   sines[..., 2]), axis=-1)
-              * np.sum(w.conj() * rx_dir[irs], axis=-1)
-              * np.sum(tx_dir[irs] * f, axis=-1))
+    _, rx_dir, tx_dir, _ = cascade.bridge_terms
+    f, w = steering
+    signal = (gains * (w.conj() * rx_dir).sum(axis=-1)
+              * (tx_dir * f).sum(axis=-1))
     powers = np.asarray(powers, dtype=float)[:, None]
-    heard = np.mean(np.abs((np.sqrt(powers) * signal)[..., None]
-                           + np.sqrt(noise_power / 2.0) * noise) ** 2, axis=-1)
+    heard = (np.abs((np.sqrt(powers) * signal)[..., None]
+                    + np.sqrt(noise_power / 2.0) * noise) ** 2).mean(axis=-1)
     return np.sqrt(np.maximum(heard - noise_power, 0.0) / powers)
 
 

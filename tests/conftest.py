@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from irsmimo.arrays import ArraySpec, grid_directions
+from irsmimo.arrays import ArraySpec, grid_directions, steering_coefficients
 from irsmimo.channel import CascadeChannel, PhysicalConstants, make_link
 from irsmimo.codebook import build_codebook
 from irsmimo.training import ScenarioAssets, sweep_phasors
@@ -53,6 +53,16 @@ def dense_hops(cascade, irs_index):
 def angle_rows(estimates):
     """The (N_i, 4) angles of a list of `AngleEstimate`s, in field order."""
     return np.array([astuple(e)[:4] for e in estimates])
+
+
+def steered(tx_spec, rx_spec, angles):
+    """The steering pair (f, w) that `training.design_pass` forms from
+    design `angles` (..., N_i, 4), for arrays without a scene."""
+    angles = np.asarray(angles, dtype=float)
+    return tuple(steering_coefficients(spec.num_elements,
+                                       spec.spacing_wavelengths,
+                                       angles[..., column, None])
+                 for spec, column in ((tx_spec, 0), (rx_spec, 3)))
 
 
 def dense(H):

@@ -299,18 +299,27 @@ def scene_configs(draw):
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
-@settings(max_examples=100, deadline=None)
-@given(text=scene_configs(), command=st.sampled_from(["rate-curve",
-                                                      "estimate"]))
-def test_every_config_exits_2_naming_a_key_or_0_with_a_finite_csv(
-        tmp_path_factory, text, command):
-    folder = tmp_path_factory.getbasetemp()
+@st.composite
+def table_configs(draw):
+    """A `scene_configs` text with the mp-curve keys and `trials` drawn too:
+    antenna counts 0 to 24, beam ratios 0.5 to 4, SNRs within +-300 dB and
+    0 to 50 trials."""
+    text = draw(scene_configs())
+    for key, values in (("mp_antenna_counts", st.integers(0, 24)),
+                        ("mp_beam_ratios", st.floats(0.5, 4)),
+                        ("mp_snr_grid_db", st.floats(-300, 300))):
+        drawn = draw(st.lists(values, min_size=1, max_size=3))
+        text += f"{key} = {','.join(map(repr, drawn))}\n"
+    return text + f"trials = {draw(st.integers(0, 50))}\n"
+
+
+def exits_2_naming_a_key_or_0_with_a_finite_csv(folder, text, command,
+                                                *flags):
     scene, out = folder / "fuzz.cfg", folder / "fuzz.csv"
     scene.write_text(text)
     out.unlink(missing_ok=True)
-    trials = ["--trials", "1"] if command == "rate-curve" else []
     with redirect_stderr(io.StringIO()) as stderr:
-        code = main([command, "--config", str(scene), *trials,
+        code = main([command, "--config", str(scene), *flags,
                      "--out", str(out)])
     err = stderr.getvalue()
     if code == 2:
@@ -318,9 +327,29 @@ def test_every_config_exits_2_naming_a_key_or_0_with_a_finite_csv(
         assert not out.exists()
     else:
         assert code == 0, err
-        # every rate-curve and estimate column is numeric
+        # every rate-curve, estimate and mp-curve column is numeric
         assert all(math.isfinite(float(cell)) for row in read_rows(out)
                    for cell in row.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=scene_configs(), command=st.sampled_from(["rate-curve",
+                                                      "estimate"]))
+def test_every_config_exits_2_naming_a_key_or_0_with_a_finite_csv(
+        tmp_path_factory, text, command):
+    trials = ["--trials", "1"] if command == "rate-curve" else []
+    exits_2_naming_a_key_or_0_with_a_finite_csv(
+        tmp_path_factory.getbasetemp(), text, command, *trials)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=table_configs(), command=st.sampled_from(["mp-curve",
+                                                      "rate-curve"]))
+def test_every_table_config_exits_2_naming_a_key_or_0_with_a_finite_csv(
+        tmp_path_factory, text, command):
+    # the trial count and the mp keys come from the config file
+    exits_2_naming_a_key_or_0_with_a_finite_csv(
+        tmp_path_factory.getbasetemp(), text, command)
 
 
 @pytest.mark.parametrize("command", ["rate-curve", "estimate"])

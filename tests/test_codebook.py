@@ -196,6 +196,29 @@ def test_bottom_stage_layout_and_common_edges():
         assert beam_gain(leaf, book.spec, edge) == pytest.approx(rho, abs=1e-9)
 
 
+@pytest.mark.parametrize("num_elements,branching,num_leaves",
+                         [(16, 3, 22), (32, 2, 64), (64, 2, 192)])
+def test_flat_table_holds_every_stage(num_elements, branching, num_leaves):
+    # one (N, M + ... + M**S) table per codebook, built with it: each stage
+    # is a read-only view of its columns, and the uplink table is the
+    # table's conjugate, stored beside it rather than formed on first use
+    book = build_codebook(ArraySpec(num_elements), branching, num_leaves)
+    assert {"table", "uplink_table"} <= set(vars(book))
+    width = sum(branching ** s for s in range(1, book.num_stages + 1))
+    assert book.table.shape == book.uplink_table.shape == (num_elements,
+                                                           width)
+    start = 0
+    for stage in range(1, book.num_stages + 1):
+        columns = book.table[:, start:start + branching ** stage]
+        assert book.stages[stage].base is book.table
+        assert np.array_equal(book.stages[stage], columns)
+        assert np.shares_memory(book.stages[stage], columns)
+        start += branching ** stage
+    assert np.array_equal(book.uplink_table, book.table.conj())
+    for values in (book.table, book.uplink_table, *book.stages.values()):
+        assert not values.flags.writeable
+
+
 def test_calibration_live_slots_positive():
     book = build_codebook(ArraySpec(32), 3, 96)
     for stage in range(1, book.num_stages + 1):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import angle_rows, dense
-from irsmimo import harness, transmission
+from conftest import angle_rows, dense, steered
+from irsmimo import harness, training, transmission
 from irsmimo.cli import main
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
@@ -17,7 +17,8 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              true_composite_loss, write_csv)
 from irsmimo.channel import assemble
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import AngleEstimate, channel_factors, direction_states
+from irsmimo.training import (AngleEstimate, chain_gains, channel_factors,
+                              design_pass)
 from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
                                   spectral_efficiency, water_filling)
 
@@ -401,17 +402,19 @@ def test_zero_amplitude_scene_scores_zero():
 
 def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
     # run_trial scores every design of a trial in one stacked pass over
-    # channel factors, with one water-filling call for the hybrid designs and
-    # the fully digital bounds together; each rate must equal its own
-    # water-filling, design and rate calls on the assembled channel. At -90
-    # and -85 dBm the measured composite losses of this trial are all
-    # clipped to zero: those rows are unusable and score 0 beside live ones.
+    # channel factors, with one water-filling (`_fill`) of the floors of the
+    # hybrid designs and the fully digital bounds together; each rate must
+    # equal its own water-filling, design and rate calls on the assembled
+    # channel. At -90 and -85 dBm the measured composite losses of this
+    # trial are all clipped to zero: those rows are unusable and score 0
+    # beside live ones.
     config = tiny_config(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0))
     assets = scenario_assets(config)
     calls = []
     for module, name in ((transmission, "water_filling"),
+                         (transmission, "_fill"),
                          (transmission, "fdb_upper_bound"),
-                         (harness, "build_beamformers"),
+                         (harness, "power_factors"),
                          (harness, "spectral_efficiency")):
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
@@ -419,8 +422,7 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     result = run_trial(config, assets, 1)
     monkeypatch.undo()
-    assert sorted(calls) == ["build_beamformers", "spectral_efficiency",
-                             "water_filling"]
+    assert sorted(calls) == ["_fill", "power_factors", "spectral_efficiency"]
     cascade, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
     rand_rng = harness._trial_seed(7, 1, 1)
     random_thetas = [random_mode(16, rand_rng) for _ in range(2)]
@@ -433,14 +435,14 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
         gains = [e.composite_loss for e in estimates]
         if not any(gains):
             return 0.0
-        bf = build_beamformers(angle_rows(estimates),
-                               water_filling(gains, power, noise).factors,
-                               cascade.tx_spec, cascade.rx_spec, 4, 4, 2)
+        F, W = build_beamformers(
+            steered(cascade.tx_spec, cascade.rx_spec, angle_rows(estimates)),
+            water_filling(gains, power, noise).factors)
         thetas = [direction_mode(spec.num_elements, spec.spacing_wavelengths,
                                  e.irs_arrival, e.irs_departure)
                   for e in estimates]
         H = assemble(cascade, thetas)
-        return spectral_efficiency(dense(H), bf, power, noise)
+        return spectral_efficiency(dense(H), F, W, power, noise)
 
     def bound(thetas, power):
         H = assemble(cascade, thetas)
@@ -460,8 +462,9 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
 
 
 def trial_parts(config, assets, trial):
-    """run_trial's result, scene, designs and channel factors, the random
-    IRSs' rebuilt with the loop of `irs_control.random_mode` calls."""
+    """run_trial's result, scene, designs, their `design_pass` steering and
+    the channel factors, the random IRSs' rebuilt with the loop of
+    `irs_control.random_mode` calls."""
     result = run_trial(config, assets, trial)
     cascade, _ = sample_scenario(config,
                                   harness._trial_seed(config.seed, trial, 0),
@@ -471,11 +474,10 @@ def trial_parts(config, assets, trial):
                                  amplitude=config.reflection_amplitude).entries()
                      for _ in range(config.num_irs)]
     designs = np.concatenate([result.estimates, [result.truth]])
-    sines = np.sin(designs)
+    steering, gains = design_pass(cascade, designs[..., :4])
     channels = channel_factors(cascade, np.concatenate([
-        direction_states(cascade, sines[..., 1], sines[..., 2]),
-        [random_states]]))
-    return result, cascade, designs, channels
+        gains, [chain_gains(cascade, random_states)]]))
+    return result, cascade, designs, steering, channels
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -490,33 +492,30 @@ def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
 
     def recorded(cascade, states):
         seen.append(states)
-        return channel_factors(cascade, states)
+        return chain_gains(cascade, states)
 
-    monkeypatch.setattr(harness, "channel_factors", recorded)
+    monkeypatch.setattr(harness, "chain_gains", recorded)
     result = run_trial(config, assets, trial)
     monkeypatch.undo()
     rng = harness._trial_seed(config.seed, trial, 1)
     want = [random_mode(config.num_irs_elements, rng, amplitude=0.7).entries()
             for _ in range(config.num_irs)]
-    assert len(seen) == 1 and np.array_equal(seen[0][-1], want)
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
     assert result.rates[:, 3].all()
 
 
-def per_row_hybrid_rates(cascade, config, angles, powers, noise_power,
-                         channels, factors):
-    """The per-row scoring that `_hybrid_rates` replaced: row b designs from
-    `angles[b]` and `factors[b]`, steered on its own, and is scored on core
-    b at `powers[b]`; a row whose factors are all zero scores 0."""
+def per_row_hybrid_rates(steering, powers, noise_power, channels, factors):
+    """The stacked hybrid scoring of a trial taken row by row: row b is
+    steered by `steering` [b] with `factors[b]` and scored on core b at
+    `powers[b]`; a row whose factors are all zero is not scored and gets
+    0."""
     left, cores, right = channels
     rates = np.zeros(len(powers))
-    usable = factors.any(axis=1)
-    if usable.any():
-        bf = build_beamformers(
-            angles[usable], factors[usable], cascade.tx_spec, cascade.rx_spec,
-            config.num_tx_rf_chains, config.num_rx_rf_chains,
-            config.num_streams)
-        rates[usable] = spectral_efficiency((left, cores[usable], right), bf,
-                                            powers[usable], noise_power)
+    for b in np.flatnonzero(factors.any(axis=1)):
+        rates[b] = spectral_efficiency(
+            (left, cores[b], right), *build_beamformers(
+                [part[b] for part in steering], factors[b]),
+            powers[b], noise_power)
     return rates
 
 
@@ -526,24 +525,25 @@ def per_row_hybrid_rates(cascade, config, angles, powers, noise_power,
     (dict(num_tx_antennas=8, num_rx_antennas=12, num_irs_elements=10), 0)])
 def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     # one water-filling call over the 2P hybrid rows and the 2P fully
-    # digital rows gives the rates of a `_hybrid_rates` call and a
+    # digital rows gives the rates of per-row hybrid scoring and a
     # `fdb_upper_bound` call, bit for bit, zero-gain rows included
     config = tiny_config(**overrides)
     assets = scenario_assets(config)
-    result, cascade, designs, channels = trial_parts(config, assets, 1)
+    result, cascade, designs, steering, channels = trial_parts(config,
+                                                              assets, 1)
     powers, noise = assets.powers, assets.noise_power
     count = powers.size
     left, cores, right = channels
     rows = np.r_[np.arange(count), np.full(count, count)]
     hybrid = per_row_hybrid_rates(
-        cascade, config, designs[rows, :, :4], np.tile(powers, 2), noise,
+        [part[rows] for part in steering], np.tile(powers, 2), noise,
         (left, cores[rows], right),
         harness.power_factors(designs[rows, :, 4], np.tile(powers, 2), noise))
     bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
                              powers, noise)
     want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
                     axis=-1)
-    fused = harness._trial_rates(cascade, config, designs, powers, noise,
+    fused = harness._trial_rates(steering, designs[..., 4], powers, noise,
                                  channels)
     assert np.array_equal(fused, want)
     assert np.array_equal(result.rates, want)
@@ -552,20 +552,51 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
 
 
 def test_trial_steers_each_design_once(monkeypatch):
-    # the genie's design is scored at every power but steered once: the
-    # analog columns of a trial's one design call cover the P estimated
-    # designs and the genie's, not the 2P scored rows
+    # one design pass per trial: one steering call per terminal and one
+    # direction_states call cover the P estimated designs and the genie's,
+    # not the 2P scored rows, and the composite-loss pilots and the scoring
+    # read the arrays of that pass
     config = tiny_config(power_grid_dbm=(0.0, 10.0, 20.0, 30.0))
     assets = scenario_assets(config)
-    seen = []
+    steered, states, passes, read = [], [], [], {}
 
-    def recorded(num_elements, spacing, angle,
-                 real=transmission.steering_coefficients):
-        seen.append(np.shape(angle))
+    def steer(num_elements, spacing, angle,
+              real=training.steering_coefficients):
+        steered.append(np.shape(angle))
         return real(num_elements, spacing, angle)
-    monkeypatch.setattr(transmission, "steering_coefficients", recorded)
+
+    def state(cascade, incident, departure, real=training.direction_states):
+        states.append(np.shape(incident))
+        return real(cascade, incident, departure)
+
+    def design(cascade, angles, real=harness.design_pass):
+        passes.append(real(cascade, angles))
+        return passes[-1]
+
+    def reader(name, real):
+        def recorded(*args):
+            read[name] = args
+            return real(*args)
+        return recorded
+
+    monkeypatch.setattr(training, "steering_coefficients", steer)
+    monkeypatch.setattr(training, "direction_states", state)
+    monkeypatch.setattr(harness, "design_pass", design)
+    for name in ("composite_losses", "_trial_rates"):
+        monkeypatch.setattr(harness, name, reader(name,
+                                                  getattr(harness, name)))
     result = run_trial(config, assets, 1)
-    assert seen == [(5, 1, config.num_irs, 1)] * 2
+    monkeypatch.undo()
+    designs = (len(config.power_grid_dbm) + 1, config.num_irs)
+    assert steered == [designs + (1,)] * 2
+    # the bridge check's candidates (P, N_i, 1), then the designs
+    assert states == [(4, config.num_irs, 1), designs]
+    assert len(passes) == 1
+    (f, w), gains = passes[0]
+    steering, loss_gains = read["composite_losses"][1:3]
+    for got, made in zip((*steering, loss_gains), (f, w, gains)):
+        assert got.base is made and np.array_equal(got, made[:-1])
+    assert read["_trial_rates"][0][0] is f and read["_trial_rates"][0][1] is w
     assert result.rates[:, :2].all()
 
 
@@ -630,7 +661,7 @@ def test_terminals_share_one_codebook_when_they_agree():
     for stage, beams in assets.tx_codebook.stages.items():
         with pytest.raises(ValueError, match="read-only"):
             beams[0, 0] = 0.0
-        for table in ("live", "weights", "uplink_stages"):
+        for table in ("live", "weights"):
             assert not getattr(assets.tx_codebook, table)[stage].flags.writeable
 
 
@@ -649,10 +680,10 @@ def test_fused_scoring_pass_applies_the_fdb_cutoff():
     # gain in the fused pass as in fdb_upper_bound, even at an SNR where a
     # gain that small would take power; the design gains are all zero here,
     # so only the bound rows are live
-    designs = np.zeros((2, 2, 5))
+    steering = (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
     cores = np.array([np.eye(2), np.diag([1.0, 1e-15]), np.diag([1.0, 0.5])])
     powers, noise = np.array([1e25]), 1e-11
-    fused = harness._trial_rates(None, tiny_config(), designs, powers, noise,
+    fused = harness._trial_rates(steering, np.zeros((2, 2)), powers, noise,
                                  (np.eye(2), cores, np.eye(2)))
     bounds = fdb_upper_bound(np.linalg.svd(cores[1:], compute_uv=False),
                              powers, noise)

@@ -11,10 +11,10 @@ from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import absorbing, direction_mode, return_mode
-from irsmimo.training import (MeasurementModel, channel_factors,
+from irsmimo.training import (MeasurementModel, chain_gains, channel_factors,
                               complex_noise, composite_losses,
-                              cooperative_estimate, direction_states,
-                              estimate_angles,
+                              cooperative_estimate, design_pass,
+                              direction_states, estimate_angles,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
                               _sweep_responses)
@@ -253,7 +253,7 @@ def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
     tape = noise_tape(cascade, assets, repetitions,
                       [np.random.default_rng((seed, p)) for p in range(2)])
     got, search = estimate_angles(cascade, assets, powers, noise_power, tape)
-    losses = composite_losses(cascade, np.arange(len(angles)), got, powers,
+    losses = composite_losses(cascade, *design_pass(cascade, got), powers,
                               noise_power, tape.pilots)
     for p, power in enumerate(powers):
         want, pilots, want_losses = reference_pass(cascade, assets, power,
@@ -273,7 +273,7 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
     tape = noise_tape(cascade, assets, 7, [np.random.default_rng(11)])
     angles, search = estimate_angles(cascade, assets, [model.transmit_power],
                                      model.noise_power, tape)
-    losses = composite_losses(cascade, np.arange(2), angles,
+    losses = composite_losses(cascade, *design_pass(cascade, angles),
                               [model.transmit_power], model.noise_power,
                               tape.pilots)
     rng = np.random.default_rng(11)
@@ -283,7 +283,7 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
     assert slots.search == search[0]
     pilots = rng.standard_normal((1, 2, 7, 2)).view(complex)[..., 0]
     assert composite_losses(
-        cascade, np.arange(2), angle_rows(estimates)[None],
+        cascade, *design_pass(cascade, angle_rows(estimates)[None]),
         [model.transmit_power], model.noise_power, pilots) == pytest.approx(
         losses, rel=1e-12)
 
@@ -295,8 +295,8 @@ def test_direction_channels_match_assembled_channels():
                                        (-0.3, 0.25, -0.45, 0.15)])
     spec = cascade.irs_spec
     sines = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 2))
-    left, cores, right = channel_factors(cascade, direction_states(
-        cascade, sines[..., 0], sines[..., 1]))
+    left, cores, right = channel_factors(cascade, chain_gains(
+        cascade, direction_states(cascade, sines[..., 0], sines[..., 1])))
     assert cores.shape == (3, 2, 2)
     stack = left @ cores @ right
     for H, pair in zip(stack, sines):

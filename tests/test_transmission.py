@@ -1,18 +1,16 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_rows, dense, scenario_from_angles
+from conftest import angle_rows, dense, scenario_from_angles, steered
 from irsmimo.arrays import ArraySpec, steering
 from irsmimo.channel import assemble
 from irsmimo.harness import perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import (AngleEstimate, channel_factors,
-                              composite_losses, direction_states)
-from irsmimo.transmission import (HybridBeamformer, build_beamformers,
+from irsmimo.training import (AngleEstimate, chain_gains, channel_factors,
+                              composite_losses, design_pass)
+from irsmimo.transmission import (build_beamformers,
                                   fdb_upper_bound, parallel_rate,
                                   power_factors, spectral_efficiency,
                                   water_filling)
@@ -26,10 +24,9 @@ def singular_values(H):
 
 def designed_channel(cascade, estimates):
     """Factors of the channel with each IRS in direction mode on its
-    estimate, designed by the engine's `direction_states`."""
-    sines = np.sin(np.array([astuple(e) for e in estimates])[:, 1:3])
-    return channel_factors(cascade, direction_states(cascade, sines[:, 0],
-                                                     sines[:, 1]))
+    estimate, designed by the engine's `design_pass`."""
+    return channel_factors(cascade, design_pass(cascade,
+                                                angle_rows(estimates))[1])
 
 
 def bridged_gain(cascade, estimates):
@@ -82,8 +79,8 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
     cascade, _ = small_scenario
     genie = perfect_estimates(cascade)
-    value = composite_losses(cascade, [0], angle_rows(genie)[None],
-                             [2.0], 0.0, np.ones((1, 1, 10)))
+    value = composite_losses(cascade, *design_pass(
+        cascade, angle_rows(genie)[None]), [2.0], 0.0, np.ones((1, 1, 10)))
     assert value[0, 0] == pytest.approx(genie[0].composite_loss, rel=1e-10)
 
 
@@ -97,8 +94,8 @@ def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
     # 400 estimates, one per power row, of 50 pilots each
     noise = np.random.default_rng(21).standard_normal(
         (400, 1, 50, 2)).view(complex)[..., 0]
-    values = composite_losses(cascade, [0], angle_rows(genie)[None],
-                              np.ones(400), noise_power, noise)
+    values = composite_losses(cascade, *design_pass(
+        cascade, angle_rows(genie)[None]), np.ones(400), noise_power, noise)
     assert values.shape == (400, 1)
     assert np.mean(np.square(values)) == pytest.approx(truth ** 2, rel=0.05)
 
@@ -108,8 +105,8 @@ def test_estimate_composite_loss_absorbing_scene_is_noise_floor():
     genie = perfect_estimates(cascade)
     noise = np.random.default_rng(2).standard_normal(
         (1, 1, 10, 2)).view(complex)[..., 0]
-    value = composite_losses(cascade, [0], angle_rows(genie)[None], [1.0],
-                             1e-9, noise)
+    value = composite_losses(cascade, *design_pass(
+        cascade, angle_rows(genie)[None]), [1.0], 1e-9, noise)
     assert value < 1e-3
 
 
@@ -218,41 +215,34 @@ def test_gains_whose_squares_underflow_get_zero_factors():
 def test_build_beamformers_single_irs():
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation.factors,
-                           ArraySpec(16), ArraySpec(8), 4, 4, 3)
-    F = bf.precoder()
+    F, W = build_beamformers(steered(ArraySpec(16), ArraySpec(8), est),
+                             allocation.factors)
+    assert F.shape == (16, 1) and W.shape == (8, 1)
     assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.norm(F[:, 1:]) == 0.0
 
 
 def test_build_beamformers_unit_modulus_and_power():
+    # the analog columns sqrt(N) f_l and sqrt(N) w_l that realize F and W
+    # have unit-modulus entries, and F carries the unit power budget
     est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.1, 0.5, -0.4, 0.2),
                     (0.7, 0.1, -0.2, -0.6)])
     allocation = water_filling([0.2, 0.1, 0.05], 1.0, 0.001)
-    bf = build_beamformers(est, allocation.factors,
-                           ArraySpec(32), ArraySpec(32), 4, 4, 3)
-    active = bf.analog_precoder[:, :3]
-    assert np.max(np.abs(np.abs(active) - 1.0)) < 1e-12
-    assert np.linalg.norm(bf.precoder()) == pytest.approx(1.0, abs=1e-9)
-    assert np.all(bf.analog_precoder[:, 3] == 0)
-    assert np.allclose(bf.digital_combiner, np.eye(4, 3))
-
-
-def test_build_beamformers_rejects_too_many_irs():
-    est = np.array([(0.1, 0.2, 0.3, 0.4)] * 5)
-    allocation = water_filling([0.1] * 5, 1.0, 0.01)
-    with pytest.raises(ValueError):
-        build_beamformers(est, allocation.factors,
-                          ArraySpec(16), ArraySpec(16), 4, 4, 4)
+    assert allocation.factors.all()
+    F, W = build_beamformers(steered(ArraySpec(32), ArraySpec(32), est),
+                             allocation.factors)
+    for analog in (np.sqrt(32) * F / np.sqrt(allocation.factors),
+                   np.sqrt(32) * W):
+        assert np.max(np.abs(np.abs(analog) - 1.0)) < 1e-12
+    assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spectral_efficiency_zero_power():
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation.factors,
-                           ArraySpec(8), ArraySpec(8), 2, 2, 1)
+    F, W = build_beamformers(steered(ArraySpec(8), ArraySpec(8), est),
+                             allocation.factors)
     H = np.eye(8, dtype=complex)
-    assert spectral_efficiency(dense(H), bf, 0.0, 0.1) == 0.0
+    assert spectral_efficiency(dense(H), F, W, 0.0, 0.1) == 0.0
 
 
 def test_spectral_efficiency_matched_rank_one():
@@ -260,11 +250,11 @@ def test_spectral_efficiency_matched_rank_one():
     a = 0.07
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([a], 1.0, 1e-4)
-    bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
+    F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
     tx = steering(spec, 0.3).coefficients
     rx = steering(spec, -0.5).coefficients
     H = a * np.outer(rx, np.conj(tx))
-    rate = spectral_efficiency(dense(H), bf, 1.0, 1e-4)
+    rate = spectral_efficiency(dense(H), F, W, 1.0, 1e-4)
     assert rate == pytest.approx(np.log2(1 + a ** 2 / 1e-4), rel=1e-9)
 
 
@@ -274,14 +264,13 @@ def test_spectral_efficiency_shared_combiner_column():
     spec = ArraySpec(8)
     est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)])
     allocation = water_filling([0.2, 0.1], 1.0, 0.01)
-    bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 2)
+    F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
     rng = np.random.default_rng(43)
     H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    F, W = bf.precoder(), bf.combiner()
     projected = H.conj().T @ W @ np.linalg.pinv(W.conj().T @ W) @ W.conj().T @ H
     want = np.linalg.slogdet(np.eye(2) + 1.0 / 0.01
                              * F.conj().T @ projected @ F)[1] / LN2
-    assert spectral_efficiency(dense(H), bf, 1.0, 0.01) == pytest.approx(
+    assert spectral_efficiency(dense(H), F, W, 1.0, 0.01) == pytest.approx(
         want, rel=1e-9)
 
 
@@ -295,8 +284,7 @@ def test_spectral_efficiency_exact_when_the_snr_dwarfs_the_identity():
             for _ in range(2))
     s = np.array([1e9, 1e3, 1e-12])
     eye = np.eye(3, dtype=complex)
-    rate = spectral_efficiency(dense(u @ np.diag(s) @ v),
-                               HybridBeamformer(eye, eye, eye, eye), 1.0, 1.0)
+    rate = spectral_efficiency(dense(u @ np.diag(s) @ v), eye, eye, 1.0, 1.0)
     assert rate == pytest.approx(np.sum(np.log2(1 + s ** 2)), rel=1e-9)
 
 
@@ -309,10 +297,11 @@ def test_spectral_efficiency_close_to_parallel_form():
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
-    bf = build_beamformers(angle_rows(genie), allocation.factors,
-                           cascade.tx_spec, cascade.rx_spec, 4, 4, 3)
-    exact = spectral_efficiency(designed_channel(cascade, genie), bf, power,
-                                noise)
+    steering = design_pass(cascade, angle_rows(genie))[0]
+    exact = spectral_efficiency(designed_channel(cascade, genie),
+                                *build_beamformers(steering,
+                                                   allocation.factors),
+                                power, noise)
     reduced = parallel_rate(gains, allocation.factors, power, noise)
     assert exact == pytest.approx(reduced, rel=0.05)
 
@@ -345,10 +334,10 @@ def test_fdb_dominates_hybrid_designs():
         a = rng.uniform(0.01, 1.0)
         est = angles[None]
         allocation = water_filling([a], 1.0, 0.01)
-        bf = build_beamformers(est, allocation.factors, spec, spec, 2, 2, 1)
+        F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
         H = (rng.standard_normal((16, 16))
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
-        hybrid = spectral_efficiency(dense(H), bf, 1.0, 0.01)
+        hybrid = spectral_efficiency(dense(H), F, W, 1.0, 0.01)
         assert fdb_upper_bound(singular_values(H), 1.0, 0.01) >= hybrid - 1e-9
 
 
@@ -398,8 +387,8 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     rng = np.random.default_rng(seed)
     states = [[direction_mode(8, 0.5, a[1], a[2]) for a in angles],
               [random_mode(8, rng) for _ in paths]]
-    left, cores, right = channel_factors(
-        cascade, np.array([[t.entries() for t in s] for s in states]))
+    left, cores, right = channel_factors(cascade, chain_gains(
+        cascade, np.array([[t.entries() for t in s] for s in states])))
     channels = np.array([assemble(cascade, s) for s in states])
     sv = np.linalg.svd(cores, compute_uv=False)
     dense_sv = singular_values(channels)
@@ -414,11 +403,10 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
         np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
         rel=1e-12)
-    bf = build_beamformers(angle_rows(genie),
-                           water_filling(gains, power, noise).factors,
-                           cascade.tx_spec, cascade.rx_spec, 3, 3, 3)
-    assert spectral_efficiency((left, cores, right), bf, power, noise) == (
-        pytest.approx(spectral_efficiency(dense(channels), bf, power, noise),
+    F, W = build_beamformers(design_pass(cascade, angle_rows(genie))[0],
+                             water_filling(gains, power, noise).factors)
+    assert spectral_efficiency((left, cores, right), F, W, power, noise) == (
+        pytest.approx(spectral_efficiency(dense(channels), F, W, power, noise),
                       rel=1e-12))
 
 
