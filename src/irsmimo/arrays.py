@@ -7,16 +7,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """A uniform linear array.
-
-    Parameters
-    ----------
-    num_elements : int
-        Number of antenna elements.
-    spacing_wavelengths : float
-        Inter-element spacing as a fraction of the carrier wavelength
-        (default 0.5, i.e. half-wavelength).
-    """
+    """A uniform linear array of `num_elements` antenna elements, spaced
+    `spacing_wavelengths` carrier wavelengths apart (default 0.5)."""
 
     num_elements: int
     spacing_wavelengths: float = 0.5
@@ -54,7 +46,6 @@ class BeamGrid:
     amplitude gain rho at every coverage edge.
     """
 
-    num_elements: int
     num_beams: int
     directions: np.ndarray
     sines: np.ndarray
@@ -65,6 +56,24 @@ def element_phases(num_elements: int, spacing_wavelengths: float, sine):
     """Phases 2 pi d n x of every array response at x = `sine`, which
     broadcasts against the elements n = 0..N-1 on the result's last axis."""
     return 2.0 * np.pi * spacing_wavelengths * np.arange(num_elements) * sine
+
+
+def lattice_phasors(order: int, exponents, amplitude: float = 1.0):
+    """`amplitude` exp(2 pi j m / `order`) at the integers m = `exponents`."""
+    return (amplitude * np.exp(2j * np.pi / order * np.arange(order)))[
+        np.mod(exponents, order)]
+
+
+def dirichlet(num_elements: int, sine_offset) -> np.ndarray:
+    """D_N(x) = sum_{n<N} exp(j pi n x), the half-wavelength array sum, as
+    exp(j pi (N - 1) x / 2) sin(N pi x / 2) / sin(pi x / 2) after reducing x
+    into [-1, 1] (its period is 2), with the limit N at x = 0."""
+    x = np.asarray(sine_offset, dtype=float)
+    half = np.pi / 2 * (x - 2.0 * np.round(x / 2.0))
+    ratio = np.divide(np.sin(num_elements * half), np.sin(half),
+                      out=np.full(half.shape, float(num_elements)),
+                      where=half != 0.0)
+    return np.exp(1j * (num_elements - 1) * half) * ratio
 
 
 def steering_coefficients(num_elements: int, spacing_wavelengths: float,
@@ -133,7 +142,6 @@ def grid_directions(num_elements: int, num_beams: int) -> BeamGrid:
     i = np.arange(1, num_beams + 1)
     directions = np.arcsin((2.0 * i - 1.0) / num_beams - 1.0)
     return BeamGrid(
-        num_elements=num_elements,
         num_beams=num_beams,
         directions=directions,
         sines=np.sin(directions),

@@ -3,19 +3,15 @@
 Stages are numbered 1..num_stages; stage s holds M**s candidate slots, indexed
 from 0. The bottom stage holds the K narrow grid beams in grid order followed
 by null padding; upper stages hold projection-designed wide beams, with a slot
-null whenever none of its descendant leaves is live. Each stage is one
-(N_a, M**s) matrix whose null slots are zero columns, and the stages sit
-side by side in one (N_a, M + M**2 + ... + M**S) table, so a search
-measures every node of the tree with one matrix product.
+null whenever none of its descendant leaves is live.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, element_phases,
-                     grid_directions, require_half_wavelength,
-                     steering_coefficients)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
+                     grid_directions, lattice_phasors, require_half_wavelength)
 
 
 def num_stages(branching: int, num_leaves: int) -> int:
@@ -77,27 +73,23 @@ def two_rf_factorization(w: BeamVector):
 class HierarchicalCodebook:
     """Full M-tree of beam candidates over a K-leaf sine-uniform grid.
 
-    The per-stage fields are dicts keyed by stage s = 1..num_stages.
-    `stages[s]` is the stage's (N_a, M**s) codeword matrix, with a zero
-    column at every null padding slot, and `live[s]` marks the other
-    columns, each of unit norm. `table` holds every stage in order, one
-    column per tree node, and `stages[s]` is the view of its M**s columns
-    from `stage_offset(M, s)`; `uplink_table` is its conjugate, the
-    codewords of an uplink search. `weights[s]` holds the squares of
-    per-candidate multipliers, known to the receiver from the codebook
-    alone, that equalize adjacent siblings' amplitude responses at their
-    shared territory edge; they multiply measured powers. Comparing calibrated
-    measurements makes the stage decision split exactly at leaf-cell
-    boundaries even when siblings cover unequal numbers of leaves, which
-    plain unit-norm beams do not guarantee. Every array is read-only, so
-    one codebook can serve both terminals.
+    `table` holds every stage in order, one column per tree node, so one
+    matrix product measures every node; `stages[s]` is the view of stage
+    s's M**s columns from `stage_offset(M, s)`, a zero column at each null
+    slot, and `live[s]` marks the others, each of unit norm. An uplink
+    search sweeps the conjugate codewords: its responses to x are
+    conj(table^T conj(x)). `weights[s]` squares the per-slot multipliers,
+    known from the codebook alone, that equalize adjacent siblings' gains
+    at their shared cell edge, so that weighted powers split each stage
+    decision exactly at leaf-cell boundaries even when siblings cover
+    unequal numbers of leaves. Every array is read-only, so one codebook
+    can serve both terminals.
     """
 
     branching: int
     num_leaves: int
     num_stages: int
     table: np.ndarray
-    uplink_table: np.ndarray
     stages: dict
     live: dict
     weights: dict
@@ -117,62 +109,57 @@ def stage_offset(branching: int, stage: int) -> int:
     return (branching ** stage - branching) // (branching - 1)
 
 
-def _read_only(*arrays):
-    for values in arrays:
-        values.flags.writeable = False
-
-
 def build_codebook(spec: ArraySpec, branching: int,
                    num_leaves: int) -> HierarchicalCodebook:
-    """Construct the hierarchical codebook for one terminal array.
-
-    On this grid the leaves' Gram matrix is (K/N) I, so each projection
-    wide beam is the normalized sum of its slot's live leaves.
-    """
+    """Construct the hierarchical codebook for one terminal array in closed
+    form on the grid's phasor lattice (README, "Codebook and search layout")."""
     require_half_wavelength(spec)
     grid = grid_directions(spec.num_elements, num_leaves)
     total = num_stages(branching, num_leaves)
     if total < 1:
         raise ValueError("degenerate tree: need at least two leaves")
 
-    table = np.zeros((spec.num_elements, stage_offset(branching, total + 1)),
-                     dtype=complex)
-    columns = {s: slice(stage_offset(branching, s),
-                        stage_offset(branching, s + 1))
-               for s in range(1, total + 1)}
-    bottom = table[:, columns[total]]
-    bottom[:, :num_leaves] = steering_coefficients(
-        spec.num_elements, spec.spacing_wavelengths, grid.directions[:, None]).T
-    edge_sines = -1.0 + np.arange(bottom.shape[1])[:, None] * 2.0 / num_leaves
-    edges = np.exp(1j * np.ascontiguousarray(element_phases(
-        spec.num_elements, spec.spacing_wavelengths, edge_sines).T))
-    calibration = {total: bottom.any(axis=0) * 1.0}
-    for s in range(1, total):
-        sums = bottom.reshape(spec.num_elements, branching ** s, -1).sum(axis=2)
-        norm = np.linalg.norm(sums, axis=0)
-        live = norm > 0.0
-        beams = table[:, columns[s]] = sums / np.where(live, norm, 1.0)
-        # at its left cell edge, a live slot takes its left sibling's multiplier
-        # times their gain ratio; a group's first slot gets 1, a dead slot 0
-        probes = edges[:, ::branching ** (total - s)]
-        own = np.abs(np.sum(beams.conj() * probes, axis=0))
-        left = np.abs(np.sum(beams[:, :-1].conj() * probes[:, 1:], axis=0))
-        ratio = np.zeros(branching ** s)
-        np.divide(left, own[1:], out=ratio[1:], where=live[1:])
-        ratio[::branching] = live[::branching]
-        calibration[s] = np.cumprod(ratio.reshape(-1, branching), 1).ravel()
-    uplink_table = table.conj()
-    _read_only(table, uplink_table)
-    stages = {s: table[:, cols] for s, cols in columns.items()}
-    live = {s: beams.any(axis=0) for s, beams in stages.items()}
+    size = spec.num_elements
+    table = np.zeros((size, stage_offset(branching, total + 1)), dtype=complex)
+    stages = dict(enumerate(np.split(table, [
+        stage_offset(branching, s) for s in range(2, total + 1)], axis=1), 1))
+    # leaf i is (-1)^n w^(n(2i + 1)) / sqrt(N), w = exp(j pi / K)
+    sums = stages[total]
+    sums[:, :num_leaves] = lattice_phasors(2 * num_leaves, np.multiply.outer(
+        np.arange(size), 2 * np.arange(num_leaves) + 1 + num_leaves),
+        1.0 / np.sqrt(size))
+    # D_N((2d - 1)/K) / sqrt(N) is a leaf's response r(d) at the left edge
+    # of the leaf d later, D_N(2d/K) / N the Gram entry of leaves d apart;
+    # c leaves have norm^2 c + 2 sum_{d<c} (c - d) Re D_N(2d/K)/N and
+    # left-edge gain |r(1) + ... + r(c)| / norm, as r(1 - d) = conj r(d)
+    kernel = dirichlet(size, np.arange(1, 2 * branching ** (total - 1) + 1)
+                       / num_leaves)
+    norms = np.sqrt(np.arange(1, kernel.size // 2 + 1) + 2.0 / size * np.cumsum(
+        np.cumsum(np.concatenate([[0.0], kernel[1:-1:2].real]))))
+    gains = np.abs(np.cumsum(kernel[::2])) / np.sqrt(size) / norms
+    calibration = {total: (np.arange(branching ** total) < num_leaves) * 1.0}
+    for s in range(total - 1, 0, -1):
+        span = branching ** (total - s)
+        counts = np.clip(num_leaves - span * np.arange(branching ** s), 0, span)
+        live = counts > 0
+        sums = sum((sums[:, m::branching] for m in range(1, branching)),
+                   sums[:, ::branching])
+        np.multiply(sums, np.where(live, 1.0 / norms[counts - 1], 0.0),
+                    out=stages[s])
+        # full siblings' gains agree at their shared edge; a partial slot after
+        # its group's first takes its left sibling's gain over its own
+        calibration[s] = np.divide(gains[span - 1], gains[counts - 1],
+                                   out=np.zeros(counts.shape), where=live)
+        calibration[s][::branching] = live[::branching]
+    live = {s: c > 0.0 for s, c in calibration.items()}
     weights = {s: c ** 2 for s, c in calibration.items()}
-    _read_only(*live.values(), *weights.values())
+    for values in (table, *stages.values(), *live.values(), *weights.values()):
+        values.flags.writeable = False
     return HierarchicalCodebook(
         branching=branching,
         num_leaves=num_leaves,
         num_stages=total,
         table=table,
-        uplink_table=uplink_table,
         stages=stages,
         live=live,
         weights=weights,

@@ -186,12 +186,11 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
     irs_spec = ArraySpec(config.num_irs_elements)
     sweep_grid = grid_directions(config.num_irs_elements,
                                  config.num_irs_sweep_beams)
-    consts = config.physical_constants()
     tx_codebook = build_codebook(tx_spec, config.branching,
                                  config.num_tx_beams)
     shared = (rx_spec, config.num_rx_beams) == (tx_spec, config.num_tx_beams)
     return ScenarioAssets(
-        consts=consts,
+        consts=config.physical_constants(),
         tx_spec=tx_spec,
         rx_spec=rx_spec,
         irs_spec=irs_spec,

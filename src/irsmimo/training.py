@@ -16,8 +16,10 @@ from math import prod
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, element_phases,
-                     grid_directions, pattern_gain, steering_coefficients)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
+                     element_phases, grid_directions, lattice_phasors,
+                     pattern_gain, require_half_wavelength,
+                     steering_coefficients)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook, stage_offset
 
@@ -71,11 +73,11 @@ class ScenarioAssets:
 
 
 def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
-    """exp(j * return-mode phases) of every sweep slot, one row each. The
-    phases are -2 (2 pi d) n sin(direction)."""
-    return np.exp(1j * element_phases(irs_spec.num_elements,
-                                      irs_spec.spacing_wavelengths,
-                                      -2.0 * grid.sines[:, None]))
+    """exp(j * return-mode phases) -2 pi n x of the sweep slots, row k at
+    sine x = (2k + 1)/K_r - 1: the powers -n(2k + 1) of exp(2 pi j / K_r)."""
+    require_half_wavelength(irs_spec)
+    return lattice_phasors(grid.num_beams, np.multiply.outer(
+        -2 * np.arange(grid.num_beams) - 1, np.arange(irs_spec.num_elements)))
 
 
 def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
@@ -261,8 +263,11 @@ def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
     arrival = slots[..., 0]
     departure = grid.num_beams - 1 - slots[..., 1]
     candidates = (departure[..., None] + [0, grid.num_beams // 2]) % grid.num_beams
-    gains = (chain[:, None] * direction_states(
-        cascade, grid.sines[arrival][..., None], grid.sines[candidates])).sum(-1)
+    # chain_n = chain_0 e^(j pi n (s_1 - s_2)), so each gain is one D_N value
+    sines = np.sin(cascade.angles)
+    gains = (cascade.consts.reflection_amplitude * chain[:, :1] * dirichlet(
+        cascade.irs_spec.num_elements, (sines[:, 1] - sines[:, 2])[:, None]
+        + grid.sines[candidates] - grid.sines[arrival][..., None]))
     heard = np.abs(amplitude[..., None] * gains + scale * tape.bridge) ** 2
     twin = heard.argmax(axis=-1) == 1
     angles = np.empty(twin.shape + (4,))
@@ -278,7 +283,8 @@ def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
     count = 0
     for side, (book, direction) in enumerate(
             ((assets.tx_codebook, tx_dir), (assets.rx_codebook, rx_dir))):
-        responses = (book.uplink_table if side else book.table).T @ direction.T
+        responses = ((book.table.T @ direction.conj().T).conj() if side
+                     else book.table.T @ direction.T)
         # node (stage s, child c) reads tape slot (s - 1, c % M): each of the
         # M**(s - 1) sibling groups of stage s repeats that stage's M draws
         draws = np.repeat(tape.search[:, :, side, :book.num_stages,

@@ -125,10 +125,10 @@ def digital_gains(singular_values):
 
 def _floors(gains, powers, noise_power: float) -> np.ndarray:
     """Floors sigma^2 / (P a^2) of the rows of `gains` at `powers`, infinite
-    where a^2 is 0 or underflows."""
+    where P a^2 is 0 or so small that the floor overflows."""
     scale = powers[..., None] * gains ** 2
     return np.divide(noise_power, scale, out=np.full(scale.shape, np.inf),
-                     where=scale != 0.0)
+                     where=scale > noise_power / np.finfo(float).max)
 
 
 def power_factors(gains, powers, noise_power: float) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import diric
 
-from irsmimo.arrays import (ArraySpec, beam_gain, edge_energy, grid_directions,
+from irsmimo.arrays import (ArraySpec, beam_gain, dirichlet, edge_energy,
+                            grid_directions, lattice_phasors,
                             nearest_direction, omni, pattern_gain,
                             require_half_wavelength, steering)
 
@@ -129,6 +130,41 @@ def test_pattern_gain_matches_diric(n):
 @given(n=st.integers(1, 256), x=st.floats(-2.0, 2.0))
 def test_pattern_gain_matches_diric_property(n, x):
     assert abs(pattern_gain(n, x) - diric_gain(n, x)) <= 1e-13
+
+
+def direct_sum(n, x):
+    # the array sum term by term, after the exact reduction of x into
+    # [-1, 1] that keeps every phase below pi n
+    x = np.asarray(x, dtype=float)
+    reduced = x - 2.0 * np.round(x / 2.0)
+    return np.exp(1j * np.pi * np.arange(n) * reduced[..., None]).sum(axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 512), x=st.floats(-4.0, 4.0))
+def test_dirichlet_matches_the_direct_sum(n, x):
+    assert abs(dirichlet(n, x) - direct_sum(n, x)) <= 1e-15 * n * n
+
+
+def test_dirichlet_limits_and_seams():
+    # x = 0 and every even integer give N; odd integers give the alternating
+    # sum; the magnitude is N times pattern_gain
+    for n in (1, 2, 7, 32):
+        assert dirichlet(n, [0.0, 2.0, -2.0, 4.0 - 2.0 ** -50]) == pytest.approx(
+            [n, n, n, n], abs=1e-9 * n)
+        assert dirichlet(n, 1.0) == pytest.approx(n % 2, abs=1e-13 * n)
+        x = np.linspace(-3.9, 3.9, 41)
+        assert np.abs(np.abs(dirichlet(n, x)) - n * pattern_gain(n, x)).max() \
+            <= 1e-12 * n
+    assert np.shape(dirichlet(8, 0.3)) == ()
+    assert dirichlet(8, np.zeros((2, 3))).shape == (2, 3)
+
+
+def test_lattice_phasors_are_powers_of_one_root():
+    exponents = np.array([[0, 1, -1], [7, 12, -13]])
+    got = lattice_phasors(6, exponents, 0.5)
+    want = 0.5 * np.exp(2j * np.pi * exponents / 6)
+    assert got.shape == (2, 3) and np.abs(got - want).max() <= 1e-15
 
 
 def test_pattern_gain_keeps_shape_and_dtype():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from irsmimo.arrays import ArraySpec, beam_gain, steering
+from irsmimo.arrays import (ArraySpec, beam_gain, steering,
+                            steering_coefficients)
 from irsmimo.codebook import (build_codebook, num_stages, projection_beam,
                               selection_matrix, two_rf_factorization)
 
@@ -146,6 +148,51 @@ def test_calibration_equalizes_siblings_at_shared_edges(num_elements,
             assert right_gain == pytest.approx(left_gain, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(num_elements=st.integers(1, 128), branching=st.integers(2, 4),
+       ratio=st.floats(0.0, 1.0))
+@example(num_elements=16, branching=4, ratio=0.0)      # K = N, full tree
+@example(num_elements=22, branching=3, ratio=0.0)      # K = N, partial slots
+@example(num_elements=128, branching=2, ratio=1.0)     # K = 4N
+@example(num_elements=43, branching=3, ratio=0.5)      # K = 107, ragged
+def test_closed_form_codebook_matches_its_definition(num_elements, branching,
+                                                     ratio):
+    # leaves are the grid's steering vectors, each live wide beam is its
+    # normalized projection solve, `live` is what `selection_matrix` keeps,
+    # and calibrated siblings agree at their shared cell edge (`beam_gain`)
+    num_leaves = max(2, num_elements + int(round(ratio * 3 * num_elements)))
+    spec = ArraySpec(num_elements)
+    book = build_codebook(spec, branching, num_leaves)
+    leaves = steering_coefficients(num_elements, 0.5,
+                                   book.leaf_grid.directions[:, None]).T
+    bottom = book.stages[book.num_stages]
+    assert np.abs(bottom[:, :num_leaves] - leaves).max() <= 1e-12
+    for stage in range(1, book.num_stages + 1):
+        D = selection_matrix(stage, branching, num_leaves)
+        assert np.array_equal(book.live[stage], D.any(axis=0))
+        assert not book.stages[stage][:, ~book.live[stage]].any()
+        if stage == book.num_stages:
+            continue
+        raw = projection_beam(leaves, D[:, book.live[stage]])
+        raw /= np.linalg.norm(raw, axis=0)
+        beams = book.stages[stage][:, book.live[stage]]
+        phase = np.sum(beams.conj() * raw, axis=0)
+        assert np.abs(raw * (phase.conj() / np.abs(phase)) - beams).max() \
+            <= 1e-12
+        span = branching ** (book.num_stages - stage)
+        scale = np.sqrt(book.weights[stage])
+        for right in np.flatnonzero(book.live[stage]):
+            if right % branching == 0:
+                assert scale[right] == 1.0
+                continue
+            edge = np.arcsin(-1.0 + right * span * 2.0 / num_leaves)
+            left_gain = scale[right - 1] * beam_gain(
+                book.beam(stage, right - 1), spec, edge)
+            right_gain = scale[right] * beam_gain(
+                book.beam(stage, right), spec, edge)
+            assert right_gain == pytest.approx(left_gain, rel=1e-12)
+
+
 def test_wide_beam_null_for_dead_slot():
     # slot 8 of stage 2 covers leaves 24..26, all padding beyond K = 22
     book = build_codebook(ArraySpec(16), 3, 22)
@@ -200,13 +247,12 @@ def test_bottom_stage_layout_and_common_edges():
                          [(16, 3, 22), (32, 2, 64), (64, 2, 192)])
 def test_flat_table_holds_every_stage(num_elements, branching, num_leaves):
     # one (N, M + ... + M**S) table per codebook, built with it: each stage
-    # is a read-only view of its columns, and the uplink table is the
-    # table's conjugate, stored beside it rather than formed on first use
+    # is a read-only view of its columns, and no second (uplink) copy is kept
     book = build_codebook(ArraySpec(num_elements), branching, num_leaves)
-    assert {"table", "uplink_table"} <= set(vars(book))
     width = sum(branching ** s for s in range(1, book.num_stages + 1))
-    assert book.table.shape == book.uplink_table.shape == (num_elements,
-                                                           width)
+    assert book.table.shape == (num_elements, width)
+    arrays = [v for v in vars(book).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1 and arrays[0] is book.table
     start = 0
     for stage in range(1, book.num_stages + 1):
         columns = book.table[:, start:start + branching ** stage]
@@ -214,8 +260,7 @@ def test_flat_table_holds_every_stage(num_elements, branching, num_leaves):
         assert np.array_equal(book.stages[stage], columns)
         assert np.shares_memory(book.stages[stage], columns)
         start += branching ** stage
-    assert np.array_equal(book.uplink_table, book.table.conj())
-    for values in (book.table, book.uplink_table, *book.stages.values()):
+    for values in (book.table, *book.stages.values()):
         assert not values.flags.writeable
 
 

@@ -558,7 +558,7 @@ def test_trial_steers_each_design_once(monkeypatch):
     # read the arrays of that pass
     config = tiny_config(power_grid_dbm=(0.0, 10.0, 20.0, 30.0))
     assets = scenario_assets(config)
-    steered, states, passes, read = [], [], [], {}
+    steered, states, kernels, passes, read = [], [], [], [], {}
 
     def steer(num_elements, spacing, angle,
               real=training.steering_coefficients):
@@ -568,6 +568,10 @@ def test_trial_steers_each_design_once(monkeypatch):
     def state(cascade, incident, departure, real=training.direction_states):
         states.append(np.shape(incident))
         return real(cascade, incident, departure)
+
+    def kernel(num_elements, offsets, real=training.dirichlet):
+        kernels.append(np.shape(offsets))
+        return real(num_elements, offsets)
 
     def design(cascade, angles, real=harness.design_pass):
         passes.append(real(cascade, angles))
@@ -581,6 +585,7 @@ def test_trial_steers_each_design_once(monkeypatch):
 
     monkeypatch.setattr(training, "steering_coefficients", steer)
     monkeypatch.setattr(training, "direction_states", state)
+    monkeypatch.setattr(training, "dirichlet", kernel)
     monkeypatch.setattr(harness, "design_pass", design)
     for name in ("composite_losses", "_trial_rates"):
         monkeypatch.setattr(harness, name, reader(name,
@@ -589,8 +594,10 @@ def test_trial_steers_each_design_once(monkeypatch):
     monkeypatch.undo()
     designs = (len(config.power_grid_dbm) + 1, config.num_irs)
     assert steered == [designs + (1,)] * 2
-    # the bridge check's candidates (P, N_i, 1), then the designs
-    assert states == [(4, config.num_irs, 1), designs]
+    # the bridge check takes both twins' gains (P, N_i, 2) from one
+    # `dirichlet` call, so only the designs form direction-mode states
+    assert kernels == [(4, config.num_irs, 2)]
+    assert states == [designs]
     assert len(passes) == 1
     (f, w), gains = passes[0]
     steering, loss_gains = read["composite_losses"][1:3]

@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
-from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
-                            pattern_gain, steering)
+from irsmimo.arrays import (ArraySpec, beam_gain, element_phases,
+                            grid_directions, omni, pattern_gain, steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import absorbing, direction_mode, return_mode
@@ -17,7 +17,7 @@ from irsmimo.training import (MeasurementModel, chain_gains, channel_factors,
                               direction_states, estimate_angles,
                               hierarchical_search, measure_power,
                               misalignment_curve, noise_tape, _descend,
-                              _sweep_responses)
+                              _sweep_responses, sweep_phasors)
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -305,6 +305,22 @@ def test_direction_channels_match_assembled_channels():
                   for s in pair]
         want = assemble(cascade, thetas)
         assert np.allclose(H, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_elements=st.integers(1, 512), ratio=st.floats(1.0, 4.0))
+@example(num_elements=512, ratio=4.0)
+@example(num_elements=3, ratio=1.0)
+def test_sweep_phasors_are_the_return_mode_phases(num_elements, ratio):
+    # the lattice rows equal exp(j * element_phases) at -2 times the sweep
+    # sines, entry by entry
+    grid = grid_directions(num_elements,
+                           max(2, int(round(ratio * num_elements))))
+    want = np.exp(1j * element_phases(num_elements, 0.5,
+                                      -2.0 * grid.sines[:, None]))
+    got = sweep_phasors(ArraySpec(num_elements), grid)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_sweep_side_matches_dense_roundtrip(small_scenario):

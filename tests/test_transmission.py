@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +212,17 @@ def test_gains_whose_squares_underflow_get_zero_factors():
     factors = power_factors(gains, np.array([1.0, 1.0]), 0.1)
     assert np.array_equal(factors, [[0.0, 0.0], [0.0, 1.0]])
     assert fdb_upper_bound([1e-200], 1.0, 0.1) == 0.0
+
+
+def test_subnormal_p_a2_gets_an_infinite_floor_without_a_warning():
+    # P a^2 = 1e-322 is subnormal, so sigma^2 / (P a^2) would overflow: the
+    # floor is inf, the row's usable channel takes the whole budget, and
+    # numpy writes no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = power_factors(np.array([[1e-161, 1.0]]), np.array([1.0]),
+                                1e-11)
+    assert np.array_equal(factors, [[0.0, 1.0]])
 
 
 def test_build_beamformers_single_irs():
