@@ -22,8 +22,7 @@ from .quantization import (QuantizationReport, average_error,
 from .training import (AngleEstimate, MeasurementModel, ScenarioAssets,
                        SlotCount, cooperative_estimate, estimate_angles,
                        hierarchical_search, measure_power, misalignment_curve)
-from .transmission import (PowerAllocation, build_beamformers,
-                           fdb_upper_bound, parallel_rate, spectral_efficiency,
-                           water_filling)
+from .transmission import (PowerAllocation, fdb_upper_bound, parallel_rate,
+                           spectral_efficiency, water_filling)
 
 __version__ = "0.1.0"

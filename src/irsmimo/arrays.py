@@ -64,14 +64,15 @@ def lattice_phasors(order: int, exponents, amplitude: float = 1.0):
         np.mod(exponents, order)]
 
 
-def dirichlet(num_elements: int, sine_offset) -> np.ndarray:
+def dirichlet(num_elements, sine_offset) -> np.ndarray:
     """D_N(x) = sum_{n<N} exp(j pi n x), the half-wavelength array sum, as
     exp(j pi (N - 1) x / 2) sin(N pi x / 2) / sin(pi x / 2) after reducing x
-    into [-1, 1] (its period is 2), with the limit N at x = 0."""
+    into [-1, 1] (its period is 2), with the limit N at x = 0; an array of
+    sizes N broadcasts to x's shape."""
     x = np.asarray(sine_offset, dtype=float)
-    half = np.pi / 2 * (x - 2.0 * np.round(x / 2.0))
+    half = np.pi / 2 * (x - 2.0 * np.rint(x / 2.0))
     ratio = np.divide(np.sin(num_elements * half), np.sin(half),
-                      out=np.full(half.shape, float(num_elements)),
+                      out=np.full(half.shape, num_elements, dtype=float),
                       where=half != 0.0)
     return np.exp(1j * (num_elements - 1) * half) * ratio
 

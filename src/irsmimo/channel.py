@@ -5,7 +5,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import ArraySpec, element_phases, steering_coefficients
+from .arrays import (ArraySpec, element_phases, require_half_wavelength,
+                     steering_coefficients)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -73,6 +74,14 @@ class CascadeChannel:
     rx_spec: ArraySpec
     irs_spec: ArraySpec
 
+    def __post_init__(self):
+        # every inner product of a trial is a half-wavelength `dirichlet` value
+        for name in ("tx_spec", "rx_spec", "irs_spec"):
+            try:
+                require_half_wavelength(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+
     @property
     def num_irs(self) -> int:
         return len(self.angles)
@@ -100,9 +109,9 @@ class CascadeChannel:
             tx.num_elements, tx.spacing_wavelengths, sines[:, :1]))
         rx_dir = np.exp(1j * element_phases(
             rx.num_elements, rx.spacing_wavelengths, sines[:, 3:]))
-        a_in, a_out = (steering_coefficients(
-            irs.num_elements, irs.spacing_wavelengths, self.angles[:, k, None])
-            for k in (1, 2))
+        a_in, a_out = np.moveaxis(np.exp(1j * element_phases(
+            irs.num_elements, irs.spacing_wavelengths, sines[:, 1:3, None]))
+            / np.sqrt(irs.num_elements), 1, 0)
         amp_in, amp_out = path_loss(self.consts, self.distances).T[..., None]
         # the first entry of a terminal's steering vector is 1 / sqrt(N)
         hops = np.stack([amp_in * (a_in * (1.0 / np.sqrt(tx.num_elements))),

@@ -10,12 +10,12 @@ from .channel import CascadeChannel, PhysicalConstants, cascade_loss
 from .codebook import build_codebook
 # unused here, but perfbench/test_smoke.py looks cooperative_estimate up here
 from .training import (AngleEstimate, ScenarioAssets,  # noqa: F401
-                       SlotCount, chain_gains, channel_factors,
+                       SlotCount, chain_gains, channel_cores,
                        composite_losses, cooperative_estimate, design_pass,
                        estimate_angles, misalignment_curve, noise_tape,
                        slot_count, sweep_phasors)
-from .transmission import (build_beamformers, digital_gains, parallel_rate,
-                           power_factors, spectral_efficiency)
+from .transmission import (digital_gains, parallel_rate, power_factors,
+                           spectral_efficiency)
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -279,39 +279,40 @@ def _trial_seed(seed: int, trial: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial, stream)))
 
 
+def _hybrid_rates(blocks, gains, factors, powers, noise_power):
+    """Rates of the `design_pass` designs (`blocks`, `gains`) at stream
+    factors S: on H = R diag(g) T, W^H H F = (W^H R) diag(g) (T F) diag(S)^1/2."""
+    return spectral_efficiency(blocks[2], (blocks[1] * gains[..., None, :]) @ (
+        blocks[0] * np.sqrt(factors)[..., None, :]), powers, noise_power)
+
+
 def _designed_rates(cascade, estimates, power, noise_power, config):
     """The hybrid rate of a list of estimates at one power, over the
     channel of IRSs in direction mode on their angles."""
     rows = np.array([[astuple(e) for e in estimates]])
     powers = np.array([power])
-    steering, gains = design_pass(cascade, rows[..., :4])
-    return float(spectral_efficiency(
-        channel_factors(cascade, gains), *build_beamformers(
-            steering, power_factors(rows[..., 4], powers, noise_power)),
-        powers, noise_power)[0])
+    factors = power_factors(rows[..., 4], powers, noise_power)
+    return float(_hybrid_rates(*design_pass(cascade, rows[..., :4]), factors,
+                               powers, noise_power)[0])
 
 
-def _trial_rates(steering, losses, powers, noise_power, channels):
+def _trial_rates(blocks, gains, losses, powers, noise_power, cores):
     """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
-    over 4P rows: 2P hybrid pairs of the P + 1 designs whose `steering` and
-    composite `losses` are given (P estimated at their power, the genie's,
-    last, at each) and the 2P fully digital bounds of the genie and random
-    cores, the last two `channels`, as `fdb_upper_bound` scores them.
-    """
+    over 4P rows: 2P hybrid pairs of the P + 1 `design_pass` designs
+    (`blocks`, `gains`) with composite `losses` (P estimated at their power,
+    the genie's, last, at each) and the 2P fully digital bounds of the genie
+    and random channel `cores`, as `fdb_upper_bound` scores them."""
     count, half = powers.size, 2 * powers.size
     rows = np.minimum(np.arange(half), count)
-    left, cores, right = channels
-    gains = np.concatenate([losses[rows], digital_gains(np.linalg.svd(
-        cores[count:], compute_uv=False)).repeat(count, axis=0)])
+    amplitudes = np.concatenate([losses[rows], digital_gains(np.linalg.svd(
+        cores, compute_uv=False)).repeat(count, axis=0)])
     power = np.concatenate([powers] * 4)
-    factors = power_factors(gains, power, noise_power)
+    factors = power_factors(amplitudes, power, noise_power)
     # a pair with all-zero factors has no active stream and scores 0
-    hybrid = spectral_efficiency(
-        (left, cores[rows], right), *build_beamformers(
-            [part[rows] for part in steering], factors[:half]),
-        power[:half], noise_power)
-    bounds = parallel_rate(gains[half:], factors[half:], power[half:, None],
-                           noise_power)
+    hybrid = _hybrid_rates([block[rows] for block in blocks], gains[rows],
+                           factors[:half], power[:half], noise_power)
+    bounds = parallel_rate(amplitudes[half:], factors[half:],
+                           power[half:, None], noise_power)
     return np.reshape([hybrid, bounds], (4, count)).T
 
 
@@ -322,10 +323,10 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
     Samples the room (stream 0) and draws the random IRS phases (stream 1).
     Then, in one pass over every power at once, reading power p's noise
     tape row from stream 2 + p, runs the cooperative estimation. One
-    `design_pass` steers the P estimated designs and the genie's and gives
-    their IRS chain gains; the composite-loss pilots and the scoring read
-    those arrays. Each channel, the random IRSs' included, is scored from
-    its N_i x N_i core (`channel_factors`) in one pass (`_trial_rates`).
+    `design_pass` forms the L x L blocks and chain gains of the P estimated
+    designs and the genie's, which the composite-loss pilots and the scoring
+    (`_trial_rates`) read; the bounds read the genie and random IRSs'
+    N_i x N_i cores (`channel_cores`).
     """
     cascade, geometry = sample_scenario(
         config, _trial_seed(config.seed, trial, 0), assets)
@@ -341,14 +342,14 @@ def run_trial(config: ScenarioConfig, assets: ScenarioAssets,
                                      tape)
     truth = _truth(cascade)
     # each power's estimated design, then the genie design
-    (f, w), gains = design_pass(cascade, np.concatenate([angles,
-                                                         [cascade.angles]]))
-    losses = composite_losses(cascade, (f[:-1], w[:-1]), gains[:-1], powers,
-                              noise_power, tape.pilots)
-    channels = channel_factors(cascade, np.concatenate([
-        gains, [chain_gains(cascade, random_states)]]))
-    rates = _trial_rates((f, w), np.concatenate([losses, [truth[:, 4]]]),
-                         powers, noise_power, channels)
+    blocks, gains = design_pass(cascade, np.concatenate([angles,
+                                                          [cascade.angles]]))
+    losses = composite_losses([block[:-1] for block in blocks[:2]],
+                              gains[:-1], powers, noise_power, tape.pilots)
+    cores = channel_cores(cascade, np.stack([
+        gains[-1], chain_gains(cascade, random_states)]))
+    rates = _trial_rates(blocks, gains, np.vstack([losses, truth[:, 4]]),
+                         powers, noise_power, cores)
     return TrialResult(geometry=geometry, truth=truth,
                        estimates=np.concatenate([angles, losses[..., None]],
                                                 -1),

@@ -17,9 +17,8 @@ from math import prod
 import numpy as np
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
-                     element_phases, grid_directions, lattice_phasors,
-                     pattern_gain, require_half_wavelength,
-                     steering_coefficients)
+                     grid_directions, lattice_phasors, pattern_gain,
+                     require_half_wavelength)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook, stage_offset
 
@@ -149,23 +148,21 @@ def noise_tape(cascade: CascadeChannel, assets: ScenarioAssets,
 def _descend(codebook: HierarchicalCodebook, measure, batch: int = 1) -> tuple:
     """Stage-by-stage descent of `batch` searches at once to their best leaves.
 
-    `measure(stage, children)` returns the powers measured on the slots
-    `children` (batch, M), each search's current children; null slots are
-    ignored. Powers are weighted by the squared boundary calibration, ties
-    go to the lowest index. Returns the leaf indices and live children
-    measured, both (batch,).
+    `measure(stage, children)` returns the finite powers measured on the
+    slots `children` (batch, M), each search's current children. Powers are
+    weighted by the squared boundary calibration, ties go to the lowest
+    index; a null slot weighs 0 and follows its live siblings, so it never
+    wins. Returns the leaf indices and live children measured, (batch,).
     """
     index = np.zeros(batch, dtype=int)
-    searches = np.arange(batch)
     slots = np.arange(codebook.branching)
     measured = np.zeros((batch, codebook.branching), dtype=int)
     for stage in range(1, codebook.num_stages + 1):
-        children = index[:, None] * codebook.branching + slots
-        live = codebook.live[stage][children]
-        stats = np.where(live, measure(stage, children)
-                         * codebook.weights[stage][children], -np.inf)
-        index = children[searches, stats.argmax(axis=1)]
-        measured += live
+        index *= codebook.branching
+        children = index[:, None] + slots
+        measured += codebook.live[stage][children]
+        index += (measure(stage, children)
+                  * codebook.weights[stage][children]).argmax(axis=1)
     return index, measured.sum(axis=1)
 
 
@@ -182,15 +179,6 @@ def hierarchical_search(codebook: HierarchicalCodebook, gain_oracle) -> int:
     return int(_descend(codebook, measure)[0][0])
 
 
-def direction_states(cascade: CascadeChannel, incident_sine,
-                     departure_sine) -> np.ndarray:
-    """Diagonals of the direction-mode IRS states between arrays of sines."""
-    spec = cascade.irs_spec
-    return cascade.consts.reflection_amplitude * np.exp(1j * element_phases(
-        spec.num_elements, spec.spacing_wavelengths,
-        np.subtract(departure_sine, incident_sine)[..., None]))
-
-
 def chain_gains(cascade: CascadeChannel, states) -> np.ndarray:
     """Gains g_l = sum_n chain_ln states_ln (..., N_i), the H[0, 0] of each
     IRS l reflecting alone in the state of diagonal states[..., l, :]."""
@@ -199,30 +187,45 @@ def chain_gains(cascade: CascadeChannel, states) -> np.ndarray:
 
 def design_pass(cascade: CascadeChannel, angles) -> tuple:
     """Everything the closed-form design takes from `angles` (..., N_i, 4),
-    ordered as `estimate_angles` returns them, each formed once: the
-    unit-norm steering toward every transmit departure (..., N_i, N_t) and
-    every receive arrival (..., N_i, N_u) as a pair (f, w), and the
-    `chain_gains` of the IRSs in direction mode on their angles."""
-    angles = np.asarray(angles, dtype=float)
-    sines = np.sin(angles)
-    tx, rx = cascade.tx_spec, cascade.rx_spec
-    steering = (steering_coefficients(tx.num_elements, tx.spacing_wavelengths,
-                                      angles[..., 0, None]),
-                steering_coefficients(rx.num_elements, rx.spacing_wavelengths,
-                                      angles[..., 3, None]))
-    return steering, chain_gains(cascade, direction_states(
-        cascade, sines[..., 1], sines[..., 2]))
+    ordered as `estimate_angles` returns them, from one `dirichlet` call:
+    the blocks (T F, W^H R, W^H W) (..., N_i, N_i) and the chain gains
+    (..., N_i) of the IRSs in direction mode on their angles. F and W steer
+    stream m to its departure phi_m and arrival psi_m with unit norm, and
+    H = R diag(g) T on the scene's directions t_l, r_l: (T F)[l, m] =
+    D_Nt(phi_m - t_l) / sqrt(N_t), (W^H R)[m, l] = D_Nu(r_l - psi_m) /
+    sqrt(N_u), (W^H W)[m, k] = D_Nu(psi_k - psi_m) / N_u and g_l = beta
+    chain_0 D_Ni(s_1 - s_2 + s^_2 - s^_1), true (s) and designed (s^) sines.
+    """
+    sines, true = np.sin(angles), np.sin(cascade.angles)
+    arrival = sines[..., 3]
+    count = cascade.num_irs
+    tx, rx, irs = (spec.num_elements for spec in (
+        cascade.tx_spec, cascade.rx_spec, cascade.irs_spec))
+    sizes, scales = np.repeat([[tx, rx, rx, irs], [
+        tx ** -0.5, rx ** -0.5, 1.0 / rx, cascade.consts.reflection_amplitude]],
+        [count] * 3 + [1], axis=1)
+    values = scales * dirichlet(sizes, np.concatenate([
+        sines[..., None, :, 0] - true[:, :1], true[:, 3] - arrival[..., None],
+        arrival[..., None, :] - arrival[..., None],
+        (true[:, 1] - true[:, 2] + sines[..., 2] - sines[..., 1])[..., None]],
+        axis=-1))
+    return ((values[..., :count], values[..., count:2 * count],
+             values[..., 2 * count:-1]),
+            cascade.bridge_terms[0][:, 0] * values[..., -1])
 
 
-def channel_factors(cascade: CascadeChannel, gains) -> tuple:
-    """Channels with IRS l at `chain_gains` gains[..., l], as factors (Q_a,
-    cores, Q_b^T): H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T with core =
-    R_a diag(g) R_b^T (..., N_i, N_i) and the reduced QRs rx_dir^T = Q_a R_a
-    and tx_dir^T = Q_b R_b."""
+def channel_cores(cascade: CascadeChannel, gains) -> np.ndarray:
+    """Cores R_a diag(g) R_b^T (..., N_i, N_i), with the singular values of
+    H = rx_dir^T diag(g) tx_dir = Q_a core Q_b^T (QRs rx_dir^T = Q_a R_a,
+    tx_dir^T = Q_b R_b), of IRS l at `chain_gains` gains[..., l]."""
     _, rx_dir, tx_dir, _ = cascade.bridge_terms
-    q_a, r_a = np.linalg.qr(rx_dir.T)
-    q_b, r_b = np.linalg.qr(tx_dir.T)
-    return q_a, (r_a * gains[..., None, :]) @ r_b.T, q_b.T
+    # one QR call; zero rows pad the shorter of the pair and keep its R
+    pair = np.zeros((2, max(rx_dir.shape[1], tx_dir.shape[1]),
+                     cascade.num_irs), dtype=complex)
+    pair[0, :rx_dir.shape[1]] = rx_dir.T
+    pair[1, :tx_dir.shape[1]] = tx_dir.T
+    r_a, r_b = np.linalg.qr(pair, mode="r")
+    return (r_a * gains[..., None, :]) @ r_b.T
 
 
 def _sweep_responses(cascade: CascadeChannel,
@@ -277,47 +280,48 @@ def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
     reach = amplitude * np.where(twin, gains[..., 1], gains[..., 0])
 
     # the pair's H[:, 0] is H[0, 0] rx_dir and its H[0, :] is H[0, 0] tx_dir;
-    # every tree node's power is heard at once, and the descent gathers them
-    searches = np.arange(reach.size)[:, None]
-    owner = searches[:, 0] % reach.shape[1]
+    # sides sharing a codebook descend as one batch, hearing visited nodes
+    books = (assets.tx_codebook, assets.rx_codebook)
+    directions = (tx_dir, rx_dir.conj())
     count = 0
-    for side, (book, direction) in enumerate(
-            ((assets.tx_codebook, tx_dir), (assets.rx_codebook, rx_dir))):
-        responses = ((book.table.T @ direction.conj().T).conj() if side
-                     else book.table.T @ direction.T)
-        # node (stage s, child c) reads tape slot (s - 1, c % M): each of the
-        # M**(s - 1) sibling groups of stage s repeats that stage's M draws
-        draws = np.repeat(tape.search[:, :, side, :book.num_stages,
-                                      :book.branching].reshape(
-            reach.size, book.num_stages, book.branching),
-            book.branching ** np.arange(book.num_stages), axis=1)
-        node_power = np.abs(reach.reshape(-1, 1) * responses.T[owner]
-                            + scale * draws.reshape(reach.size, -1)) ** 2
+    for sides in ((0, 1),) if books[0] is books[1] else ((0,), (1,)):
+        book = books[sides[0]]
+        # row (l, side): IRS l's response on that side at every node
+        rows = np.stack([directions[s] for s in sides], axis=1)
+        responses = rows.reshape(-1, rows.shape[-1]) @ book.table
+        if sides[-1]:   # an uplink search hears conj(table^T conj(rx_dir))
+            uplink = responses[len(sides) - 1::len(sides)]
+            np.conjugate(uplink, out=uplink)
+        # search (power, IRS, side) reads row (IRS, side), `starts` holding
+        # each stage's first node in it; child c of stage s reads tape slot
+        # (s - 1, c % M), its place among its siblings
+        starts = ((np.arange(reach.size * len(sides)) % len(responses))[:, None]
+                  * responses.shape[1] + stage_offset(book.branching, np.arange(
+                      1, book.num_stages + 1)))
+        reached = np.repeat(reach.ravel(), len(sides))[:, None]
+        draws = scale * tape.search[:, :, sides[0]:sides[-1] + 1,
+                                    :book.num_stages, :book.branching].reshape(
+            len(starts), book.num_stages, book.branching)
 
         def measure(stage, children):
-            return node_power[searches, children + stage_offset(
-                book.branching, stage)]
-        leaf, measured = _descend(book, measure, reach.size)
-        angles[..., 3 * side] = book.leaf_grid.directions[leaf].reshape(
-            reach.shape)
-        count = count + measured
-    return angles, count.reshape(reach.shape).sum(axis=1)
+            return np.abs(reached * responses.take(
+                children + starts[:, stage - 1, None]) + draws[:, stage - 1]) ** 2
+        leaf, measured = _descend(book, measure, len(starts))
+        angles[..., [3 * s for s in sides]] = book.leaf_grid.directions[
+            leaf].reshape(reach.shape + (len(sides),))
+        count = count + measured.reshape(len(reach), -1).sum(axis=1)
+    return angles, count
 
 
-def composite_losses(cascade: CascadeChannel, steering, gains, powers,
-                     noise_power: float, noise) -> np.ndarray:
-    """Measured end-to-end amplitudes (P, N_i) of bridged IRS links.
-
-    IRS l alone reflects at chain gain `gains[p, l]`, both terminals
-    beamform with the steering pair `steering` (f, w) [p, l] (a
-    `design_pass` of the estimated angles), and the amplitude comes from
-    the power averaged over the pilots `noise[p, l]` less the noise floor,
-    clipped at zero.
-    """
-    _, rx_dir, tx_dir, _ = cascade.bridge_terms
-    f, w = steering
-    signal = (gains * (w.conj() * rx_dir).sum(axis=-1)
-              * (tx_dir * f).sum(axis=-1))
+def composite_losses(blocks, gains, powers, noise_power: float,
+                     noise) -> np.ndarray:
+    """Measured end-to-end amplitudes (P, N_i) of bridged IRS links: IRS l
+    alone reflects at chain gain g = `gains[p, l]` to the terminals steered
+    as stream l, a signal g (W^H R)_ll (T F)_ll of the `design_pass` blocks
+    (T F, W^H R, ...) [p], and the amplitude comes from the power averaged
+    over the pilots `noise[p, l]` less the noise floor, clipped at zero."""
+    signal = (gains * blocks[1].diagonal(0, -2, -1)
+              * blocks[0].diagonal(0, -2, -1))
     powers = np.asarray(powers, dtype=float)[:, None]
     heard = (np.abs((np.sqrt(powers) * signal)[..., None]
                     + np.sqrt(noise_power / 2.0) * noise) ** 2).mean(axis=-1)

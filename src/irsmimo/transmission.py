@@ -42,12 +42,14 @@ def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
     if not np.isfinite(lowest).all():
         raise ValueError("water-filling needs a positive gain with a finite "
                          "floor sigma^2 / (P a^2)")
-    return _fill(floors, lowest)
+    factors, level = _fill(floors, lowest)
+    return PowerAllocation(factors=factors, water_level=(
+        1.0 / (_LN2 * (lowest + level)))[..., 0][()])
 
 
-def _fill(floors, lowest) -> PowerAllocation:
-    """`water_filling` from the floors of its channels and each row's
-    lowest, which must be finite."""
+def _fill(floors, lowest) -> tuple:
+    """`water_filling` factors and level above `lowest` from the floors of
+    its channels and each row's lowest, which must be finite."""
     excess = floors - lowest
     ordered = np.sort(excess, axis=-1)
     channels = np.arange(ordered.shape[-1])
@@ -56,48 +58,31 @@ def _fill(floors, lowest) -> PowerAllocation:
     last = (ordered < levels).sum(axis=-1, keepdims=True) - 1
     level = np.maximum.reduce(levels, axis=-1, keepdims=True,
                               where=channels == last, initial=-np.inf)
-    factors = np.maximum(level - excess, 0.0)
-    water_level = 1.0 / (_LN2 * (lowest + level))
-    return PowerAllocation(factors=factors, water_level=water_level[..., 0][()])
+    return np.maximum(level - excess, 0.0), level
 
 
-def build_beamformers(steering, factors) -> tuple:
-    """Precoder F and combiner W (..., N, N_i) of the closed-form hybrid
-    design, from the unit-norm steering pair (f, w) of
-    `training.design_pass` (..., N_i, N) and the streams' `water_filling`
-    factors S (..., N_i): column l of F is sqrt(S_l) f_l, column l of W is
-    w_l. On RF chains these are the unit-modulus analog columns sqrt(N) f_l
-    and sqrt(N) w_l with a diagonal digital precoder sqrt(S_l / N) and an
-    identity digital combiner; further chains and streams would carry zero
-    columns, which `spectral_efficiency` leaves out."""
-    f, w = steering
-    return (f.swapaxes(-1, -2) * np.sqrt(factors)[..., None, :],
-            w.swapaxes(-1, -2))
+def spectral_efficiency(gram, cross, power, noise_power: float):
+    """Rate of a precoder F and a combiner W over a channel H, bits/s/Hz,
+    from the Gram W^H W and the cross term W^H H F (..., L, L).
 
-
-def spectral_efficiency(channel, precoder, combiner, power,
-                        noise_power: float):
-    """Rate of a precoder F and a combiner W over a channel H, bits/s/Hz.
-
-    log2 det(I + P C^-1 W^H H F F^H H^H W), C = sigma^2 W^H W, on the
-    streams whose combiner and precoder columns are both nonzero (norm
-    above 1e-12), taken as log2 det(I + (P / sigma^2) G G^H), G = Q^H H F
-    with Q an orthonormal basis of those combiner columns, as the
+    log2 det(I + P C^+ W^H H F F^H H^H W), C = sigma^2 W^H W, on the
+    streams whose combiner column (norm above 1e-12) and column of W^H H F
+    (zero for a zero precoder column) are nonzero. With W^H W = V diag(lam)
+    V^H on them, G = diag(lam)^-1/2 V^H W^H H F is Q^H H F for an
+    orthonormal basis Q of their combiner columns, and the rate is the
     `parallel_rate` of G's singular values (exact also where (P / sigma^2)
-    |G|^2 dwarfs the identity); this holds when two streams share a
-    combiner column and C is singular too. `channel` holds the factors (A,
-    core, B) of H = A core B (`training.channel_factors`), and G is (Q^H A)
-    core (B F); a dense H is (I, H, I). Leading axes broadcast.
+    |G|^2 dwarfs the identity). A Gram resolves singular values of W down
+    to about 1e-8 of the largest, so an eigenvalue at or below 1e-12 of the
+    largest is a null direction, as where two streams share a combiner
+    column. Leading axes broadcast.
     """
-    A, core, B = channel
-    F, W = precoder, combiner
-    # the column norms of np.linalg.norm(X, axis=-2), without its checks
-    active = ((np.sqrt(np.add.reduce((W.conj() * W).real, axis=-2)) > 1e-12)
-              & (np.sqrt(np.add.reduce((F.conj() * F).real, axis=-2))
-                 > 1e-12))[..., None, :]
-    U, s, _ = np.linalg.svd(W * active, full_matrices=False)
-    Q = U * (s > 1e-10 * s.max(axis=-1, keepdims=True))[..., None, :]
-    G = (Q.conj().swapaxes(-1, -2) @ A) @ core @ (B @ (F * active))
+    active = ((gram.diagonal(0, -2, -1).real > 1e-24)
+              & (cross != 0.0).any(axis=-2))
+    both = active[..., :, None] & active[..., None, :]
+    lam, vectors = np.linalg.eigh(gram * both)
+    keep = lam > 1e-12 * lam[..., -1:]
+    G = ((keep / np.sqrt(np.where(keep, lam, 1.0)))[..., None]
+         * (vectors.conj().swapaxes(-1, -2) @ (cross * both)))
     power = np.maximum(np.asarray(power, dtype=float), 0.0)[..., None]
     return parallel_rate(np.linalg.svd(G, compute_uv=False), 1.0, power,
                          noise_power)[()]
@@ -135,13 +120,12 @@ def power_factors(gains, powers, noise_power: float) -> np.ndarray:
     """`water_filling` factors of each row of `gains` at `powers`, in one
     call; a row without a positive power, or without a gain whose floor is
     finite, gets zero factors."""
-    factors = np.zeros(gains.shape)
     floors = _floors(gains, powers, noise_power)
     lowest = floors.min(axis=-1, keepdims=True)
-    live = (powers > 0) & np.isfinite(lowest[..., 0])
-    if live.any():
-        factors[live] = _fill(floors[live], lowest[live]).factors
-    return factors
+    # a row with no finite floor is filled as if its floors were 0, then zeroed
+    live = np.isfinite(lowest)
+    return _fill(np.where(live, floors, 0.0),
+                 np.where(live, lowest, 0.0))[0] * live
 
 
 def fdb_upper_bound(singular_values, power, noise_power: float):

@@ -56,18 +56,14 @@ def angle_rows(estimates):
 
 
 def steered(tx_spec, rx_spec, angles):
-    """The steering pair (f, w) that `training.design_pass` forms from
-    design `angles` (..., N_i, 4), for arrays without a scene."""
+    """The unit-norm steering pair (f, w) (..., N_i, N) toward the transmit
+    departures and receive arrivals of design `angles` (..., N_i, 4), whose
+    products `training.design_pass` takes in closed form."""
     angles = np.asarray(angles, dtype=float)
     return tuple(steering_coefficients(spec.num_elements,
                                        spec.spacing_wavelengths,
                                        angles[..., column, None])
                  for spec, column in ((tx_spec, 0), (rx_spec, 3)))
-
-
-def dense(H):
-    """A dense channel as the factors (I, H, I) of `spectral_efficiency`."""
-    return np.eye(H.shape[-2]), H, np.eye(H.shape[-1])
 
 
 @pytest.fixture

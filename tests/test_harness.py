@@ -1,12 +1,11 @@
 import csv
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import angle_rows, dense, steered
-from irsmimo import harness, training, transmission
+from irsmimo import arrays, channel, harness, training, transmission
 from irsmimo.cli import main
 from irsmimo.channel import cascade_loss
 from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
@@ -17,10 +16,9 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
                              true_composite_loss, write_csv)
 from irsmimo.channel import assemble
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import (AngleEstimate, chain_gains, channel_factors,
-                              design_pass)
-from irsmimo.transmission import (build_beamformers, fdb_upper_bound,
-                                  spectral_efficiency, water_filling)
+from irsmimo.training import chain_gains, channel_cores, design_pass
+from irsmimo.transmission import fdb_upper_bound
+from oracle import reference_trial
 
 
 def tiny_config(**kwargs):
@@ -151,7 +149,7 @@ def test_perfect_estimates_carry_true_angles():
 
 def genie_states(cascade):
     """Direction-mode states on the true angles, one irs_control call each,
-    independent of the engine's `direction_states`."""
+    independent of the engine's closed-form design."""
     spec = cascade.irs_spec
     return [direction_mode(spec.num_elements, spec.spacing_wavelengths,
                            irs_arrival, irs_departure,
@@ -400,71 +398,65 @@ def test_zero_amplitude_scene_scores_zero():
             for row in result.rows] == [dict.fromkeys(harness.RATE_KEYS, 0.0)] * 2
 
 
+def counted_calls(monkeypatch, targets):
+    """Patch each (module, name) of `targets` to record (name, args) in the
+    returned list before it runs."""
+    calls = []
+    for module, name in targets:
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def assert_matches_reference(config, assets, trial):
+    """run_trial against the dense reference: angles, search and truth
+    identical, composite losses within 1e-12 of max(loss, sqrt(sigma^2/P))
+    and rates within 1e-10 relative."""
+    result = run_trial(config, assets, trial)
+    truth, estimates, rates, search = reference_trial(config, assets, trial)
+    assert np.array_equal(result.truth, truth)
+    assert np.array_equal(result.estimates[..., :4], estimates[..., :4])
+    assert np.array_equal(result.search, search)
+    floor = np.sqrt(assets.noise_power / assets.powers)[:, None]
+    assert np.all(np.abs(result.estimates[..., 4] - estimates[..., 4])
+                  <= 1e-12 * np.maximum(estimates[..., 4], floor))
+    assert result.rates == pytest.approx(rates, rel=1e-10, abs=1e-12)
+    return result, rates
+
+
 def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
-    # run_trial scores every design of a trial in one stacked pass over
-    # channel factors, with one water-filling (`_fill`) of the floors of the
-    # hybrid designs and the fully digital bounds together; each rate must
-    # equal its own water-filling, design and rate calls on the assembled
+    # run_trial descends every search of its shared codebook in one batch of
+    # 2 P N_i, and scores every design in one stacked pass with one
+    # water-filling (`_fill`) of the floors of the hybrid designs and the
+    # fully digital bounds together; each rate must equal the dense
+    # reference's own water-filling, design and rate on the assembled
     # channel. At -90 and -85 dBm the measured composite losses of this
     # trial are all clipped to zero: those rows are unusable and score 0
     # beside live ones.
     config = tiny_config(power_grid_dbm=(-90.0, -85.0, -80.0, 0.0))
     assets = scenario_assets(config)
-    calls = []
-    for module, name in ((transmission, "water_filling"),
-                         (transmission, "_fill"),
-                         (transmission, "fdb_upper_bound"),
-                         (harness, "power_factors"),
-                         (harness, "spectral_efficiency")):
-        def counted(*args, real=getattr(module, name), name=name):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(module, name, counted)
+    calls = counted_calls(monkeypatch, (
+        (transmission, "water_filling"), (transmission, "_fill"),
+        (transmission, "fdb_upper_bound"), (harness, "power_factors"),
+        (harness, "spectral_efficiency"), (training, "_descend")))
     result = run_trial(config, assets, 1)
     monkeypatch.undo()
-    assert sorted(calls) == ["_fill", "power_factors", "spectral_efficiency"]
-    cascade, _ = sample_scenario(config, harness._trial_seed(7, 1, 0), assets)
-    rand_rng = harness._trial_seed(7, 1, 1)
-    random_thetas = [random_mode(16, rand_rng) for _ in range(2)]
-    genie = perfect_estimates(cascade)
-    noise = config.noise_power_watts
-    spec = cascade.irs_spec
-    assert np.array_equal(result.truth, [astuple(g) for g in genie])
-
-    def hybrid(estimates, power):
-        gains = [e.composite_loss for e in estimates]
-        if not any(gains):
-            return 0.0
-        F, W = build_beamformers(
-            steered(cascade.tx_spec, cascade.rx_spec, angle_rows(estimates)),
-            water_filling(gains, power, noise).factors)
-        thetas = [direction_mode(spec.num_elements, spec.spacing_wavelengths,
-                                 e.irs_arrival, e.irs_departure)
-                  for e in estimates]
-        H = assemble(cascade, thetas)
-        return spectral_efficiency(dense(H), F, W, power, noise)
-
-    def bound(thetas, power):
-        H = assemble(cascade, thetas)
-        return fdb_upper_bound(np.linalg.svd(H, compute_uv=False), power,
-                               noise)
-
-    unusable = 0
-    for p, power_dbm in enumerate(config.power_grid_dbm):
-        power = dbm_to_watts(power_dbm)
-        estimates = [AngleEstimate(*row) for row in result.estimates[p]]
-        unusable += not any(e.composite_loss for e in estimates)
-        want = (hybrid(estimates, power), hybrid(genie, power),
-                bound(genie_states(cascade), power),
-                bound(random_thetas, power))
-        assert list(result.rates[p]) == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert unusable == 2
+    assert sorted(name for name, _ in calls) == [
+        "_descend", "_fill", "power_factors", "spectral_efficiency"]
+    descents = [args for name, args in calls if name == "_descend"]
+    assert descents[0][0] is assets.tx_codebook is assets.rx_codebook
+    assert descents[0][2] == 2 * 4 * config.num_irs
+    _, want = assert_matches_reference(config, assets, 1)
+    assert result.rates == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert list(want[:, 0] == 0.0) == [True, True, False, False]
 
 
 def trial_parts(config, assets, trial):
-    """run_trial's result, scene, designs, their `design_pass` steering and
-    the channel factors, the random IRSs' rebuilt with the loop of
-    `irs_control.random_mode` calls."""
+    """run_trial's result, scene, designs, their `design_pass` blocks and
+    gains and the bound's channel cores, the random IRSs' rebuilt with the
+    loop of `irs_control.random_mode` calls."""
     result = run_trial(config, assets, trial)
     cascade, _ = sample_scenario(config,
                                   harness._trial_seed(config.seed, trial, 0),
@@ -474,10 +466,10 @@ def trial_parts(config, assets, trial):
                                  amplitude=config.reflection_amplitude).entries()
                      for _ in range(config.num_irs)]
     designs = np.concatenate([result.estimates, [result.truth]])
-    steering, gains = design_pass(cascade, designs[..., :4])
-    channels = channel_factors(cascade, np.concatenate([
-        gains, [chain_gains(cascade, random_states)]]))
-    return result, cascade, designs, steering, channels
+    blocks, gains = design_pass(cascade, designs[..., :4])
+    cores = channel_cores(cascade, np.stack([
+        gains[-1], chain_gains(cascade, random_states)]))
+    return result, cascade, designs, blocks, gains, cores
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
@@ -504,18 +496,16 @@ def test_one_call_random_states_equal_random_mode_loop(monkeypatch, trial):
     assert result.rates[:, 3].all()
 
 
-def per_row_hybrid_rates(steering, powers, noise_power, channels, factors):
-    """The stacked hybrid scoring of a trial taken row by row: row b is
-    steered by `steering` [b] with `factors[b]` and scored on core b at
+def per_row_hybrid_rates(blocks, gains, powers, noise_power, factors):
+    """The stacked hybrid scoring of a trial taken row by row: row b is the
+    design of `blocks` [b] and `gains[b]` with `factors[b]`, scored at
     `powers[b]`; a row whose factors are all zero is not scored and gets
     0."""
-    left, cores, right = channels
     rates = np.zeros(len(powers))
     for b in np.flatnonzero(factors.any(axis=1)):
-        rates[b] = spectral_efficiency(
-            (left, cores[b], right), *build_beamformers(
-                [part[b] for part in steering], factors[b]),
-            powers[b], noise_power)
+        rates[b] = harness._hybrid_rates([block[b] for block in blocks],
+                                         gains[b], factors[b], powers[b],
+                                         noise_power)
     return rates
 
 
@@ -529,22 +519,21 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     # `fdb_upper_bound` call, bit for bit, zero-gain rows included
     config = tiny_config(**overrides)
     assets = scenario_assets(config)
-    result, cascade, designs, steering, channels = trial_parts(config,
-                                                              assets, 1)
+    result, cascade, designs, blocks, gains, cores = trial_parts(config,
+                                                                 assets, 1)
     powers, noise = assets.powers, assets.noise_power
     count = powers.size
-    left, cores, right = channels
     rows = np.r_[np.arange(count), np.full(count, count)]
     hybrid = per_row_hybrid_rates(
-        [part[rows] for part in steering], np.tile(powers, 2), noise,
-        (left, cores[rows], right),
-        harness.power_factors(designs[rows, :, 4], np.tile(powers, 2), noise))
-    bounds = fdb_upper_bound(np.linalg.svd(cores[count:], compute_uv=False),
-                             powers, noise)
+        [block[rows] for block in blocks], gains[rows], np.tile(powers, 2),
+        noise, harness.power_factors(designs[rows, :, 4], np.tile(powers, 2),
+                                     noise))
+    bounds = fdb_upper_bound(np.linalg.svd(cores, compute_uv=False), powers,
+                             noise)
     want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
                     axis=-1)
-    fused = harness._trial_rates(steering, designs[..., 4], powers, noise,
-                                 channels)
+    fused = harness._trial_rates(blocks, gains, designs[..., 4], powers,
+                                 noise, cores)
     assert np.array_equal(fused, want)
     assert np.array_equal(result.rates, want)
     assert np.count_nonzero(want[:, 0] == 0.0) == zero_rows
@@ -552,22 +541,17 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
 
 
 def test_trial_steers_each_design_once(monkeypatch):
-    # one design pass per trial: one steering call per terminal and one
-    # direction_states call cover the P estimated designs and the genie's,
-    # not the 2P scored rows, and the composite-loss pilots and the scoring
-    # read the arrays of that pass
+    # one design pass per trial, in the angle domain: one `dirichlet` call
+    # covers the P estimated designs and the genie's, not the 2P scored
+    # rows, no array response is steered, and the composite-loss pilots and
+    # the scoring read the arrays of that pass
     config = tiny_config(power_grid_dbm=(0.0, 10.0, 20.0, 30.0))
     assets = scenario_assets(config)
-    steered, states, kernels, passes, read = [], [], [], [], {}
+    steered, kernels, passes, read = [], [], [], {}
 
-    def steer(num_elements, spacing, angle,
-              real=training.steering_coefficients):
-        steered.append(np.shape(angle))
-        return real(num_elements, spacing, angle)
-
-    def state(cascade, incident, departure, real=training.direction_states):
-        states.append(np.shape(incident))
-        return real(cascade, incident, departure)
+    def steer(*args, real=arrays.steering_coefficients):
+        steered.append(args)
+        return real(*args)
 
     def kernel(num_elements, offsets, real=training.dirichlet):
         kernels.append(np.shape(offsets))
@@ -583,8 +567,9 @@ def test_trial_steers_each_design_once(monkeypatch):
             return real(*args)
         return recorded
 
-    monkeypatch.setattr(training, "steering_coefficients", steer)
-    monkeypatch.setattr(training, "direction_states", state)
+    for module in (arrays, channel, training):
+        if hasattr(module, "steering_coefficients"):
+            monkeypatch.setattr(module, "steering_coefficients", steer)
     monkeypatch.setattr(training, "dirichlet", kernel)
     monkeypatch.setattr(harness, "design_pass", design)
     for name in ("composite_losses", "_trial_rates"):
@@ -592,18 +577,18 @@ def test_trial_steers_each_design_once(monkeypatch):
                                                   getattr(harness, name)))
     result = run_trial(config, assets, 1)
     monkeypatch.undo()
-    designs = (len(config.power_grid_dbm) + 1, config.num_irs)
-    assert steered == [designs + (1,)] * 2
-    # the bridge check takes both twins' gains (P, N_i, 2) from one
-    # `dirichlet` call, so only the designs form direction-mode states
-    assert kernels == [(4, config.num_irs, 2)]
-    assert states == [designs]
+    count, irs = len(config.power_grid_dbm), config.num_irs
+    assert steered == []
+    # the bridge check takes both twins' gains (P, N_i, 2) from one call,
+    # and the designs their blocks and chain gains (P + 1, N_i, 3 N_i + 1)
+    assert kernels == [(count, irs, 2), (count + 1, irs, 3 * irs + 1)]
     assert len(passes) == 1
-    (f, w), gains = passes[0]
-    steering, loss_gains = read["composite_losses"][1:3]
-    for got, made in zip((*steering, loss_gains), (f, w, gains)):
-        assert got.base is made and np.array_equal(got, made[:-1])
-    assert read["_trial_rates"][0][0] is f and read["_trial_rates"][0][1] is w
+    blocks, gains = passes[0]
+    loss_blocks, loss_gains = read["composite_losses"][:2]
+    for got, made in zip((*loss_blocks, loss_gains), (*blocks[:2], gains)):
+        assert np.shares_memory(got, made) and np.array_equal(got, made[:-1])
+    assert read["_trial_rates"][0] is blocks
+    assert read["_trial_rates"][1] is gains
     assert result.rates[:, :2].all()
 
 
@@ -672,12 +657,19 @@ def test_terminals_share_one_codebook_when_they_agree():
             assert not getattr(assets.tx_codebook, table)[stage].flags.writeable
 
 
-def test_unequal_terminals_build_two_codebooks_and_run():
+def test_unequal_terminals_build_two_codebooks_and_run(monkeypatch):
+    # each codebook descends its own P N_i searches in one call
     config = tiny_config(num_tx_antennas=8, num_rx_antennas=12, trials=2)
     assets = scenario_assets(config)
     assert assets.rx_codebook is not assets.tx_codebook
     assert assets.tx_codebook.num_leaves == config.num_tx_beams == 16
     assert assets.rx_codebook.num_leaves == config.num_rx_beams == 24
+    calls = counted_calls(monkeypatch, ((training, "_descend"),))
+    run_trial(config, assets, 0)
+    monkeypatch.undo()
+    searches = len(config.power_grid_dbm) * config.num_irs
+    assert [(args[0], args[2]) for _, args in calls] == [
+        (assets.tx_codebook, searches), (assets.rx_codebook, searches)]
     result = run_rate_experiment(config)
     assert all(np.isfinite(list(row.values())).all() for row in result.rows)
 
@@ -687,12 +679,41 @@ def test_fused_scoring_pass_applies_the_fdb_cutoff():
     # gain in the fused pass as in fdb_upper_bound, even at an SNR where a
     # gain that small would take power; the design gains are all zero here,
     # so only the bound rows are live
-    steering = (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-    cores = np.array([np.eye(2), np.diag([1.0, 1e-15]), np.diag([1.0, 0.5])])
+    blocks = (np.zeros((2, 2, 2)),) * 3
+    cores = np.array([np.diag([1.0, 1e-15]), np.diag([1.0, 0.5])])
     powers, noise = np.array([1e25]), 1e-11
-    fused = harness._trial_rates(steering, np.zeros((2, 2)), powers, noise,
-                                 (np.eye(2), cores, np.eye(2)))
-    bounds = fdb_upper_bound(np.linalg.svd(cores[1:], compute_uv=False),
+    fused = harness._trial_rates(blocks, np.zeros((2, 2)), np.zeros((2, 2)),
+                                 powers, noise, cores)
+    bounds = fdb_upper_bound(np.linalg.svd(cores, compute_uv=False),
                              powers, noise)
     assert np.array_equal(fused[0], [0.0, 0.0, *bounds[:, 0]])
     assert fused[0, 2] == fdb_upper_bound([1.0], powers, noise)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_tx=st.integers(3, 32), num_rx=st.integers(3, 32),
+       num_irs_elements=st.integers(1, 16), num_irs=st.integers(1, 3),
+       branching=st.integers(2, 4), beam_ratio=st.floats(1.5, 4.0),
+       powers=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 31), trial=st.integers(0, 1000))
+# unequal terminals: two codebooks, one descent each
+@example(num_tx=8, num_rx=12, num_irs_elements=10, num_irs=2, branching=2,
+         beam_ratio=2.0, powers=[-30.0, 10.0], seed=7, trial=1)
+# two IRSs estimated on one receive leaf share a combiner column, and the
+# Gram's null eigenvalue comes out positive: a cut at 1e-20 of the largest
+# keeps it and misses the rate by 3.8e-8
+@example(num_tx=4, num_rx=4, num_irs_elements=14, num_irs=3, branching=2,
+         beam_ratio=2.095764846995227, powers=[40.0, 30.0], seed=1187367184,
+         trial=638)
+def test_trial_matches_the_dense_reference(num_tx, num_rx, num_irs_elements,
+                                           num_irs, branching, beam_ratio,
+                                           powers, seed, trial):
+    assume(num_irs <= min(num_tx, num_rx))
+    config = ScenarioConfig(
+        num_tx_antennas=num_tx, num_rx_antennas=num_rx,
+        num_irs_elements=num_irs_elements, num_irs=num_irs,
+        num_streams=num_irs,
+        irs_positions=((5.0, 4.0), (5.0, 5.0), (5.0, 6.0))[:num_irs],
+        branching=branching, beam_ratio=beam_ratio,
+        power_grid_dbm=tuple(powers), trials=1, seed=seed)
+    assert_matches_reference(config, scenario_assets(config), trial)

@@ -6,18 +6,18 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
+from oracle import reference_pass
 from irsmimo.arrays import (ArraySpec, beam_gain, element_phases,
                             grid_directions, omni, pattern_gain, steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
-from irsmimo.irs_control import absorbing, direction_mode, return_mode
-from irsmimo.training import (MeasurementModel, chain_gains, channel_factors,
+from irsmimo.irs_control import direction_mode, return_mode
+from irsmimo.training import (MeasurementModel, chain_gains, channel_cores,
                               complex_noise, composite_losses,
                               cooperative_estimate, design_pass,
-                              direction_states, estimate_angles,
-                              hierarchical_search, measure_power,
-                              misalignment_curve, noise_tape, _descend,
-                              _sweep_responses, sweep_phasors)
+                              estimate_angles, hierarchical_search,
+                              measure_power, misalignment_curve, noise_tape,
+                              _descend, _sweep_responses, sweep_phasors)
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -142,96 +142,6 @@ def test_noiseless_search_near_square_grid():
     assert hierarchical_search(book, oracle) == exhaustive_leaf(book, oracle)
 
 
-def bridged(cascade, irs_index, arrival, departure):
-    """Assembled channel with one IRS in direction mode, the others absorbing."""
-    spec = cascade.irs_spec
-    thetas = [absorbing(spec.num_elements)] * cascade.num_irs
-    thetas[irs_index] = direction_mode(
-        spec.num_elements, spec.spacing_wavelengths, arrival, departure,
-        amplitude=cascade.consts.reflection_amplitude)
-    return assemble(cascade, thetas)
-
-
-class SlotRecorder:
-    """A codebook view that remembers the slot of the last beam it handed out."""
-
-    def __init__(self, codebook):
-        self.codebook = codebook
-        self.slot = None
-
-    def __getattr__(self, name):
-        return getattr(self.codebook, name)
-
-    def beam(self, stage, index):
-        self.slot = (stage, index)
-        return self.codebook.beam(stage, index)
-
-
-def reference_pass(cascade, assets, power, noise_power, tape, p):
-    """Pilot-by-pilot cooperative estimation at one power, from tape row p.
-
-    A scalar sweep loop over literal return-mode round trips, bridge slots
-    on assembled channels, `hierarchical_search` with an oracle that reads
-    each child's tape position, and composite-loss pilots with the
-    arithmetic of `measure_power`. Returns (angles, search pilots, losses).
-    """
-    grid = assets.sweep_grid
-    consts, spec = cascade.consts, cascade.irs_spec
-    amplitude, scale = np.sqrt(power), np.sqrt(noise_power / 2.0)
-    books = (assets.tx_codebook, assets.rx_codebook)
-    angles, losses, pilots = [], [], 0
-    for l in range(cascade.num_irs):
-        # a terminal on its first element hears e1^T (eta G_t G_r A^T Theta A) e1
-        best = []
-        incident, departing = dense_hops(cascade, l)
-        for side, hop in enumerate((incident, departing.T)):
-            heard = []
-            for k, angle in enumerate(grid.directions):
-                theta = return_mode(spec.num_elements, spec.spacing_wavelengths,
-                                    angle, consts.reflection_amplitude)
-                roundtrip = (cascade.eta * consts.tx_gain * consts.rx_gain
-                             * hop.T @ np.diag(theta.entries()) @ hop)
-                heard.append(abs(amplitude * roundtrip[0, 0]
-                                 + scale * tape.sweep[p, l, side, k]) ** 2)
-            best.append(int(np.argmax(heard)))
-        arrival = grid.directions[best[0]]
-        slot = grid.num_beams - 1 - best[1]
-        half = grid.num_beams // 2
-        candidates = (slot, slot - half if slot >= half else slot + half)
-        heard = [abs(amplitude * bridged(cascade, l, arrival,
-                                         grid.directions[c])[0, 0]
-                     + scale * tape.bridge[p, l, i]) ** 2
-                 for i, c in enumerate(candidates)]
-        departure = grid.directions[candidates[int(np.argmax(heard))]]
-        H = bridged(cascade, l, arrival, departure)
-
-        leaves = []
-        for side, book in enumerate(books):
-            view = SlotRecorder(book)
-
-            def oracle(beam, side=side, view=view):
-                nonlocal pilots
-                pilots += 1
-                w = beam.coefficients
-                stage, index = view.slot
-                child = index % view.branching
-                # receive side w^H H[:, 0]; transmit side w^T H[0, :]
-                signal = np.vdot(w, H[:, 0]) if side else w @ H[0, :]
-                noise = (np.sqrt(noise_power * np.vdot(w, w).real / 2.0)
-                         * tape.search[p, l, side, stage - 1, child])
-                return abs(amplitude * signal + noise) ** 2
-            leaves.append(book.leaf_grid.directions[
-                hierarchical_search(view, oracle)])
-        angles.append((leaves[0], arrival, departure, leaves[1]))
-
-        w = steering(cascade.rx_spec, leaves[1]).coefficients
-        f = steering(cascade.tx_spec, leaves[0]).coefficients
-        heard = np.mean(np.abs(amplitude * np.vdot(w, H @ f)
-                               + scale * tape.pilots[p, l]) ** 2)
-        losses.append(np.sqrt(max(heard - noise_power, 0.0) / power))
-    return np.array(angles), pilots, np.array(losses)
-
-
 @settings(max_examples=40, deadline=None)
 @given(num_antennas=st.integers(4, 20), extra=st.integers(0, 20),
        branching=st.sampled_from([2, 3, 4]),
@@ -253,7 +163,7 @@ def test_phase2_matches_scalar_search_draw_for_draw(num_antennas, extra,
     tape = noise_tape(cascade, assets, repetitions,
                       [np.random.default_rng((seed, p)) for p in range(2)])
     got, search = estimate_angles(cascade, assets, powers, noise_power, tape)
-    losses = composite_losses(cascade, *design_pass(cascade, got), powers,
+    losses = composite_losses(*design_pass(cascade, got), powers,
                               noise_power, tape.pilots)
     for p, power in enumerate(powers):
         want, pilots, want_losses = reference_pass(cascade, assets, power,
@@ -273,7 +183,7 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
     tape = noise_tape(cascade, assets, 7, [np.random.default_rng(11)])
     angles, search = estimate_angles(cascade, assets, [model.transmit_power],
                                      model.noise_power, tape)
-    losses = composite_losses(cascade, *design_pass(cascade, angles),
+    losses = composite_losses(*design_pass(cascade, angles),
                               [model.transmit_power], model.noise_power,
                               tape.pilots)
     rng = np.random.default_rng(11)
@@ -283,28 +193,35 @@ def test_single_power_calls_read_one_tape_row(small_scenario):
     assert slots.search == search[0]
     pilots = rng.standard_normal((1, 2, 7, 2)).view(complex)[..., 0]
     assert composite_losses(
-        cascade, *design_pass(cascade, angle_rows(estimates)[None]),
+        *design_pass(cascade, angle_rows(estimates)[None]),
         [model.transmit_power], model.noise_power, pilots) == pytest.approx(
         losses, rel=1e-12)
 
 
 def test_direction_channels_match_assembled_channels():
-    # the factor form of direction-mode channels against the full assembly,
-    # for a stack of IRS states
+    # the closed-form chain gains of `design_pass` against the states of
+    # `irs_control.direction_mode`, and the channel cores of those gains
+    # against the full assembly, for a stack of IRS states
     cascade, _ = scenario_from_angles([(0.2, -0.55, 0.4, -0.1),
                                        (-0.3, 0.25, -0.45, 0.15)])
     spec = cascade.irs_spec
     sines = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 2, 2))
-    left, cores, right = channel_factors(cascade, chain_gains(
-        cascade, direction_states(cascade, sines[..., 0], sines[..., 1])))
+    thetas = [[direction_mode(spec.num_elements, 0.5, *np.arcsin(s),
+                              amplitude=cascade.consts.reflection_amplitude)
+               for s in pair] for pair in sines]
+    gains = chain_gains(cascade, np.array([[t.entries() for t in pair]
+                                           for pair in thetas]))
+    designs = np.zeros((3, 2, 4))
+    designs[..., 1:3] = np.arcsin(sines)
+    assert design_pass(cascade, designs)[1] == pytest.approx(gains,
+                                                             rel=1e-12)
+    cores = channel_cores(cascade, gains)
     assert cores.shape == (3, 2, 2)
-    stack = left @ cores @ right
-    for H, pair in zip(stack, sines):
-        thetas = [direction_mode(spec.num_elements, 0.5, *np.arcsin(s),
-                                 amplitude=cascade.consts.reflection_amplitude)
-                  for s in pair]
-        want = assemble(cascade, thetas)
-        assert np.allclose(H, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    for core, pair in zip(cores, thetas):
+        want = np.linalg.svd(assemble(cascade, pair), compute_uv=False)
+        assert np.allclose(np.linalg.svd(core, compute_uv=False), want[:2],
+                           rtol=0.0, atol=1e-12 * want[0])
+        assert np.all(want[2:] <= 1e-12 * want[0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_rows, dense, scenario_from_angles, steered
-from irsmimo.arrays import ArraySpec, steering
+from conftest import angle_rows, scenario_from_angles, steered
+from irsmimo.arrays import ArraySpec
 from irsmimo.channel import assemble
-from irsmimo.harness import perfect_estimates
+from irsmimo.harness import _hybrid_rates, perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
-from irsmimo.training import (AngleEstimate, chain_gains, channel_factors,
+from irsmimo.training import (AngleEstimate, chain_gains, channel_cores,
                               composite_losses, design_pass)
-from irsmimo.transmission import (build_beamformers,
-                                  fdb_upper_bound, parallel_rate,
+from irsmimo.transmission import (fdb_upper_bound, parallel_rate,
                                   power_factors, spectral_efficiency,
                                   water_filling)
+from oracle import dense_rate
 
 LN2 = np.log(2.0)
 
@@ -24,20 +24,20 @@ def singular_values(H):
     return np.linalg.svd(H, compute_uv=False)
 
 
-def designed_channel(cascade, estimates):
-    """Factors of the channel with each IRS in direction mode on its
-    estimate, designed by the engine's `design_pass`."""
-    return channel_factors(cascade, design_pass(cascade,
-                                                angle_rows(estimates))[1])
+def gram_rate(H, F, W, power, noise_power):
+    """`spectral_efficiency` of a dense channel, precoder and combiner."""
+    WH = W.conj().T
+    return spectral_efficiency(WH @ W, WH @ H @ F, power, noise_power)
 
 
 def bridged_gain(cascade, estimates):
-    left, core, right = designed_channel(cascade, estimates)
-    H = left @ core @ right
-    tx_departure, _, _, rx_arrival = cascade.angles[0]
-    tx = steering(cascade.tx_spec, tx_departure)
-    rx = steering(cascade.rx_spec, rx_arrival)
-    return abs(np.vdot(rx.coefficients, H @ tx.coefficients))
+    """|w^H H f| of IRS 0 alone reflecting in the design of `estimates`,
+    with w and f steered toward its true receive arrival and transmit
+    departure, from the `design_pass` blocks."""
+    designs = angle_rows(estimates)
+    designs[:, [0, 3]] = cascade.angles[:, [0, 3]]
+    (tf, whr, _), gains = design_pass(cascade, designs)
+    return abs(gains[0] * whr[0, 0] * tf[0, 0])
 
 
 def test_design_irs_perfect_estimates_hit_exact_composite(small_scenario):
@@ -81,7 +81,7 @@ def test_design_irs_quantized_estimates_lose_at_most_hop_products(small_scenario
 def test_estimate_composite_loss_noiseless_exact(small_scenario):
     cascade, _ = small_scenario
     genie = perfect_estimates(cascade)
-    value = composite_losses(cascade, *design_pass(
+    value = composite_losses(*design_pass(
         cascade, angle_rows(genie)[None]), [2.0], 0.0, np.ones((1, 1, 10)))
     assert value[0, 0] == pytest.approx(genie[0].composite_loss, rel=1e-10)
 
@@ -96,7 +96,7 @@ def test_estimate_composite_loss_noise_offset_subtracted(small_scenario):
     # 400 estimates, one per power row, of 50 pilots each
     noise = np.random.default_rng(21).standard_normal(
         (400, 1, 50, 2)).view(complex)[..., 0]
-    values = composite_losses(cascade, *design_pass(
+    values = composite_losses(*design_pass(
         cascade, angle_rows(genie)[None]), np.ones(400), noise_power, noise)
     assert values.shape == (400, 1)
     assert np.mean(np.square(values)) == pytest.approx(truth ** 2, rel=0.05)
@@ -107,7 +107,7 @@ def test_estimate_composite_loss_absorbing_scene_is_noise_floor():
     genie = perfect_estimates(cascade)
     noise = np.random.default_rng(2).standard_normal(
         (1, 1, 10, 2)).view(complex)[..., 0]
-    value = composite_losses(cascade, *design_pass(
+    value = composite_losses(*design_pass(
         cascade, angle_rows(genie)[None]), [1.0], 1e-9, noise)
     assert value < 1e-3
 
@@ -225,37 +225,38 @@ def test_subnormal_p_a2_gets_an_infinite_floor_without_a_warning():
     assert np.array_equal(factors, [[0.0, 1.0]])
 
 
-def test_build_beamformers_single_irs():
-    est = np.array([(0.3, -0.2, 0.4, -0.5)])
-    allocation = water_filling([0.1], 1.0, 0.01)
-    F, W = build_beamformers(steered(ArraySpec(16), ArraySpec(8), est),
-                             allocation.factors)
-    assert F.shape == (16, 1) and W.shape == (8, 1)
-    assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_build_beamformers_unit_modulus_and_power():
-    # the analog columns sqrt(N) f_l and sqrt(N) w_l that realize F and W
-    # have unit-modulus entries, and F carries the unit power budget
-    est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.1, 0.5, -0.4, 0.2),
-                    (0.7, 0.1, -0.2, -0.6)])
-    allocation = water_filling([0.2, 0.1, 0.05], 1.0, 0.001)
-    assert allocation.factors.all()
-    F, W = build_beamformers(steered(ArraySpec(32), ArraySpec(32), est),
-                             allocation.factors)
-    for analog in (np.sqrt(32) * F / np.sqrt(allocation.factors),
-                   np.sqrt(32) * W):
-        assert np.max(np.abs(np.abs(analog) - 1.0)) < 1e-12
-    assert np.linalg.norm(F) == pytest.approx(1.0, abs=1e-9)
+def test_design_blocks_match_dense_steering():
+    # the closed-form blocks of `design_pass` against products of steering
+    # vectors and the scene's directions, and its chain gains against the
+    # states of `irs_control.direction_mode`, for a stack of designs
+    cascade, _ = scenario_from_angles([(0.3, -0.2, 0.4, -0.5),
+                                       (-0.1, 0.5, -0.4, 0.2),
+                                       (0.7, 0.1, -0.2, -0.6)],
+                                      num_antennas=12)
+    designs = np.random.default_rng(5).uniform(-1.3, 1.3, (4, 3, 4))
+    designs[1, 2, 3] = designs[1, 0, 3]   # two streams on one arrival
+    (tf, whr, gram), gains = design_pass(cascade, designs)
+    _, rx_dir, tx_dir, _ = cascade.bridge_terms
+    spec = cascade.irs_spec
+    for design, *blocks, g in zip(designs, tf, whr, gram, gains):
+        f, w = steered(cascade.tx_spec, cascade.rx_spec, design)
+        want = (tx_dir @ f.T, w.conj() @ rx_dir.T, w.conj() @ w.T)
+        for got, dense in zip(blocks, want):
+            assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+        states = [direction_mode(spec.num_elements, 0.5, row[1], row[2],
+                                 amplitude=cascade.consts.reflection_amplitude)
+                  for row in design]
+        assert g == pytest.approx(chain_gains(cascade, np.array(
+            [t.entries() for t in states])), rel=1e-12)
 
 
 def test_spectral_efficiency_zero_power():
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([0.1], 1.0, 0.01)
-    F, W = build_beamformers(steered(ArraySpec(8), ArraySpec(8), est),
-                             allocation.factors)
+    f, w = steered(ArraySpec(8), ArraySpec(8), est)
     H = np.eye(8, dtype=complex)
-    assert spectral_efficiency(dense(H), F, W, 0.0, 0.1) == 0.0
+    assert gram_rate(H, f.T * np.sqrt(allocation.factors), w.T, 0.0,
+                     0.1) == 0.0
 
 
 def test_spectral_efficiency_matched_rank_one():
@@ -263,11 +264,9 @@ def test_spectral_efficiency_matched_rank_one():
     a = 0.07
     est = np.array([(0.3, -0.2, 0.4, -0.5)])
     allocation = water_filling([a], 1.0, 1e-4)
-    F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
-    tx = steering(spec, 0.3).coefficients
-    rx = steering(spec, -0.5).coefficients
-    H = a * np.outer(rx, np.conj(tx))
-    rate = spectral_efficiency(dense(H), F, W, 1.0, 1e-4)
+    f, w = steered(spec, spec, est)
+    H = a * np.outer(w[0], np.conj(f[0]))
+    rate = gram_rate(H, f.T * np.sqrt(allocation.factors), w.T, 1.0, 1e-4)
     assert rate == pytest.approx(np.log2(1 + a ** 2 / 1e-4), rel=1e-9)
 
 
@@ -277,28 +276,78 @@ def test_spectral_efficiency_shared_combiner_column():
     spec = ArraySpec(8)
     est = np.array([(0.3, -0.2, 0.4, -0.5), (-0.4, 0.1, 0.2, -0.5)])
     allocation = water_filling([0.2, 0.1], 1.0, 0.01)
-    F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
+    f, w = steered(spec, spec, est)
+    F, W = f.T * np.sqrt(allocation.factors), w.T
     rng = np.random.default_rng(43)
     H = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     projected = H.conj().T @ W @ np.linalg.pinv(W.conj().T @ W) @ W.conj().T @ H
     want = np.linalg.slogdet(np.eye(2) + 1.0 / 0.01
                              * F.conj().T @ projected @ F)[1] / LN2
-    assert spectral_efficiency(dense(H), F, W, 1.0, 0.01) == pytest.approx(
-        want, rel=1e-9)
+    assert gram_rate(H, F, W, 1.0, 0.01) == pytest.approx(want, rel=1e-9)
 
 
-def test_spectral_efficiency_exact_when_the_snr_dwarfs_the_identity():
-    # singular values 1e9, 1e3 and 1e-12 at unit SNR: in floating point the
-    # identity of I + G G^H is lost beside 1e18, so its determinant would be
-    # off by bits; each stream must still add log2(1 + s^2)
+def dwarfed_identity():
+    """Singular values 1e9, 1e3 and 1e-12 at unit SNR behind identity
+    beamformers: 79.73 bits."""
     rng = np.random.default_rng(4)
     u, v = (np.linalg.qr(rng.standard_normal((3, 3))
                          + 1j * rng.standard_normal((3, 3)))[0]
             for _ in range(2))
     s = np.array([1e9, 1e3, 1e-12])
+    return u @ np.diag(s) @ v, s
+
+
+def test_spectral_efficiency_exact_when_the_snr_dwarfs_the_identity():
+    # in floating point the identity of I + G G^H is lost beside 1e18, so
+    # its determinant would be off by bits; each stream must still add
+    # log2(1 + s^2)
+    H, s = dwarfed_identity()
     eye = np.eye(3, dtype=complex)
-    rate = spectral_efficiency(dense(u @ np.diag(s) @ v), eye, eye, 1.0, 1.0)
+    rate = gram_rate(H, eye, eye, 1.0, 1.0)
     assert rate == pytest.approx(np.sum(np.log2(1 + s ** 2)), rel=1e-9)
+
+
+def scoring_case(name):
+    """(H, F, W, power, noise) of a named corner of the scoring rule."""
+    rng = np.random.default_rng(47)
+    spec = ArraySpec(16)
+    H = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    est = rng.uniform(-1.2, 1.2, (3, 4))
+    factors = np.array([0.5, 0.3, 0.2])
+    if name == "shared combiner column":
+        est[2, 3] = est[0, 3]
+    elif name == "inactive stream":
+        factors = np.array([0.6, 0.0, 0.4])
+    elif name == "near-collinear columns":
+        # genie arrivals 1e-3 apart in sine: W^H W has an eigenvalue near
+        # 1e-5 of its largest, which the Gram resolves
+        est[1, 3] = np.arcsin(np.sin(est[0, 3]) + 1e-3)
+    else:
+        H, _ = dwarfed_identity()
+        eye = np.eye(3, dtype=complex)
+        return H, eye, eye, 1.0, 1.0
+    f, w = steered(spec, spec, est)
+    return H, f.T * np.sqrt(factors), w.T, 1.0, 0.05
+
+
+@pytest.mark.parametrize("name", ["shared combiner column", "inactive stream",
+                                  "near-collinear columns",
+                                  "snr dwarfs the identity"])
+def test_spectral_efficiency_matches_the_dense_route(name):
+    # the rate from the L x L Gram and cross term against a dense SVD of
+    # the combiner and of the projected channel
+    H, F, W, power, noise = scoring_case(name)
+    want = dense_rate(H, F, W, power, noise)
+    assert gram_rate(H, F, W, power, noise) == pytest.approx(want, rel=1e-12)
+    if name == "inactive stream":
+        # the inactive stream's combiner column drops out with it
+        kept = [0, 2]
+        assert want == pytest.approx(dense_rate(H, F[:, kept], W[:, kept],
+                                                power, noise), rel=1e-12)
+        # as a live stream of almost no power, it would widen the combining
+        alive = F.copy()
+        alive[:, 1] = 1e-10
+        assert want < dense_rate(H, alive, W, power, noise)
 
 
 def test_spectral_efficiency_close_to_parallel_form():
@@ -310,11 +359,8 @@ def test_spectral_efficiency_close_to_parallel_form():
     gains = np.array([g.composite_loss for g in genie])
     power, noise = 0.1, 1e-11
     allocation = water_filling(gains, power, noise)
-    steering = design_pass(cascade, angle_rows(genie))[0]
-    exact = spectral_efficiency(designed_channel(cascade, genie),
-                                *build_beamformers(steering,
-                                                   allocation.factors),
-                                power, noise)
+    exact = _hybrid_rates(*design_pass(cascade, angle_rows(genie)),
+                          allocation.factors, power, noise)
     reduced = parallel_rate(gains, allocation.factors, power, noise)
     assert exact == pytest.approx(reduced, rel=0.05)
 
@@ -347,10 +393,11 @@ def test_fdb_dominates_hybrid_designs():
         a = rng.uniform(0.01, 1.0)
         est = angles[None]
         allocation = water_filling([a], 1.0, 0.01)
-        F, W = build_beamformers(steered(spec, spec, est), allocation.factors)
+        f, w = steered(spec, spec, est)
         H = (rng.standard_normal((16, 16))
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
-        hybrid = spectral_efficiency(dense(H), F, W, 1.0, 0.01)
+        hybrid = gram_rate(H, f.T * np.sqrt(allocation.factors), w.T, 1.0,
+                           0.01)
         assert fdb_upper_bound(singular_values(H), 1.0, 0.01) >= hybrid - 1e-9
 
 
@@ -388,7 +435,8 @@ angle = st.floats(-1.3, 1.3)
 def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
                                         seed):
     # IRS 1 may share IRS 0's transmit departure (0) or receive arrival (3),
-    # which makes that QR factor rank-deficient
+    # which makes that QR factor rank-deficient, and then the genie's
+    # combiner W^H W singular
     angles = [list(path[:4]) for path in paths]
     if shared is not None and len(angles) > 1:
         angles[1][shared] = angles[0][shared]
@@ -400,7 +448,7 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     rng = np.random.default_rng(seed)
     states = [[direction_mode(8, 0.5, a[1], a[2]) for a in angles],
               [random_mode(8, rng) for _ in paths]]
-    left, cores, right = channel_factors(cascade, chain_gains(
+    cores = channel_cores(cascade, chain_gains(
         cascade, np.array([[t.entries() for t in s] for s in states])))
     channels = np.array([assemble(cascade, s) for s in states])
     sv = np.linalg.svd(cores, compute_uv=False)
@@ -416,11 +464,12 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
         np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
         rel=1e-12)
-    F, W = build_beamformers(design_pass(cascade, angle_rows(genie))[0],
-                             water_filling(gains, power, noise).factors)
-    assert spectral_efficiency((left, cores, right), F, W, power, noise) == (
-        pytest.approx(spectral_efficiency(dense(channels), F, W, power, noise),
-                      rel=1e-12))
+    factors = water_filling(gains, power, noise).factors
+    f, w = steered(cascade.tx_spec, cascade.rx_spec, angle_rows(genie))
+    assert _hybrid_rates(*design_pass(cascade, angle_rows(genie)), factors,
+                         power, noise) == pytest.approx(
+        dense_rate(channels[0], f.T * np.sqrt(factors), w.T, power, noise),
+        rel=1e-12)
 
 
 def test_fdb_cutoff_is_relative_to_each_row():
