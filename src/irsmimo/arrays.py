@@ -118,12 +118,26 @@ def pattern_gain(num_elements: int, sine_offset) -> np.ndarray:
     shape. Where |sin(pi x / 2)| < 1e-7 (x at 0 or at the +-2 endfire seam)
     the value is the limit 1.
     """
-    half_phase = np.pi / 2 * np.asarray(sine_offset, dtype=float)
-    denom = np.sin(half_phase)
-    aligned = np.abs(denom) < 1e-7
-    ratio = np.sin(num_elements * half_phase) / (
-        num_elements * np.where(aligned, 1.0, denom))
-    return np.abs(np.where(aligned, 1.0, ratio))
+    offset = np.array(sine_offset, dtype=float)
+    gain = np.empty_like(offset)
+    _pattern_gain_into(num_elements, offset, gain, np.empty_like(offset),
+                       np.empty(offset.shape, dtype=bool))
+    return gain[()]   # a 0-d input gives a numpy scalar
+
+
+def _pattern_gain_into(num_elements: int, offset, gain, work, aligned):
+    """`pattern_gain` of the float array `offset` written into `gain`, with
+    `work` and the boolean `aligned` of the same shape as scratch; `offset`
+    is overwritten."""
+    offset *= np.pi / 2
+    np.sin(offset, out=work)
+    np.less(np.abs(work, out=gain), 1e-7, out=aligned)
+    np.copyto(work, 1.0, where=aligned)
+    work *= num_elements
+    offset *= num_elements
+    np.divide(np.sin(offset, out=offset), work, out=gain)
+    np.copyto(gain, 1.0, where=aligned)
+    np.abs(gain, out=gain)
 
 
 def edge_energy(num_elements: int, num_beams: int) -> float:

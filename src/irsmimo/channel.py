@@ -92,6 +92,11 @@ class CascadeChannel:
         return compensation_factor(self.consts, self.irs_spec.num_elements)
 
     @cached_property
+    def sines(self) -> np.ndarray:
+        """The sines of `angles` (N_i, 4), which every trial step reads."""
+        return np.sin(self.angles)
+
+    @cached_property
     def bridge_terms(self) -> tuple:
         """(chain, rx_dir, tx_dir, hops), stacked by IRS, from the rays.
 
@@ -104,7 +109,7 @@ class CascadeChannel:
         M[:, 0] and N[0, :] (N_i, 2, N_r), each entry as `make_link` has it.
         """
         tx, irs, rx = self.tx_spec, self.irs_spec, self.rx_spec
-        sines = np.sin(self.angles)
+        sines = self.sines
         tx_dir = np.exp(-1j * element_phases(
             tx.num_elements, tx.spacing_wavelengths, sines[:, :1]))
         rx_dir = np.exp(1j * element_phases(

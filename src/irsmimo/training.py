@@ -16,8 +16,8 @@ from math import prod
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
-                     grid_directions, lattice_phasors, pattern_gain,
+from .arrays import (ArraySpec, BeamGrid, BeamVector, _pattern_gain_into,
+                     dirichlet, grid_directions, lattice_phasors,
                      require_half_wavelength)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook, stage_offset
@@ -196,7 +196,7 @@ def design_pass(cascade: CascadeChannel, angles) -> tuple:
     sqrt(N_u), (W^H W)[m, k] = D_Nu(psi_k - psi_m) / N_u and g_l = beta
     chain_0 D_Ni(s_1 - s_2 + s^_2 - s^_1), true (s) and designed (s^) sines.
     """
-    sines, true = np.sin(angles), np.sin(cascade.angles)
+    sines, true = np.sin(angles), cascade.sines
     arrival = sines[..., 3]
     count = cascade.num_irs
     tx, rx, irs = (spec.num_elements for spec in (
@@ -267,7 +267,7 @@ def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,
     departure = grid.num_beams - 1 - slots[..., 1]
     candidates = (departure[..., None] + [0, grid.num_beams // 2]) % grid.num_beams
     # chain_n = chain_0 e^(j pi n (s_1 - s_2)), so each gain is one D_N value
-    sines = np.sin(cascade.angles)
+    sines = cascade.sines
     gains = (cascade.consts.reflection_amplitude * chain[:, :1] * dirichlet(
         cascade.irs_spec.num_elements, (sines[:, 1] - sines[:, 2])[:, None]
         + grid.sines[candidates] - grid.sines[arrival][..., None]))
@@ -374,36 +374,52 @@ def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
     element, so a beamformed measurement additionally collects the array
     gain sqrt(N_a). Angles and noise draws are shared across the SNR grid
     (common random numbers). Gains g are real, so each SNR's power
-    |a g + n|^2 = a^2 g^2 + 2 a g Re(n) + |n|^2 reuses three real terms.
+    |a g + n|^2 = (a^2 g^2 + a 2 g Re(n)) + |n|^2 reuses three real terms;
+    ties go to the lowest leaf index.
 
-    `rng` draws the angles, the noise real parts, then the imaginary parts,
-    as one complex draw would. Trials run in blocks of `_BLOCK_VALUES` gains
-    with each SNR's argmax in cache; only the real parts span every trial.
+    `rng` draws every angle, then trial by trial the K noise real parts and
+    the K imaginary parts, so the curve does not depend on the block size.
+    Trials run in blocks of about `_BLOCK_VALUES` gains, each SNR's argmax
+    and miss count taken while the block is in cache, in buffers allocated
+    once; only the angles' sines span every trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    limit = 2.0 / num_beams * (1.0 + 1e-12)
     leaf_sines = grid_directions(num_elements, num_beams).sines
-    sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
-    scale = np.sqrt(0.5)
-    real = rng.standard_normal((trials, num_beams))
-    real *= scale
+    sines = rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials)
+    np.sin(sines, out=sines)
     amps = [np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
             for snr_db in snr_grid_db]
-    chosen = np.empty((len(amps), trials), dtype=np.intp)
-    rows = max(1, _BLOCK_VALUES // num_beams)
+    misses = np.zeros(len(amps), dtype=np.intp)
+    rows = min(trials, max(1, _BLOCK_VALUES // num_beams))
+    noise = np.empty((rows, 2, num_beams))
+    gains, square, cross, floor, powers = np.empty((5, rows, num_beams))
+    aligned = np.empty((rows, num_beams), dtype=bool)
+    chosen = np.empty((len(amps), rows), dtype=np.intp)
     for start in range(0, trials, rows):
-        block = slice(start, start + rows)
-        noise = real[block]
-        gains = pattern_gain(num_elements, sines[block, None] - leaf_sines)
-        square, cross = gains * gains, 2.0 * gains * noise
-        floor = noise ** 2 + (scale * rng.standard_normal(noise.shape)) ** 2
-        powers = np.empty_like(square)
-        for row, amp in zip(chosen, amps):
-            np.multiply(amp * amp, square, out=powers)
-            powers += amp * cross
+        block = sines[start:start + rows]
+        if len(block) < rows:   # the ragged last block
+            noise, gains, square, cross, floor, powers, aligned = (
+                buffer[:len(block)] for buffer in (
+                    noise, gains, square, cross, floor, powers, aligned))
+            chosen = chosen[:, :len(block)]
+        rng.standard_normal(out=noise)
+        noise *= np.sqrt(0.5)
+        real, imag = noise[:, 0], noise[:, 1]
+        np.subtract(block[:, None], leaf_sines, out=powers)
+        _pattern_gain_into(num_elements, powers, gains, floor, aligned)
+        np.multiply(gains, gains, out=square)
+        np.multiply(gains, 2.0, out=cross)
+        cross *= real
+        np.square(real, out=floor)
+        floor += np.square(imag, out=imag)
+        for amp, row in zip(amps, chosen):
+            np.multiply(square, amp * amp, out=powers)
+            powers += np.multiply(cross, amp, out=gains)
             powers += floor
-            np.argmax(powers, axis=1, out=row[block])
-    diff = np.abs(sines - leaf_sines[chosen])
-    missed = np.minimum(diff, 2.0 - diff) > 2.0 / num_beams * (1.0 + 1e-12)
-    return [(float(snr_db), float(np.mean(row)))
-            for snr_db, row in zip(snr_grid_db, missed)]
+            np.argmax(powers, axis=1, out=row)
+        diff = np.abs(block - leaf_sines[chosen])
+        misses += np.count_nonzero(np.minimum(diff, 2.0 - diff) > limit, axis=1)
+    return [(float(snr_db), float(count / trials))
+            for snr_db, count in zip(snr_grid_db, misses)]

@@ -13,8 +13,8 @@ from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import direction_mode, return_mode
 from irsmimo.training import (MeasurementModel, chain_gains, channel_cores,
-                              complex_noise, composite_losses,
-                              cooperative_estimate, design_pass,
+                              composite_losses, cooperative_estimate,
+                              design_pass,
                               estimate_angles, hierarchical_search,
                               measure_power, misalignment_curve, noise_tape,
                               _descend, _sweep_responses, sweep_phasors)
@@ -400,7 +400,8 @@ def complex_misalignment(num_elements, num_beams, snr_grid_db, trials, rng):
     grid = grid_directions(num_elements, num_beams)
     sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
     gains = pattern_gain(num_elements, sines[:, None] - grid.sines[None, :])
-    noise = complex_noise(rng, 1.0, size=gains.shape)
+    parts = np.sqrt(0.5) * rng.standard_normal((trials, 2, num_beams))
+    noise = parts[:, 0] + 1j * parts[:, 1]
     rows = []
     for snr_db in snr_grid_db:
         amp = np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
@@ -435,9 +436,10 @@ def full_array_misalignment(num_elements, num_beams, snr_grid_db, trials,
     grid = grid_directions(num_elements, num_beams)
     sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
     gains = pattern_gain(num_elements, sines[:, None] - grid.sines[None, :])
-    noise = complex_noise(rng, 1.0, size=gains.shape)
-    square, cross = gains * gains, 2.0 * gains * noise.real
-    floor = noise.real ** 2 + noise.imag ** 2
+    real, imag = np.moveaxis(
+        np.sqrt(0.5) * rng.standard_normal((trials, 2, num_beams)), 1, 0)
+    square, cross = gains * gains, 2.0 * gains * real
+    floor = real ** 2 + imag ** 2
     curve = []
     for snr_db in snr_grid_db:
         amp = np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
@@ -465,19 +467,33 @@ def test_misalignment_blocks_equal_the_full_array_loop(n, ratio):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+@pytest.mark.parametrize("block_values", [1, 1000, 1 << 20])
+def test_misalignment_curve_does_not_depend_on_the_block_size(
+        monkeypatch, block_values):
+    # trial-major draws: a block of one trial, ragged blocks and one block
+    # holding every trial read the same stream as the default blocks
+    snrs = np.arange(-10.0, 22.0, 2.0)
+    want = misalignment_curve(32, 96, snrs, trials=700,
+                              rng=np.random.default_rng(8))
+    monkeypatch.setattr(training, "_BLOCK_VALUES", block_values)
+    assert misalignment_curve(32, 96, snrs, trials=700,
+                              rng=np.random.default_rng(8)) == want
+
+
 class ScriptedDraws:
     """Stands in for the generator of `misalignment_curve`, which calls only
-    `uniform` (the angles) and `standard_normal` (the real parts, then the
-    imaginary parts): each call returns the next array given."""
+    `uniform` (the angles) and `standard_normal(out=...)` (each block's
+    noise): each call returns the next array given."""
 
     def __init__(self, angles, *normals):
         self.angles, self.normals = angles, list(normals)
 
     def uniform(self, low, high, size):
-        return np.reshape(self.angles, size)
+        return np.array(np.reshape(self.angles, size), dtype=float)
 
-    def standard_normal(self, shape):
-        return np.reshape(self.normals.pop(0), shape)
+    def standard_normal(self, *, out):
+        out[...] = np.reshape(self.normals.pop(0), out.shape)
+        return out
 
 
 def test_misalignment_power_sum_keeps_its_order():
@@ -495,23 +511,26 @@ def test_misalignment_power_sum_keeps_its_order():
     cross, floor = 2.0 * noise, noise ** 2 + (scale * imag) ** 2
     assert (1.0 + cross[6]) + floor[6] == 1.0 + floor[1]
     assert (1.0 + floor[6]) + cross[6] > 1.0 + floor[1]
-    draws = ScriptedDraws(grid_directions(1, k).directions[1], real, imag)
+    draws = ScriptedDraws(grid_directions(1, k).directions[1],
+                          np.stack([real, imag]))
     assert misalignment_curve(1, k, [0.0], 1, draws) == [(0.0, 0.0)]
     assert not draws.normals
 
 
-def test_misalignment_memory_stays_near_one_trial_array():
-    # the real parts of the noise are the one (trials, K) array held for
-    # every trial; the full-array loop peaked at about seven of them
-    trials, k = 10_000, 192
-    tracemalloc.start()
-    try:
-        misalignment_curve(64, k, np.arange(-10.0, 22.0, 2.0), trials=trials,
-                           rng=np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * trials * k * 8
+def test_misalignment_memory_is_flat_in_the_trial_count():
+    # the blocks run in buffers of a fixed size, so only the angles' sines
+    # (8 B) grow with the trials; holding any (trials, K) array would add
+    # 1.5 KB or more per trial at K = 192
+    def traced_peak(trials):
+        tracemalloc.start()
+        try:
+            misalignment_curve(64, 192, np.arange(-10.0, 22.0, 2.0),
+                               trials=trials, rng=np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    growth = traced_peak(20_000) - traced_peak(2_000)
+    assert growth < 16 * 18_000 + (64 << 10)
 
 
 def test_model_validation():
