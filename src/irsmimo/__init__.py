@@ -12,7 +12,7 @@ from .channel import (CascadeChannel, PhaseShiftMatrix, PhysicalConstants,
                       assemble, cascade_loss, compensation_factor, make_link,
                       path_loss)
 from .codebook import (HierarchicalCodebook, build_codebook, num_stages,
-                       projection_beam, selection_matrix, two_rf_factorization)
+                       two_rf_factorization)
 from .harness import (ScenarioConfig, TrialResult, make_config,
                       run_mp_experiment, run_rate_experiment, run_trial,
                       sample_scenario, scenario_assets)

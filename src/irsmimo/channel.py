@@ -98,15 +98,15 @@ class CascadeChannel:
 
     @cached_property
     def bridge_terms(self) -> tuple:
-        """(chain, rx_dir, tx_dir, hops), stacked by IRS, from the rays.
+        """(chain, rx_dir, tx_dir, hop_heads), stacked by IRS, from the rays.
 
         With IRS l alone reflecting in state Theta, H = eta G_t G_r N Theta M
         has rank one: H = H[0, 0] outer(rx_dir, tx_dir), where H[0, 0] =
         sum_n chain_n Theta_nn and chain = eta G_t G_r N[0, :] M[:, 0].
         rx_dir = N[:, 0] / N[0, 0] and tx_dir = M[0, :] / M[0, 0] are formed
         as exp(+-j 2 pi d n sin theta) of the receive arrival and transmit
-        departure, free of path amplitudes that may underflow. `hops` holds
-        M[:, 0] and N[0, :] (N_i, 2, N_r), each entry as `make_link` has it.
+        departure, free of path amplitudes that may underflow. `hop_heads`
+        (N_i, 2) holds M[0, 0] and N[0, 0], each as `make_link` has it.
         """
         tx, irs, rx = self.tx_spec, self.irs_spec, self.rx_spec
         sines = self.sines
@@ -119,12 +119,12 @@ class CascadeChannel:
             / np.sqrt(irs.num_elements), 1, 0)
         amp_in, amp_out = path_loss(self.consts, self.distances).T[..., None]
         # the first entry of a terminal's steering vector is 1 / sqrt(N)
-        hops = np.stack([amp_in * (a_in * (1.0 / np.sqrt(tx.num_elements))),
-                         amp_out * (np.conj(a_out)
-                                    * (1.0 / np.sqrt(rx.num_elements)))],
-                        axis=1)
+        hop_in = amp_in * (a_in * (1.0 / np.sqrt(tx.num_elements)))
+        hop_out = amp_out * (np.conj(a_out)
+                             * (1.0 / np.sqrt(rx.num_elements)))
         gain = self.consts.tx_gain * self.consts.rx_gain
-        return self.eta * gain * hops[:, 1] * hops[:, 0], rx_dir, tx_dir, hops
+        return (self.eta * gain * hop_out * hop_in, rx_dir, tx_dir,
+                np.stack([hop_in[:, 0], hop_out[:, 0]], axis=1))
 
 
 def path_loss(consts: PhysicalConstants, distance: float) -> float:

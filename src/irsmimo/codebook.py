@@ -26,28 +26,6 @@ def num_stages(branching: int, num_leaves: int) -> int:
     return stages
 
 
-def selection_matrix(stage: int, branching: int, num_leaves: int) -> np.ndarray:
-    """Zero-one matrix D_s of shape (K, M**stage) mapping candidates to live leaves.
-
-    Column i selects leaf rows i*M**(S-s) .. (i+1)*M**(S-s) - 1, with rows
-    beyond K - 1 dropped.
-    """
-    total = num_stages(branching, num_leaves)
-    if not 1 <= stage <= total:
-        raise ValueError(f"stage must lie in 1..{total}, got {stage}")
-    owner = np.arange(num_leaves) // branching ** (total - stage)
-    return (owner[:, None] == np.arange(branching ** stage)).astype(float)
-
-
-def projection_beam(leaves: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Raw minimum-residual solution of leaves^H w = target, i.e. (L L^H)^-1 L d.
-
-    The general formula; on the beam grid it reduces to (N/K) L d.
-    """
-    gram = leaves @ leaves.conj().T
-    return np.linalg.solve(gram, leaves @ target)
-
-
 def two_rf_factorization(w: BeamVector):
     """Exact two-RF-chain hybrid realization of an arbitrary beam.
 

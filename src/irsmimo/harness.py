@@ -13,7 +13,7 @@ from .training import (AngleEstimate, ScenarioAssets,  # noqa: F401
                        SlotCount, chain_gains, channel_cores,
                        composite_losses, cooperative_estimate, design_pass,
                        estimate_angles, misalignment_curve, noise_tape,
-                       slot_count, sweep_phasors)
+                       slot_count)
 from .transmission import (digital_gains, parallel_rate, power_factors,
                            spectral_efficiency)
 
@@ -183,9 +183,6 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
     their arrays and grid sizes agree."""
     tx_spec = ArraySpec(config.num_tx_antennas)
     rx_spec = ArraySpec(config.num_rx_antennas)
-    irs_spec = ArraySpec(config.num_irs_elements)
-    sweep_grid = grid_directions(config.num_irs_elements,
-                                 config.num_irs_sweep_beams)
     tx_codebook = build_codebook(tx_spec, config.branching,
                                  config.num_tx_beams)
     shared = (rx_spec, config.num_rx_beams) == (tx_spec, config.num_tx_beams)
@@ -193,12 +190,12 @@ def scenario_assets(config: ScenarioConfig) -> ScenarioAssets:
         consts=config.physical_constants(),
         tx_spec=tx_spec,
         rx_spec=rx_spec,
-        irs_spec=irs_spec,
+        irs_spec=ArraySpec(config.num_irs_elements),
         tx_codebook=tx_codebook,
         rx_codebook=tx_codebook if shared else build_codebook(
             rx_spec, config.branching, config.num_rx_beams),
-        sweep_grid=sweep_grid,
-        sweep_phasors=sweep_phasors(irs_spec, sweep_grid),
+        sweep_grid=grid_directions(config.num_irs_elements,
+                                   config.num_irs_sweep_beams),
         powers=np.array([dbm_to_watts(p) for p in config.power_grid_dbm]),
         noise_power=config.noise_power_watts,
     )

@@ -4,11 +4,12 @@ Reciprocity convention: the uplink channel is the plain transpose of the
 downlink one. Under that convention an uplink arrival response is the
 conjugate of the downlink departure response, so uplink searches sweep
 conjugated codewords and monostatic round trips through an IRS double the
-per-element phase slope. The doubled slope makes the return-mode sweep
-pattern periodic in the sine with period one, which leaves a two-way
-ambiguity (a grating twin offset by exactly 1 in sine) that no per-sweep
-argmax rule can resolve; phase 1 therefore ends with a two-slot bridge
-check that keeps the parity-consistent member of the twin pair.
+per-element phase slope. Each return-mode sweep slot is therefore one
+Dirichlet value D_N(2 x) of the sine offset x, and since D_N has period 2
+the sweep pattern is periodic in the sine with period one. That leaves a
+two-way ambiguity (a grating twin offset by exactly 1 in sine) that no
+per-sweep argmax rule can resolve; phase 1 therefore ends with a two-slot
+bridge check that keeps the parity-consistent member of the twin pair.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ from math import prod
 import numpy as np
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, _pattern_gain_into,
-                     dirichlet, grid_directions, lattice_phasors,
-                     require_half_wavelength)
+                     dirichlet, grid_directions)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook, stage_offset
 
@@ -57,7 +57,8 @@ class SlotCount:
 
 @dataclass(frozen=True)
 class ScenarioAssets:
-    """Per-config values reused across trials; `powers` is in Watts."""
+    """Per-config values reused across trials; `powers` is in Watts. The
+    phase-1 sweep reads only the sines of `sweep_grid`."""
 
     consts: PhysicalConstants
     tx_spec: ArraySpec
@@ -66,17 +67,8 @@ class ScenarioAssets:
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
     sweep_grid: BeamGrid
-    sweep_phasors: np.ndarray   # `sweep_phasors(irs_spec, sweep_grid)`
     powers: np.ndarray
     noise_power: float
-
-
-def sweep_phasors(irs_spec: ArraySpec, grid: BeamGrid) -> np.ndarray:
-    """exp(j * return-mode phases) -2 pi n x of the sweep slots, row k at
-    sine x = (2k + 1)/K_r - 1: the powers -n(2k + 1) of exp(2 pi j / K_r)."""
-    require_half_wavelength(irs_spec)
-    return lattice_phasors(grid.num_beams, np.multiply.outer(
-        -2 * np.arange(grid.num_beams) - 1, np.arange(irs_spec.num_elements)))
 
 
 def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
@@ -230,14 +222,19 @@ def channel_cores(cascade: CascadeChannel, gains) -> np.ndarray:
 
 def _sweep_responses(cascade: CascadeChannel,
                      assets: ScenarioAssets) -> np.ndarray:
-    """Noise-free return-mode responses (N_i, side, K_r) of every sweep slot:
-    a terminal sending and receiving on its first element through state
-    Theta hears eta G_t G_r sum_n Theta_nn h_n^2, h the omni entries of its
-    hop (the transposed return hop repeats them, unconjugated)."""
-    consts = cascade.consts
-    weights = (cascade.eta * consts.tx_gain * consts.rx_gain
-               * cascade.bridge_terms[3] ** 2)
-    return consts.reflection_amplitude * (weights @ assets.sweep_phasors.T)
+    """Noise-free return-mode responses (N_i, side, K_r) of every sweep slot
+    from one `dirichlet` call. A terminal sending and receiving on its first
+    element through the state of sweep sine x_k hears beta eta G_t G_r sum_n
+    h_n^2 e^(-j 2 pi n x_k), h its hop's omni entries (the transposed return
+    hop repeats them, unconjugated): h_0 e^(j pi n s_1) in and h_0 e^(-j pi n
+    s_2) out, h_0 the `bridge_terms` hop head and s the IRS sines, so it is
+    beta eta G_t G_r h_0^2 D_Ni(2(s_1 - x_k)), resp. D_Ni(-2(s_2 + x_k))."""
+    consts, grid = cascade.consts, assets.sweep_grid.sines
+    weights = (consts.reflection_amplitude * cascade.eta * consts.tx_gain
+               * consts.rx_gain * cascade.bridge_terms[3] ** 2)
+    sides = cascade.sines[:, 1:3, None] * [[1.0], [-1.0]]   # s_1 and -s_2
+    return weights[..., None] * dirichlet(cascade.irs_spec.num_elements,
+                                          2.0 * (sides - grid))
 
 
 def estimate_angles(cascade: CascadeChannel, assets: ScenarioAssets, powers,

@@ -5,8 +5,8 @@ import pytest
 
 from irsmimo.arrays import ArraySpec, grid_directions, steering_coefficients
 from irsmimo.channel import CascadeChannel, PhysicalConstants, make_link
-from irsmimo.codebook import build_codebook
-from irsmimo.training import ScenarioAssets, sweep_phasors
+from irsmimo.codebook import build_codebook, num_stages
+from irsmimo.training import ScenarioAssets
 
 
 def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
@@ -31,12 +31,36 @@ def scenario_from_angles(angle_sets, distances=None, num_antennas=16,
         distances=np.array(distances, dtype=float), tx_spec=tx,
         rx_spec=rx, irs_spec=irs)
     book = build_codebook(tx, branching, num_beams)
-    grid = grid_directions(num_irs_elements, sweep_beams)
     return cascade, ScenarioAssets(
         consts=consts, tx_spec=tx, rx_spec=rx, irs_spec=irs,
-        tx_codebook=book, rx_codebook=book, sweep_grid=grid,
-        sweep_phasors=sweep_phasors(irs, grid), powers=np.array([1.0]),
-        noise_power=1e-12)
+        tx_codebook=book, rx_codebook=book,
+        sweep_grid=grid_directions(num_irs_elements, sweep_beams),
+        powers=np.array([1.0]), noise_power=1e-12)
+
+
+def selection_matrix(stage: int, branching: int,
+                     num_leaves: int) -> np.ndarray:
+    """Zero-one matrix D_s of shape (K, M**stage) mapping candidates to live
+    leaves: the reference for the live slots of `build_codebook`.
+
+    Column i selects leaf rows i*M**(S-s) .. (i+1)*M**(S-s) - 1, with rows
+    beyond K - 1 dropped.
+    """
+    total = num_stages(branching, num_leaves)
+    if not 1 <= stage <= total:
+        raise ValueError(f"stage must lie in 1..{total}, got {stage}")
+    owner = np.arange(num_leaves) // branching ** (total - stage)
+    return (owner[:, None] == np.arange(branching ** stage)).astype(float)
+
+
+def projection_beam(leaves: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Raw minimum-residual solution (L L^H)^-1 L d of leaves^H w = target.
+
+    The general formula, the reference for `build_codebook`'s wide beams; on
+    the beam grid it reduces to (N/K) L d.
+    """
+    gram = leaves @ leaves.conj().T
+    return np.linalg.solve(gram, leaves @ target)
 
 
 def dense_hops(cascade, irs_index):

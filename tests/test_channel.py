@@ -129,19 +129,20 @@ ray = st.tuples(st.tuples(*[st.floats(-0.999, 0.999)] * 4),
        gains=st.tuples(st.floats(0.5, 200.0), st.floats(0.5, 200.0)))
 def test_bridge_terms_equal_dense_hop_entries(sizes, rays, gains):
     # the rank-one factors come straight from the rays. The chain of the
-    # single-IRS channels and the sweep's omni hop entries must equal, bit
-    # for bit, what the dense hops of make_link give; rx_dir and tx_dir are
-    # unit-first-entry responses, the dense ratios up to rounding
+    # single-IRS channels and the hop heads the sweep scales by must equal,
+    # bit for bit, what the dense hops of make_link give; rx_dir and tx_dir
+    # are unit-first-entry responses, the dense ratios up to rounding
     n_t, n_r, n_u = sizes
     c = consts_with(tx_gain=gains[0], rx_gain=gains[1])
     sines, distances = zip(*rays)
     cascade = make_cascade(c, np.arcsin(sines), distances, n_t, n_r, n_u)
-    chain, rx_dir, tx_dir, hops = cascade.bridge_terms
+    chain, rx_dir, tx_dir, heads = cascade.bridge_terms
+    assert heads.shape == (cascade.num_irs, 2)
     gain = c.tx_gain * c.rx_gain
     for l in range(cascade.num_irs):
         M, N = dense_hops(cascade, l)
         assert np.array_equal(chain[l], cascade.eta * gain * N[0, :] * M[:, 0])
-        assert np.array_equal(hops[l], [M[:, 0], N[0, :]])
+        assert np.array_equal(heads[l], [M[0, 0], N[0, 0]])
         assert np.allclose(rx_dir[l], N[:, 0] / N[0, 0], rtol=0, atol=1e-14)
         assert np.allclose(tx_dir[l], M[0, :] / M[0, 0], rtol=0, atol=1e-14)
 
@@ -151,8 +152,8 @@ def test_bridge_terms_stay_finite_when_the_path_loss_underflows():
     # first entries and the amplitude terms are exact zeros, not 0 / 0
     cascade = make_cascade(consts_with(absorption_coefficient=1e6),
                            [(0.1, -0.2, 0.3, -0.4)], [(5.0, 6.0)])
-    chain, rx_dir, tx_dir, hops = cascade.bridge_terms
-    assert np.all(chain == 0) and np.all(hops == 0)
+    chain, rx_dir, tx_dir, heads = cascade.bridge_terms
+    assert np.all(chain == 0) and np.all(heads == 0)
     assert np.all(np.abs(rx_dir) == pytest.approx(1.0))
     assert np.all(np.abs(tx_dir) == pytest.approx(1.0))
 

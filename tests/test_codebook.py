@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from irsmimo.arrays import (ArraySpec, beam_gain, steering,
                             steering_coefficients)
-from irsmimo.codebook import (build_codebook, num_stages, projection_beam,
-                              selection_matrix, two_rf_factorization)
+from conftest import projection_beam, selection_matrix
+from irsmimo.codebook import build_codebook, num_stages, two_rf_factorization
 
 
 def leaf_matrix(codebook):
@@ -79,8 +79,7 @@ def test_wide_beam_is_least_squares_solution():
     book = build_codebook(spec, 2, 64)
     L = leaf_matrix(book)
     for stage, index in [(1, 0), (2, 3), (3, 5)]:
-        from irsmimo.codebook import selection_matrix as sel
-        target = sel(stage, 2, 64)[:, index]
+        target = selection_matrix(stage, 2, 64)[:, index]
         raw = projection_beam(L, target)
         oracle, *_ = np.linalg.lstsq(L.conj().T, target, rcond=None)
         assert np.allclose(raw, oracle, atol=1e-10)

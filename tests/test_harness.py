@@ -579,9 +579,11 @@ def test_trial_steers_each_design_once(monkeypatch):
     monkeypatch.undo()
     count, irs = len(config.power_grid_dbm), config.num_irs
     assert steered == []
-    # the bridge check takes both twins' gains (P, N_i, 2) from one call,
-    # and the designs their blocks and chain gains (P + 1, N_i, 3 N_i + 1)
-    assert kernels == [(count, irs, 2), (count + 1, irs, 3 * irs + 1)]
+    # the sweep takes both sides' K_r slots (N_i, 2, K_r) from one call, the
+    # bridge check both twins' gains (P, N_i, 2), and the designs their
+    # blocks and chain gains (P + 1, N_i, 3 N_i + 1)
+    assert kernels == [(irs, 2, config.num_irs_sweep_beams), (count, irs, 2),
+                       (count + 1, irs, 3 * irs + 1)]
     assert len(passes) == 1
     blocks, gains = passes[0]
     loss_blocks, loss_gains = read["composite_losses"][:2]

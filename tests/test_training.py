@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
 from oracle import reference_pass
-from irsmimo.arrays import (ArraySpec, beam_gain, element_phases,
-                            grid_directions, omni, pattern_gain, steering)
+from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
+                            pattern_gain, steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import direction_mode, return_mode
@@ -17,7 +17,7 @@ from irsmimo.training import (MeasurementModel, chain_gains, channel_cores,
                               design_pass,
                               estimate_angles, hierarchical_search,
                               measure_power, misalignment_curve, noise_tape,
-                              _descend, _sweep_responses, sweep_phasors)
+                              _descend, _sweep_responses)
 
 
 def exhaustive_leaf(codebook, gain_fn):
@@ -226,36 +226,41 @@ def test_direction_channels_match_assembled_channels():
 
 @settings(max_examples=30, deadline=None)
 @given(num_elements=st.integers(1, 512), ratio=st.floats(1.0, 4.0))
+@example(num_elements=16, ratio=2.0)
 @example(num_elements=512, ratio=4.0)
 @example(num_elements=3, ratio=1.0)
-def test_sweep_phasors_are_the_return_mode_phases(num_elements, ratio):
-    # the lattice rows equal exp(j * element_phases) at -2 times the sweep
-    # sines, entry by entry
-    grid = grid_directions(num_elements,
-                           max(2, int(round(ratio * num_elements))))
-    want = np.exp(1j * element_phases(num_elements, 0.5,
-                                      -2.0 * grid.sines[:, None]))
-    got = sweep_phasors(ArraySpec(num_elements), grid)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12
-
-
-def test_sweep_side_matches_dense_roundtrip(small_scenario):
-    # the vectorized sweep must equal the literal e1^T (eta G A^T Theta A) e1
-    # of each terminal, A its hop (the receive terminal's uplink is N^T)
-    cascade, assets = small_scenario
-    incident, departing = dense_hops(cascade, 0)
+def test_sweep_side_matches_dense_roundtrip(num_elements, ratio):
+    # the closed-form sweep must equal the literal e1^T (eta G A^T Theta A) e1
+    # of each terminal, A its hop (the receive terminal's uplink is N^T) and
+    # Theta the return mode on each sweep direction. IRS 1 arrives exactly
+    # on a sweep sine, so its aligned slot is the kernel's x = 0 limit and
+    # others can be exact nulls, where both sides are rounding noise: the
+    # floor is 1e-12 of the aligned response beta eta G N_i |A_00|^2
+    beams = max(2, int(round(ratio * num_elements)))
+    grid = grid_directions(num_elements, beams)
+    on_grid = float(grid.directions[beams // 3])
+    cascade, assets = scenario_from_angles(
+        [(0.2, -0.55, 0.4, -0.1), (-0.3, on_grid, 1.1, 0.15)],
+        num_irs_elements=num_elements, sweep_beams=beams)
     consts = cascade.consts
-    n_elems = cascade.irs_spec.num_elements
+    scale = cascade.eta * consts.tx_gain * consts.rx_gain
+    thetas = np.array([return_mode(num_elements, 0.5, float(angle)).entries()
+                       for angle in assets.sweep_grid.directions])
     responses = _sweep_responses(cascade, assets)
-    assert responses.shape == (1, 2, assets.sweep_grid.num_beams)
-    for side, hop in enumerate((incident, departing.T)):
-        for k, angle in enumerate(assets.sweep_grid.directions):
-            theta = return_mode(n_elems, 0.5, float(angle))
-            roundtrip = (cascade.eta * consts.tx_gain * consts.rx_gain
-                         * hop.T @ np.diag(theta.entries()) @ hop)
-            assert responses[0, side, k] == pytest.approx(roundtrip[0, 0],
-                                                          rel=1e-10)
+    assert responses.shape == (2, 2, beams)
+    for irs in range(2):
+        incident, departing = dense_hops(cascade, irs)
+        for side, hop in enumerate((incident, departing.T)):
+            roundtrip = scale * (hop[:, 0] * thetas) @ hop[:, 0]
+            peak = scale * num_elements * abs(hop[0, 0]) ** 2
+            assert responses[irs, side] == pytest.approx(
+                roundtrip, rel=1e-10, abs=1e-12 * peak)
+    # the limit D = N is exactly real; an offset of one ulp would not be
+    aligned = responses[1, 0, beams // 3]
+    assert aligned.imag == 0.0
+    assert aligned.real == pytest.approx(
+        scale * num_elements * cascade.bridge_terms[3][1, 0].real ** 2,
+        rel=1e-14)
 
 
 def circular_sine_gap(estimate, truth):

@@ -432,6 +432,16 @@ angle = st.floats(-1.3, 1.3)
                 (-0.3, 0.25, -0.45, 0.15, 4.0, 7.0),
                 (0.6, 0.1, -0.2, 0.5, 3.0, 3.0)],
          shared=0, num_antennas=12, snr_db=25.0, seed=2)
+# two arrivals 2^-23 and 1e-7 apart in sine: the combiner's singular value
+# there is about 4e-7 of the largest, which the scoring must keep
+@example(paths=[(0.0, 0.0, 0.0, 0.0, 2.0, 2.0),
+                (0.0, 0.0, 0.0, 1.192092896e-07, 2.0, 2.0),
+                (1.25, 0.0, 0.0, 0.0, 2.0, 2.0)],
+         shared=None, num_antennas=8, snr_db=21.0, seed=0)
+@example(paths=[(0.0, 0.0, 0.0, 0.0, 2.0, 2.0),
+                (0.0, 0.0, 0.0, 1e-07, 2.0, 2.0),
+                (1.0, 0.0, 0.0, 0.0, 2.0, 2.0)],
+         shared=None, num_antennas=8, snr_db=24.0, seed=0)
 def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
                                         seed):
     # IRS 1 may share IRS 0's transmit departure (0) or receive arrival (3),
