@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
 from oracle import reference_pass
-from irsmimo.arrays import (ArraySpec, beam_gain, grid_directions, omni,
-                            pattern_gain, steering)
+from irsmimo.arrays import (ArraySpec, beam_gain, dirichlet, element_phases,
+                            grid_directions, omni, pattern_gain, steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import direction_mode, return_mode
@@ -222,6 +222,27 @@ def test_direction_channels_match_assembled_channels():
         assert np.allclose(np.linalg.svd(core, compute_uv=False), want[:2],
                            rtol=0.0, atol=1e-12 * want[0])
         assert np.all(want[2:] <= 1e-12 * want[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(num_elements=st.integers(1, 512), ratio=st.floats(1.0, 4.0))
+@example(num_elements=512, ratio=4.0)
+@example(num_elements=3, ratio=1.0)
+def test_sweep_phasors_are_the_return_mode_phases(num_elements, ratio):
+    # the return mode on each sweep direction is exp(j * element_phases) at
+    # -2 times the sweep sine, entry by entry, and its element sum is the
+    # D_Ni(-2 x_k) that the closed-form sweep evaluates in place of it
+    grid = grid_directions(num_elements,
+                           max(2, int(round(ratio * num_elements))))
+    want = np.exp(1j * element_phases(num_elements, 0.5,
+                                      -2.0 * grid.sines[:, None]))
+    got = np.array([return_mode(num_elements, 0.5, float(angle)).entries()
+                    for angle in grid.directions])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got.sum(axis=1)
+                  - dirichlet(num_elements, -2.0 * grid.sines)).max() \
+        <= 1e-12 * num_elements
 
 
 @settings(max_examples=30, deadline=None)
