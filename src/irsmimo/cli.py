@@ -108,6 +108,18 @@ def _at_least(minimum: int):
     return parse
 
 
+def _entries_at_least(parse, minimum: int):
+    """The parse of a list flag whose entries must be finite and >= `minimum`."""
+    def parse_checked(text: str) -> tuple:
+        values = parse(text)
+        for value in values:
+            if not minimum <= value < np.inf:
+                raise ValueError(f"expected finite entries >= {minimum}, "
+                                 f"got {value!r}")
+        return values
+    return parse_checked
+
+
 def _flag_type(parse):
     """`parse` as an argparse type: a ValueError becomes a usage error."""
     def convert(text: str) -> tuple:
@@ -150,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quant-table",
                        help="worst/average quantization error grid")
-    p.add_argument("--antennas", type=_flag_type(_parse_ints),
-                   default=[8, 16, 32, 64])
-    p.add_argument("--ratios", type=_flag_type(_parse_floats),
-                   default=[1.0, 2.0, 3.0, 4.0])
+    p.add_argument("--antennas", type=_flag_type(_entries_at_least(
+        _parse_ints, 1)), default=[8, 16, 32, 64])
+    p.add_argument("--ratios", type=_flag_type(_entries_at_least(
+        _parse_floats, 1)), default=[1.0, 2.0, 3.0, 4.0])
     p.add_argument("--out", metavar="PATH", required=True)
     p.set_defaults(func=_cmd_quant_table)
 

@@ -14,8 +14,7 @@ from .training import (AngleEstimate, ScenarioAssets,  # noqa: F401
                        composite_losses, cooperative_estimate, design_pass,
                        estimate_angles, misalignment_curve, noise_tape,
                        slot_count)
-from .transmission import (digital_gains, parallel_rate, power_factors,
-                           spectral_efficiency)
+from .transmission import parallel_rate, power_factors, spectral_efficiency
 
 # The four benchmark curves, in CSV column order.
 RATE_KEYS = ("rate_proposed_est", "rate_proposed_perfect", "rate_fdb_upper",
@@ -89,6 +88,11 @@ class ScenarioConfig:
             if not np.all((linear > 0.0) & (linear < np.inf)):
                 raise ValueError(f"{key} must give a finite, positive linear "
                                  "value")
+        for key in _COUNT_KEYS + ("branching", "seed"):
+            value = getattr(self, key)
+            if not all(isinstance(v, (int, np.integer))
+                       for v in (value if np.ndim(value) else [value])):
+                raise ValueError(f"{key} must hold integers")
         lowest = dict.fromkeys(_COUNT_KEYS, 1)
         lowest.update(branching=2, beam_ratio=1.0, irs_sweep_ratio=1.0,
                       mp_beam_ratios=1.0, absorption_per_m=0.0,
@@ -297,12 +301,14 @@ def _trial_rates(blocks, gains, losses, powers, noise_power, cores):
     """The (P, 4) `RATE_KEYS` rates of a trial from one water-filling call
     over 4P rows: 2P hybrid pairs of the P + 1 `design_pass` designs
     (`blocks`, `gains`) with composite `losses` (P estimated at their power,
-    the genie's, last, at each) and the 2P fully digital bounds of the genie
-    and random channel `cores`, as `fdb_upper_bound` scores them."""
+    the genie's, last, at each) and the 2P fully digital bounds: water-filling
+    over the singular values of the genie and random channel `cores`."""
     count, half = powers.size, 2 * powers.size
     rows = np.minimum(np.arange(half), count)
-    amplitudes = np.concatenate([losses[rows], digital_gains(np.linalg.svd(
-        cores, compute_uv=False)).repeat(count, axis=0)])
+    sv = np.linalg.svd(cores, compute_uv=False)
+    # a singular value at or below 1e-14 of its core's largest is a zero gain
+    sv *= sv > 1e-14 * sv.max(axis=-1, keepdims=True)
+    amplitudes = np.concatenate([losses[rows], sv.repeat(count, axis=0)])
     power = np.concatenate([powers] * 4)
     factors = power_factors(amplitudes, power, noise_power)
     # a pair with all-zero factors has no active stream and scores 0

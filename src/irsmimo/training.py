@@ -71,19 +71,13 @@ class ScenarioAssets:
     noise_power: float
 
 
-def complex_noise(rng: np.random.Generator, power: float, size=None) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples with the given mean power."""
-    scale = np.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-
-
 def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
                   model: MeasurementModel, rng: np.random.Generator,
                   trials: int = 1) -> float:
     """Received power |y|^2 for one pilot, y = sqrt(P) w^H H f + w^H n.
 
-    The symbol is 1; each trial draws fresh noise and the result is the
-    average over `trials`.
+    The symbol is 1; each trial draws fresh circularly symmetric complex
+    Gaussian noise n and the result is the average over `trials`.
     """
     channel = np.asarray(channel)
     f = tx_beam.coefficients
@@ -96,7 +90,9 @@ def measure_power(tx_beam: BeamVector, rx_beam: BeamVector, channel: np.ndarray,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     signal = np.sqrt(model.transmit_power) * np.vdot(w, channel @ f)
-    noise = complex_noise(rng, model.noise_power * np.vdot(w, w).real, size=trials)
+    scale = np.sqrt(model.noise_power * np.vdot(w, w).real / 2.0)
+    noise = scale * (rng.standard_normal(trials)
+                     + 1j * rng.standard_normal(trials))
     return float(np.mean(np.abs(signal + noise) ** 2))
 
 

@@ -1,4 +1,5 @@
-"""Closed-form hybrid transceiver design, water-filling, and rate evaluation."""
+"""Water-filling and rate evaluation. The designs come from
+`training.design_pass`; `harness._trial_rates` scores them and the bounds."""
 
 from dataclasses import dataclass
 
@@ -49,8 +50,13 @@ def water_filling(gains, total_power, noise_power: float) -> PowerAllocation:
 
 def _fill(floors, lowest) -> tuple:
     """`water_filling` factors and level above `lowest` from the floors of
-    its channels and each row's lowest, which must be finite."""
-    excess = floors - lowest
+    its channels and each row's lowest, which must be finite. The level
+    above the lowest floor is at most 1 (the cheapest channel alone sets
+    it; each added channel lowers it), so an excess of 1 or more is never
+    active: clipping excesses at 1 changes no level that can be chosen and
+    no factor, and keeps two finite excesses near 1e308 from summing to inf
+    and so picking a wrong level."""
+    excess = np.minimum(floors - lowest, 1.0)
     ordered = np.sort(excess, axis=-1)
     channels = np.arange(ordered.shape[-1])
     levels = (1.0 + ordered.cumsum(axis=-1)) / (channels + 1)
@@ -101,15 +107,6 @@ def parallel_rate(gains, factors, power, noise_power: float):
     return np.sum(np.log2(1.0 + snr), axis=-1)
 
 
-def digital_gains(singular_values):
-    """Singular values of one H or a stack as gains, a numerical zero of a
-    rank-deficient H (at or below 1e-14 of its row's largest) as 0."""
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim == 0:
-        raise ValueError("expected a vector of singular values")
-    return sv * (sv > 1e-14 * sv.max(axis=-1, initial=0.0, keepdims=True))
-
-
 def _floors(gains, powers, noise_power: float) -> np.ndarray:
     """Floors sigma^2 / (P a^2) of the rows of `gains` at `powers`, infinite
     where P a^2 is 0 or so small that the floor overflows."""
@@ -128,18 +125,3 @@ def power_factors(gains, powers, noise_power: float) -> np.ndarray:
     live = np.isfinite(lowest)
     return _fill(np.where(live, floors, 0.0),
                  np.where(live, lowest, 0.0))[0] * live
-
-
-def fdb_upper_bound(singular_values, power, noise_power: float):
-    """Fully digital bound: water-filling over a channel's singular values.
-
-    Pass `np.linalg.svd(H, compute_uv=False)` of one H or a stack of them;
-    the gains are their `digital_gains`. Powers add axes after the stack's;
-    a row without a positive gain or power scores 0.
-    """
-    gains = digital_gains(singular_values)
-    power = np.asarray(power, dtype=float)[..., None]
-    gains, power = np.broadcast_arrays(gains.reshape(
-        gains.shape[:-1] + (1,) * (power.ndim - 1) + gains.shape[-1:]), power)
-    factors = power_factors(gains, power[..., 0], noise_power)
-    return parallel_rate(gains, factors, power, noise_power)[()]

@@ -6,6 +6,7 @@ import pytest
 from irsmimo.arrays import ArraySpec, grid_directions, steering_coefficients
 from irsmimo.channel import CascadeChannel, PhysicalConstants, make_link
 from irsmimo.codebook import build_codebook, num_stages
+from irsmimo.harness import _trial_rates
 from irsmimo.training import ScenarioAssets
 
 
@@ -88,6 +89,18 @@ def steered(tx_spec, rx_spec, angles):
                                        spec.spacing_wavelengths,
                                        angles[..., column, None])
                  for spec, column in ((tx_spec, 0), (rx_spec, 3)))
+
+
+def fused_bounds(cores, powers, noise_power):
+    """The fully digital bound columns (P, 2) of `harness._trial_rates` for
+    a pair of channel `cores`, scored beside design rows of zero gain."""
+    cores = np.asarray(cores)
+    powers = np.atleast_1d(np.asarray(powers, dtype=float))
+    width = min(cores.shape[-2:])
+    zeros = np.zeros((powers.size + 1, width))
+    blocks = (np.zeros((powers.size + 1, width, width)),) * 3
+    return _trial_rates(blocks, zeros, zeros, powers, noise_power,
+                        cores)[:, 2:]
 
 
 @pytest.fixture

@@ -74,6 +74,21 @@ def test_quant_table_list_error_says_what_was_expected(tmp_path, capsys, flag,
     assert "_parse" not in err and "invalid" not in err
 
 
+@pytest.mark.parametrize("flag,value,bad", [
+    ("--antennas", "8,0", "0"), ("--antennas", "-1", "-1"),
+    ("--ratios", "2,inf", "inf"), ("--ratios", "nan", "nan"),
+    ("--ratios", "0.5", "0.5"), ("--ratios", "1e400", "inf")])
+def test_quant_table_range_error_is_a_usage_error(tmp_path, capsys, flag,
+                                                  value, bad):
+    out = tmp_path / "q.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["quant-table", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"argument {flag}: expected finite entries >= 1, got {bad}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_codebook_export(tmp_path):
     out = tmp_path / "patterns.csv"
     code = main(["codebook", "--antennas", "8", "--beams", "16",

@@ -1,4 +1,5 @@
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +18,8 @@ from irsmimo.harness import (ConfigError, ScenarioConfig, _path_geometry,
 from irsmimo.channel import assemble
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import chain_gains, channel_cores, design_pass
-from irsmimo.transmission import fdb_upper_bound
-from oracle import reference_trial
+from conftest import fused_bounds
+from oracle import bound_rate, reference_trial
 
 
 def tiny_config(**kwargs):
@@ -73,6 +74,21 @@ def test_config_validation_errors():
                        ("mp_snr_grid_db", (0.0, 4000.0))]:
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: value})
+
+
+@pytest.mark.parametrize("key", [*harness._COUNT_KEYS, "branching", "seed"])
+def test_config_counts_must_be_integers(key):
+    # a float count fails in the constructor, naming its key, not later
+    # with a TypeError; numpy integers and seeds above 2^63 stay valid
+    value = getattr(ScenarioConfig(), key)
+    floats = (tuple(float(v) + 0.5 for v in value) if isinstance(value, tuple)
+              else float(value) + 0.5)
+    with pytest.raises(ValueError, match=key):
+        ScenarioConfig(**{key: floats})
+    integers = (tuple(np.int32(v) for v in value)
+                if isinstance(value, tuple) else np.int32(value))
+    assert getattr(ScenarioConfig(**{key: integers}), key) == integers
+    assert ScenarioConfig(seed=2 ** 70).seed == 2 ** 70
 
 
 def test_path_geometry_examples():
@@ -165,12 +181,24 @@ def test_non_irs_benchmark_below_optimized():
     rng = np.random.default_rng(4)
     H_rand = assemble(cascade, [random_mode(16, rng) for _ in range(2)])
     power, noise = 0.1, config.noise_power_watts
+    (optimized, random), = fused_bounds([H_opt, H_rand], power, noise)
+    assert random <= optimized + 1e-9
+    assert np.all(fused_bounds(np.zeros((2, 16, 16)), power, noise) == 0.0)
 
-    def fdb(H):
-        return fdb_upper_bound(np.linalg.svd(H, compute_uv=False), power, noise)
 
-    assert fdb(H_rand) <= fdb(H_opt) + 1e-9
-    assert fdb(np.zeros_like(H_rand)) == 0.0
+def test_weak_channels_near_the_float_limit_keep_the_rate_order():
+    # lossy air and near-fixed terminals give two genie channels whose
+    # water-filling floors lie near 1e308; their sum once overflowed and
+    # made the perfect-CSI rate 455 bit/s/Hz above a bound of 0
+    config = ScenarioConfig(absorption_per_m=63.83,
+                            irs_positions=((2.0, 5.0), (5.0, 4.0), (5.0, 6.0)),
+                            alice_y_range=(2.5, 2.5000001),
+                            bob_y_range=(7.5, 7.5000001), trials=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_rate_experiment(config).rows
+    assert all(row["rate_proposed_perfect"] <= row["rate_fdb_upper"]
+               for row in rows)
 
 
 def test_run_mp_experiment_shape_and_determinism():
@@ -439,8 +467,8 @@ def test_stacked_scoring_pass_matches_per_design_calls(monkeypatch):
     assets = scenario_assets(config)
     calls = counted_calls(monkeypatch, (
         (transmission, "water_filling"), (transmission, "_fill"),
-        (transmission, "fdb_upper_bound"), (harness, "power_factors"),
-        (harness, "spectral_efficiency"), (training, "_descend")))
+        (harness, "power_factors"), (harness, "spectral_efficiency"),
+        (training, "_descend")))
     result = run_trial(config, assets, 1)
     monkeypatch.undo()
     assert sorted(name for name, _ in calls) == [
@@ -515,8 +543,9 @@ def per_row_hybrid_rates(blocks, gains, powers, noise_power, factors):
     (dict(num_tx_antennas=8, num_rx_antennas=12, num_irs_elements=10), 0)])
 def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
     # one water-filling call over the 2P hybrid rows and the 2P fully
-    # digital rows gives the rates of per-row hybrid scoring and a
-    # `fdb_upper_bound` call, bit for bit, zero-gain rows included
+    # digital rows gives the rates of per-row hybrid scoring and of scoring
+    # each core's bound alone, bit for bit, zero-gain rows included; the
+    # bounds agree with the oracle's water-filling over the same cores
     config = tiny_config(**overrides)
     assets = scenario_assets(config)
     result, cascade, designs, blocks, gains, cores = trial_parts(config,
@@ -528,10 +557,12 @@ def test_fused_scoring_pass_equals_separate_calls(overrides, zero_rows):
         [block[rows] for block in blocks], gains[rows], np.tile(powers, 2),
         noise, harness.power_factors(designs[rows, :, 4], np.tile(powers, 2),
                                      noise))
-    bounds = fdb_upper_bound(np.linalg.svd(cores, compute_uv=False), powers,
-                             noise)
-    want = np.stack([hybrid[:count], hybrid[count:], bounds[0], bounds[1]],
-                    axis=-1)
+    bounds = [fused_bounds([core, core], powers, noise)[:, 0]
+              for core in cores]
+    want = np.stack([hybrid[:count], hybrid[count:], *bounds], axis=-1)
+    assert want[:, 2:] == pytest.approx(np.array(
+        [[bound_rate(core, p, noise) for core in cores] for p in powers]),
+        rel=1e-12, abs=0.0)
     fused = harness._trial_rates(blocks, gains, designs[..., 4], powers,
                                  noise, cores)
     assert np.array_equal(fused, want)
@@ -677,18 +708,20 @@ def test_unequal_terminals_build_two_codebooks_and_run(monkeypatch):
 
 def test_fused_scoring_pass_applies_the_fdb_cutoff():
     # a singular value at or below 1e-14 of its core's largest is a zero
-    # gain in the fused pass as in fdb_upper_bound, even at an SNR where a
-    # gain that small would take power; the design gains are all zero here,
-    # so only the bound rows are live
+    # gain in the fused pass, even at an SNR where a gain that small would
+    # take power; the design gains are all zero here, so only the bound
+    # rows are live
     blocks = (np.zeros((2, 2, 2)),) * 3
     cores = np.array([np.diag([1.0, 1e-15]), np.diag([1.0, 0.5])])
     powers, noise = np.array([1e25]), 1e-11
     fused = harness._trial_rates(blocks, np.zeros((2, 2)), np.zeros((2, 2)),
                                  powers, noise, cores)
-    bounds = fdb_upper_bound(np.linalg.svd(cores, compute_uv=False),
-                             powers, noise)
-    assert np.array_equal(fused[0], [0.0, 0.0, *bounds[:, 0]])
-    assert fused[0, 2] == fdb_upper_bound([1.0], powers, noise)
+    assert transmission.water_filling([1.0, 1e-15], powers[0],
+                                      noise).factors.all()
+    cut = fused_bounds([np.diag([1.0, 0.0]), cores[1]], powers, noise)
+    assert np.array_equal(fused[0], [0.0, 0.0, *cut[0]])
+    assert fused[0, 2:] == pytest.approx(
+        [bound_rate(core, powers[0], noise) for core in cores], rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import angle_rows, scenario_from_angles, steered
+from conftest import angle_rows, fused_bounds, scenario_from_angles, steered
 from irsmimo.arrays import ArraySpec
 from irsmimo.channel import assemble
 from irsmimo.harness import _hybrid_rates, perfect_estimates
 from irsmimo.irs_control import direction_mode, random_mode
 from irsmimo.training import (AngleEstimate, chain_gains, channel_cores,
                               composite_losses, design_pass)
-from irsmimo.transmission import (fdb_upper_bound, parallel_rate,
-                                  power_factors, spectral_efficiency,
-                                  water_filling)
-from oracle import dense_rate
+from irsmimo.transmission import (parallel_rate, power_factors,
+                                  spectral_efficiency, water_filling)
+from oracle import bound_rate, dense_rate
 
 LN2 = np.log(2.0)
 
@@ -211,7 +210,58 @@ def test_gains_whose_squares_underflow_get_zero_factors():
     gains = np.array([[1e-200, 0.0], [1e-200, 0.3]])
     factors = power_factors(gains, np.array([1.0, 1.0]), 0.1)
     assert np.array_equal(factors, [[0.0, 0.0], [0.0, 1.0]])
-    assert fdb_upper_bound([1e-200], 1.0, 0.1) == 0.0
+    # so a channel core with that gain scores a zero bound
+    cores = np.array([np.diag([1e-200, 0.0]), np.diag([1e-200, 1e-200])])
+    assert np.array_equal(fused_bounds(cores, 1.0, 0.1), [[0.0, 0.0]])
+
+
+def test_floors_near_the_largest_float_fill_without_overflow():
+    # two finite floors near 1e308 once summed to inf in the sorted water
+    # level, which counted an idle channel as active and gave factors
+    # [5e307, 0, 0] and a rate of 1022 bit/s/Hz
+    gains = [1.0, 1e-154, 1e-154]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factors = water_filling(gains, 1.0, 1.0).factors
+        stacked = power_factors(np.array([gains]), np.array([1.0]), 1.0)
+    assert np.array_equal(factors, [1.0, 0.0, 0.0])
+    assert factors.sum() == 1.0
+    assert np.array_equal(stacked, [factors])
+    assert parallel_rate(gains, factors, 1.0, 1.0) == 1.0
+
+
+def gain_rows():
+    """Rows of 1-6 gains from 0 and 1e-170 up to 1e3, with per-row powers
+    and one noise power, so that some floors overflow and some rows have
+    no finite floor."""
+    gain = st.one_of(st.just(0.0), st.builds(
+        lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+        st.floats(1.0, 10.0), st.integers(-170, 3)))
+    return st.integers(1, 6).flatmap(lambda width: st.tuples(
+        st.lists(st.lists(gain, min_size=width, max_size=width),
+                 min_size=1, max_size=8),
+        st.floats(1e-3, 1e3), st.floats(1e-12, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gain_rows())
+@example(([[1.0, 1e-154, 1e-154], [0.0, 1e-200, 0.0]], 1.0, 1.0))
+def test_power_factors_rows_equal_water_filling(case):
+    # the engine's stacked water-filling and the one-row solver agree bit
+    # for bit; a row without a finite floor gets zeros from the engine, and
+    # the one-row solver refuses it
+    rows, power, noise = case
+    rows = np.array(rows)
+    powers = power * np.linspace(1.0, 2.0, len(rows))
+    stacked = power_factors(rows, powers, noise)
+    for row, row_power, factors in zip(rows, powers, stacked):
+        try:
+            want = water_filling(row, row_power, noise).factors
+        except ValueError:
+            assert np.all(factors == 0.0)
+            continue
+        assert np.array_equal(factors, want)
+        assert abs(factors.sum() - 1.0) <= 1e-12
 
 
 def test_subnormal_p_a2_gets_an_infinite_floor_without_a_warning():
@@ -371,7 +421,7 @@ def test_fdb_rank_one():
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     H = np.outer(u, np.conj(v))
     top = np.linalg.norm(u) * np.linalg.norm(v)
-    assert fdb_upper_bound(singular_values(H), 2.0, 0.5) == pytest.approx(
+    assert fused_bounds([H, H], 2.0, 0.5) == pytest.approx(
         np.log2(1 + 2.0 * top ** 2 / 0.5), rel=1e-10)
 
 
@@ -381,7 +431,7 @@ def test_fdb_equals_svd_design_rate():
     power, noise = 1.5, 0.2
     sv = singular_values(H)
     allocation = water_filling(sv, power, noise)
-    assert fdb_upper_bound(sv, power, noise) == pytest.approx(
+    assert fused_bounds([H, H], power, noise) == pytest.approx(
         parallel_rate(sv, allocation.factors, power, noise), rel=1e-12)
 
 
@@ -398,21 +448,19 @@ def test_fdb_dominates_hybrid_designs():
              + 1j * rng.standard_normal((16, 16))) / np.sqrt(16)
         hybrid = gram_rate(H, f.T * np.sqrt(allocation.factors), w.T, 1.0,
                            0.01)
-        assert fdb_upper_bound(singular_values(H), 1.0, 0.01) >= hybrid - 1e-9
+        assert fused_bounds([H, H], 1.0, 0.01)[0, 0] >= hybrid - 1e-9
 
 
 def test_fdb_zero_channel_is_zero_rate():
-    assert fdb_upper_bound(singular_values(np.zeros((4, 4))), 1.0, 0.1) == 0.0
+    assert np.all(fused_bounds(np.zeros((2, 4, 4)), 1.0, 0.1) == 0.0)
     # in a stack, a zero channel scores 0 beside a live one, at every power
-    live = singular_values(np.diag([2.0, 1.0, 1e-20]))
+    live = np.diag([2.0, 1.0, 1e-20])
     powers = np.array([0.5, 1.0, 0.0])
-    stacked = fdb_upper_bound([np.zeros(3), live], powers, 0.1)
+    stacked = fused_bounds([np.zeros((3, 3)), live], powers, 0.1).T
     assert stacked.shape == (2, 3)
     assert np.all(stacked[0] == 0.0)
-    assert np.all(stacked[1] == fdb_upper_bound(live, powers, 0.1))
+    assert np.all(stacked[1] == fused_bounds([live, live], powers, 0.1)[:, 0])
     assert stacked[1, 2] == 0.0 < stacked[1, 0]
-    with pytest.raises(ValueError):
-        fdb_upper_bound(2.0, 1.0, 0.1)  # a number, not singular values
 
 
 angle = st.floats(-1.3, 1.3)
@@ -471,9 +519,9 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
     power = 1.0
     noise = power * gains.max() ** 2 / 10 ** (snr_db / 10)
     powers = np.array([power, 10 * power])
-    assert fdb_upper_bound(sv, powers, noise) == pytest.approx(
-        np.array([fdb_upper_bound(d, powers, noise) for d in dense_sv]),
-        rel=1e-12)
+    assert fused_bounds(cores, powers, noise) == pytest.approx(
+        np.array([[bound_rate(H, p, noise) for H in channels]
+                  for p in powers]), rel=1e-12)
     factors = water_filling(gains, power, noise).factors
     f, w = steered(cascade.tx_spec, cascade.rx_spec, angle_rows(genie))
     assert _hybrid_rates(*design_pass(cascade, angle_rows(genie)), factors,
@@ -483,11 +531,14 @@ def test_factored_channel_matches_dense(paths, shared, num_antennas, snr_db,
 
 
 def test_fdb_cutoff_is_relative_to_each_row():
-    # a singular value above 1e-14 of its own row's largest counts, one at
+    # a singular value above 1e-14 of its own core's largest counts, one at
     # or below it scores as a zero gain; at this SNR both would be active
     power, noise = 1e32, 1.0
-    stacked = fdb_upper_bound([[1.0, 2e-14], [1.0, 5e-15], [1e3, 2e-11],
-                               [1e3, 5e-12]], power, noise)
-    alone = fdb_upper_bound([1.0], power, noise)
-    assert stacked[0] > alone and stacked[1] == alone
-    assert stacked[2] > stacked[3] == fdb_upper_bound([1e3], power, noise)
+    rows = [[1.0, 2e-14], [1.0, 5e-15], [1e3, 2e-11], [1e3, 5e-12],
+            [1.0, 0.0], [1e3, 0.0]]
+    stacked = np.concatenate([
+        fused_bounds([np.diag(a), np.diag(b)], power, noise)[0]
+        for a, b in zip(rows[::2], rows[1::2])])
+    assert water_filling([1.0, 5e-15], power, noise).factors.all()
+    assert stacked[0] > stacked[4] == stacked[1]
+    assert stacked[2] > stacked[3] == stacked[5]
