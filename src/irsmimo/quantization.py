@@ -22,31 +22,31 @@ def worst_error(num_elements: int, num_beams: int) -> float:
     return 1.0 - edge_energy(num_elements, num_beams)
 
 
-_COARSE_RULE, _FINE_RULE = (np.polynomial.legendre.leggauss(m) for m in (24, 48))
+_NODES, _WEIGHTS = np.hstack([np.polynomial.legendre.leggauss(m) for m in (24, 48)])
 
 
 def average_error(num_elements: int, num_beams: int,
                   abs_tol: float = 1e-8) -> float:
     """Expected amplitude loss for a true angle uniform over the full angular range.
 
-    Evaluates the piecewise expectation of the nearest-beam gain against the
-    sine-of-uniform-angle density 1 / (pi sqrt(1 - y^2)), one piece per beam
-    cell. The substitution y = sin(u) removes the endpoint singularity at
-    y = +-1. The gain is smooth inside a cell (half-width 1/K <= 1/N, inside
-    the main lobe), so all cells take one fixed 48-node Gauss-Legendre rule
-    in u, checked by a 24-node rule on the same cells: FloatingPointError if
-    the two differ by more than `abs_tol` or an integrand value is not finite.
+    Integrates the nearest-beam gain cell by cell against y = sin(angle)'s density
+    1 / (pi sqrt(1 - y^2)), singular only at y = +-1. Interior cells, a cell width
+    or more away, take the rule in x = y - c_k on one shared gain vector; the edge
+    cell takes u = asin(y), free of the singularity. Mirrored cells are integrated
+    once and doubled (K = 1: the one cell's halves). FloatingPointError if the
+    48- and 24-node rules differ by more than `abs_tol` or an integrand is not finite.
     """
-    centers = grid_directions(num_elements, num_beams).sines
-    edges = np.arcsin((2.0 * np.arange(num_beams + 1) - num_beams) / num_beams)
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-    nodes = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
-    values = pattern_gain(num_elements, np.sin(mid[:, None] + half[:, None] * nodes)
-                          - centers[:, None])
+    edge = grid_directions(num_elements, num_beams).sines[-1]
+    half = np.arccos(max(1.0 - 2.0 / num_beams, 0.0)) / 2.0   # u = pi/2 - half (1 - t)
+    m = np.arange(num_beams - 3, -1, -2)[:, None]   # interior cells at c = m / K >= 0
+    # pairs count 2, m = 0 once; K sqrt(1 - y^2) = sqrt((K - m - t)(K + m + t))
+    density = np.sum((2.0 - (m == 0)) / np.sqrt((num_beams - m - _NODES)
+                                                * (num_beams + m + _NODES)), axis=0)
+    values = (2 * half * pattern_gain(num_elements, np.cos(half - half * _NODES) - edge)
+              + density * pattern_gain(num_elements, _NODES / num_beams))
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"non-finite quadrature integrand (abs_tol={abs_tol})")
-    coarse = 1.0 - half @ (values[:, :24] @ _COARSE_RULE[1]) / np.pi
-    fine = 1.0 - half @ (values[:, 24:] @ _FINE_RULE[1]) / np.pi
+    coarse, fine = 1.0 - np.add.reduceat(values * _WEIGHTS, [0, 24]) / np.pi
     if abs(fine - coarse) > abs_tol:
         raise FloatingPointError(f"24- and 48-node quadrature differ by "
                                  f"{abs(fine - coarse):.3g} > abs_tol={abs_tol}")

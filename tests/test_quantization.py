@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from irsmimo import quantization
@@ -123,20 +124,34 @@ def adaptive_average_error(n, k, abs_tol=1e-8):
     return 1.0 - total / np.pi
 
 
-def gauss_legendre_pair(n, k):
-    """24- and 48-node results, in the arithmetic average_error uses."""
-    (t24, w24), (t48, w48) = (np.polynomial.legendre.leggauss(m) for m in (24, 48))
+def per_cell_average_error(n, k):
+    """The 48-node rule in u = asin(y) on every cell, each cell with its own
+    gain values: average_error's former arithmetic, kept as its reference."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     centers = grid_directions(n, k).sines
     edges = np.arcsin((2.0 * np.arange(k + 1) - k) / k)
     mid, half = (edges[1:] + edges[:-1]) / 2.0, np.diff(edges) / 2.0
-    values = pattern_gain(n, np.sin(mid[:, None] + half[:, None]
-                                    * np.concatenate([t24, t48]))
+    values = pattern_gain(n, np.sin(mid[:, None] + half[:, None] * nodes)
                           - centers[:, None])
-    return (1.0 - half @ (values[:, :24] @ w24) / np.pi,
-            1.0 - half @ (values[:, 24:] @ w48) / np.pi)
+    return 1.0 - half @ (values @ weights) / np.pi
 
 
-@pytest.mark.parametrize("n,k", DEFAULT_GRIDS)
+def gauss_legendre_pair(n, k):
+    """24- and 48-node results, in the arithmetic average_error uses: the
+    edge cell pair in u, the interior cells in x on one gain vector."""
+    nodes, weights = np.hstack([np.polynomial.legendre.leggauss(m) for m in (24, 48)])
+    half = np.arccos(max(1.0 - 2.0 / k, 0.0)) / 2.0
+    m = np.arange(k - 3, -1, -2)[:, None]
+    density = np.sum((2.0 - (m == 0)) / np.sqrt((k - m - nodes) * (k + m + nodes)),
+                     axis=0)
+    values = (2 * half * pattern_gain(n, np.cos(half - half * nodes)
+                                      - grid_directions(n, k).sines[-1])
+              + density * pattern_gain(n, nodes / k))
+    return tuple(1.0 - np.add.reduceat(values * weights, [0, 24]) / np.pi)
+
+
+@pytest.mark.parametrize("n,k", DEFAULT_GRIDS + [(1, 1), (1, 2), (5, 5), (7, 9),
+                                                 (33, 47)])
 def test_average_error_matches_adaptive_quadrature(n, k):
     assert abs(average_error(n, k) - adaptive_average_error(n, k)) <= 1e-12
 
@@ -155,9 +170,21 @@ def test_average_error_raises_when_rules_disagree_beyond_tolerance(n):
 def test_average_error_raises_on_non_finite_integrand(monkeypatch):
     def broken(num_elements, sine_offset):
         values = pattern_gain(num_elements, sine_offset)
-        values[0, 0] = np.nan
+        values.flat[0] = np.nan
         return values
 
     monkeypatch.setattr(quantization, "pattern_gain", broken)
     with pytest.raises(FloatingPointError, match="non-finite"):
         average_error(16, 32)
+
+
+@settings(max_examples=37, deadline=None)   # 40 with the three examples
+@given(grid=st.integers(1, 512).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(n, 4 * n))))
+@example(grid=(1, 1))
+@example(grid=(33, 47))
+@example(grid=(512, 2048))
+def test_average_error_matches_the_per_cell_u_rule(grid):
+    # the shared interior gain vector and the mirrored pairs change only the
+    # last bits against one u-domain rule per cell; odd K has a middle cell
+    assert abs(average_error(*grid) - per_cell_average_error(*grid)) <= 2e-15
