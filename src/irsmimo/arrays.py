@@ -118,26 +118,12 @@ def pattern_gain(num_elements: int, sine_offset) -> np.ndarray:
     shape. Where |sin(pi x / 2)| < 1e-7 (x at 0 or at the +-2 endfire seam)
     the value is the limit 1.
     """
-    offset = np.array(sine_offset, dtype=float)
-    gain = np.empty_like(offset)
-    _pattern_gain_into(num_elements, offset, gain, np.empty_like(offset),
-                       np.empty(offset.shape, dtype=bool))
-    return gain[()]   # a 0-d input gives a numpy scalar
-
-
-def _pattern_gain_into(num_elements: int, offset, gain, work, aligned):
-    """`pattern_gain` of the float array `offset` written into `gain`, with
-    `work` and the boolean `aligned` of the same shape as scratch; `offset`
-    is overwritten."""
-    offset *= np.pi / 2
-    np.sin(offset, out=work)
-    np.less(np.abs(work, out=gain), 1e-7, out=aligned)
-    np.copyto(work, 1.0, where=aligned)
-    work *= num_elements
-    offset *= num_elements
-    np.divide(np.sin(offset, out=offset), work, out=gain)
-    np.copyto(gain, 1.0, where=aligned)
-    np.abs(gain, out=gain)
+    half = np.asarray(sine_offset, dtype=float) * (np.pi / 2)
+    below = np.sin(half)
+    aligned = np.abs(below) < 1e-7
+    below = np.where(aligned, 1.0, below) * num_elements
+    # np.where keeps a 0-d input 0-d, and [()] makes it a numpy scalar
+    return np.abs(np.where(aligned, 1.0, np.sin(half * num_elements) / below))[()]
 
 
 def edge_energy(num_elements: int, num_beams: int) -> float:

@@ -17,8 +17,8 @@ from math import prod
 
 import numpy as np
 
-from .arrays import (ArraySpec, BeamGrid, BeamVector, _pattern_gain_into,
-                     dirichlet, grid_directions)
+from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
+                     grid_directions, pattern_gain)
 from .channel import CascadeChannel, PhysicalConstants
 from .codebook import HierarchicalCodebook, stage_offset
 
@@ -348,6 +348,25 @@ def slot_count(num_irs: int, sweep_beams: int, passes: int,
 _BLOCK_VALUES = 1 << 14
 
 
+def _block_gains(num_elements: int, sines, leaf_sines, leaf, out):
+    """`pattern_gain` of sines[:, None] - leaf_sines into out[0] (rows, K),
+    out[1] scratch, as |sin(N d) / (N sin d)|, d = h_s - h_c, h = pi x / 2,
+    each sine the trial's (sin, -cos) times `leaf` (cos N h_c, sin N h_c) or
+    N (cos h_c, sin h_c). Only the bracketing leaves j, j + 1 (mod K) cancel:
+    out[0] is 0 there; returns their indices, flat ones and gains (2, rows)."""
+    half = np.pi / 2 * sines
+    own = np.array([[np.sin(half * num_elements), -np.cos(half * num_elements)],
+                    [np.sin(half), -np.cos(half)]])
+    gains, below = np.matmul(own.transpose(0, 2, 1), leaf, out=out)
+    num_beams = len(leaf_sines)
+    pair = (np.floor((sines + 1.0) * (num_beams / 2) - 0.5).astype(np.intp)
+            + [[0], [1]]) % num_beams
+    flat = pair + num_beams * np.arange(len(sines))
+    below.put(flat, 1.0)
+    np.abs(np.divide(gains, below, out=gains), out=gains).put(flat, 0.0)
+    return pair, flat, pattern_gain(num_elements, sines - leaf_sines[pair])
+
+
 def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
                        trials: int, rng: np.random.Generator):
     """Bottom-stage misalignment probability versus per-measurement SNR.
@@ -370,49 +389,74 @@ def misalignment_curve(num_elements: int, num_beams: int, snr_grid_db,
     |a g + n|^2 = (a^2 g^2 + a 2 g Re(n)) + |n|^2 reuses three real terms;
     ties go to the lowest leaf index.
 
+    Gains are phasor products (`_block_gains`), no `sin` per gain. The two
+    leaves bracketing the true sine are hits. Rounding to nearest is
+    monotone, so any other leaf's power is at most (a^2 max g^2 + a max 2 g
+    Re(n)) + max |n|^2 over them in the loop's order, and a slack of 1e-12
+    of the terms covers any order. Blocks sort their trials by the last SNR,
+    by amplitude, where the pair's power does not beat this bound; an SNR's
+    argmax scans a prefix. A pair farther than 2/K in float never settles.
+
     `rng` draws every angle, then trial by trial the K noise real parts and
     the K imaginary parts, so the curve does not depend on the block size.
-    Trials run in blocks of about `_BLOCK_VALUES` gains, each SNR's argmax
-    and miss count taken while the block is in cache, in buffers allocated
-    once; only the angles' sines span every trial.
+    Trials run in blocks of about `_BLOCK_VALUES` gains, in seven buffers
+    allocated once; only the angles' sines span every trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     limit = 2.0 / num_beams * (1.0 + 1e-12)
     leaf_sines = grid_directions(num_elements, num_beams).sines
+    half = np.pi / 2 * leaf_sines   # the `_block_gains` leaf factors
+    leaf = np.array([[np.cos(half * num_elements), np.sin(half * num_elements)],
+                     [num_elements * np.cos(half), num_elements * np.sin(half)]])
     sines = rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials)
     np.sin(sines, out=sines)
-    amps = [np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
-            for snr_db in snr_grid_db]
+    amps = np.array([np.sqrt(10.0 ** (snr_db / 10.0) * num_elements)
+                     for snr_db in snr_grid_db], dtype=float)
+    order = np.argsort(amps, kind="stable")
+    scales = np.stack([np.square(amps[order]), amps[order]])[..., None]
     misses = np.zeros(len(amps), dtype=np.intp)
     rows = min(trials, max(1, _BLOCK_VALUES // num_beams))
-    noise = np.empty((rows, 2, num_beams))
-    gains, square, cross, floor, powers = np.empty((5, rows, num_beams))
-    aligned = np.empty((rows, num_beams), dtype=bool)
-    chosen = np.empty((len(amps), rows), dtype=np.intp)
+    work = np.empty(7 * rows * num_beams)
+    chosen = np.zeros((len(amps), rows), dtype=np.intp)
     for start in range(0, trials, rows):
         block = sines[start:start + rows]
-        if len(block) < rows:   # the ragged last block
-            noise, gains, square, cross, floor, powers, aligned = (
-                buffer[:len(block)] for buffer in (
-                    noise, gains, square, cross, floor, powers, aligned))
-            chosen = chosen[:, :len(block)]
-        rng.standard_normal(out=noise)
-        noise *= np.sqrt(0.5)
-        real, imag = noise[:, 0], noise[:, 1]
-        np.subtract(block[:, None], leaf_sines, out=powers)
-        _pattern_gain_into(num_elements, powers, gains, floor, aligned)
+        views = work[:7 * block.size * num_beams].reshape(7, -1, num_beams)
+        noise = views[:2].reshape(-1, 2, num_beams)
+        gains, powers, square, cross, floor = views[2:]
+        np.multiply(rng.standard_normal(out=noise), np.sqrt(0.5), out=noise)
+        pair, flat, near = _block_gains(num_elements, block, leaf_sines, leaf,
+                                        views[2:4])
+        starts = num_beams * np.arange(len(block))
+        near = np.stack([near * near, near * 2.0 * noise.take(flat + starts)])
         np.multiply(gains, gains, out=square)
-        np.multiply(gains, 2.0, out=cross)
-        cross *= real
-        np.square(real, out=floor)
-        floor += np.square(imag, out=imag)
-        for amp, row in zip(amps, chosen):
-            np.multiply(square, amp * amp, out=powers)
-            powers += np.multiply(cross, amp, out=gains)
-            powers += floor
-            np.argmax(powers, axis=1, out=row)
-        diff = np.abs(block - leaf_sines[chosen])
-        misses += np.count_nonzero(np.minimum(diff, 2.0 - diff) > limit, axis=1)
+        np.multiply(np.multiply(gains, 2.0, out=cross), noise[:, 0], out=cross)
+        np.square(noise, out=noise).sum(axis=1, out=floor)
+        peak = [values.take(values.argmax(axis=1) + starts)
+                for values in (square, cross, floor)]
+        terms = scales * np.stack(peak[:2])[:, None]
+        bound = (terms.sum(axis=0) + peak[2]
+                 + 1e-12 * (np.abs(terms).sum(axis=0) + peak[2]))
+        square.put(flat, near[0])
+        cross.put(flat, near[1])
+        heard = (scales[0, :, None] * near[0] + scales[1, :, None] * near[1]
+                 + floor.take(flat)).max(axis=1)
+        diff = np.abs(block - leaf_sines[pair])
+        heard[:, (np.minimum(diff, 2.0 - diff) > limit).any(axis=0)] = -np.inf
+        # need[r]: 1 + the last SNR at which trial r's bound fails, else 0
+        need = np.logical_or.accumulate(~(heard > bound)[::-1]).sum(axis=0)
+        counts = (need > np.arange(need.max(initial=0))[:, None]).sum(axis=1)
+        picked = np.argsort(-need)[:np.count_nonzero(need)]
+        chosen[:, :len(picked)] = pair[0, picked]   # a hit where settled
+        # the sorted rows go to the dead noise and gain buffers
+        kept = work[:3 * picked.size * num_beams].reshape(3, -1, num_beams)
+        np.take(views[4:], picked, axis=1, out=kept, mode="clip")
+        for (amp2, amp), count, row in zip(scales[..., 0].T, counts, chosen):
+            part = np.multiply(kept[0, :count], amp2, out=powers[:count])
+            part += np.multiply(kept[1, :count], amp, out=square[:count])
+            part += kept[2, :count]
+            np.argmax(part, axis=1, out=row[:count])
+        diff = np.abs(block[picked] - leaf_sines[chosen[:, :len(picked)]])
+        misses[order] += (np.minimum(diff, 2.0 - diff) > limit).sum(axis=1)
     return [(float(snr_db), float(count / trials))
             for snr_db, count in zip(snr_grid_db, misses)]

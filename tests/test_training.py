@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,80 @@ def test_misalignment_power_sum_keeps_its_order():
                           np.stack([real, imag]))
     assert misalignment_curve(1, k, [0.0], 1, draws) == [(0.0, 0.0)]
     assert not draws.normals
+
+
+def test_misalignment_bound_lets_a_lower_far_leaf_win_a_tie():
+    # N = 1 makes every gain exactly 1, so 0 dB makes a = 1 and -inf dB makes
+    # a = 0. The trial sits on leaf 5, which brackets it, and far leaf 1
+    # draws the same noise, so the two tie to the last bit. Leaf 1 also holds
+    # the largest cross and floor terms (the pair's cross terms read 0), so
+    # without its slack the bound is their power: the argmax must run and
+    # the lower index wins, a miss. With no noise at -inf dB every power and
+    # the bound are exactly 0, with no slack; leaf 0 must win, a miss.
+    k = 8
+    real, imag = np.full(k, -0.5), np.zeros(k)
+    real[[1, 5]], imag[[1, 5]] = 0.0, 0.6
+    angle = grid_directions(1, k).directions[5]
+    for snr, normals in ((0.0, [real, imag]), (-np.inf, np.zeros((2, k)))):
+        draws = ScriptedDraws(angle, normals)
+        assert misalignment_curve(1, k, [snr], 1, draws) == [(snr, 1.0)]
+        assert not draws.normals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 192, 512, 1024])
+def test_block_gains_match_pattern_gain(n):
+    # the phasor products agree with pattern_gain at every leaf, for sines at
+    # the +-1 seam and on leaves too; at N = 1 every gain is exactly 1
+    for k in sorted({n, 2 * n + 1, 4 * n}):
+        leaf_sines = grid_directions(n, k).sines
+        half = np.pi / 2 * leaf_sines
+        leaf = np.array([[np.cos(half * n), np.sin(half * n)],
+                         [n * np.cos(half), n * np.sin(half)]])
+        angles = np.random.default_rng(n + k).uniform(-np.pi / 2, 1.5 * np.pi, 64)
+        sines = np.concatenate([[-1.0, 1.0], leaf_sines[[0, k // 2, -1]],
+                                np.sin(angles)])
+        out = np.empty((2, len(sines), k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair, flat, near = training._block_gains(n, sines, leaf_sines,
+                                                     leaf, out)
+        want = pattern_gain(n, sines[:, None] - leaf_sines)
+        diff = np.abs(sines - leaf_sines[pair])
+        assert np.all(np.minimum(diff, 2.0 - diff) <= 2.0 / k * (1 + 1e-12))
+        assert np.all(out[0].take(flat) == 0.0)
+        assert np.array_equal(near, want.take(flat))
+        out[0].put(flat, near)
+        assert np.abs(out[0] - want).max() <= 1e-12
+        assert n > 1 or np.all(out[0] == 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 128), ratio=st.floats(1.0, 4.0),
+       snrs=st.lists(st.sampled_from([-10.0, -4.0, 0.0, 4.0, 10.0, 20.0]),
+                     max_size=6),
+       blocks=st.integers(0, 2), offset=st.integers(-1, 1),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, ratio=1.0, snrs=[0.0], blocks=1, offset=1, seed=1)
+@example(n=1, ratio=2.0, snrs=[-10.0], blocks=0, offset=1, seed=2)
+@example(n=2, ratio=1.0, snrs=[], blocks=2, offset=-1, seed=3)
+def test_misalignment_curve_matches_the_full_array_loop_property(
+        n, ratio, snrs, blocks, offset, seed):
+    # K = 1 and K = 2 included; unsorted grids with duplicates and +-60 dB;
+    # trial counts around block edges. Curves may differ only on near-ties.
+    k = min(4 * n, max(n, round(ratio * n)))
+    trials = max(1, blocks * (training._BLOCK_VALUES // k) + offset)
+    grid = [float(v) for v in np.random.default_rng(seed).permutation(
+        snrs + [60.0, -60.0, 60.0])]
+    rng, full_rng, complex_rng = (np.random.default_rng(seed) for _ in range(3))
+    curve = misalignment_curve(n, k, grid, trials, rng)
+    want = full_array_misalignment(n, k, grid, trials, full_rng)
+    ties = ([tied for *_, tied in complex_misalignment(
+        n, k, grid, trials, complex_rng)] if k > 1 else [0] * len(grid))
+    assert rng.bit_generator.state == full_rng.bit_generator.state
+    for (snr, mp), (snr_ref, mp_ref), tied in zip(curve, want, ties,
+                                                  strict=True):
+        assert snr == snr_ref
+        assert round(abs(mp - mp_ref) * trials) <= tied
 
 
 def test_misalignment_memory_is_flat_in_the_trial_count():
