@@ -6,8 +6,7 @@ design with water-filling, and Monte Carlo experiment harnesses.
 """
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, beam_gain, edge_energy,
-                     grid_directions, nearest_direction, omni, pattern_gain,
-                     steering)
+                     grid_directions, nearest_direction, pattern_gain, steering)
 from .channel import (CascadeChannel, PhaseShiftMatrix, PhysicalConstants,
                       assemble, cascade_loss, compensation_factor, make_link,
                       path_loss)

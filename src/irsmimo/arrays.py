@@ -8,24 +8,21 @@ import numpy as np
 @dataclass(frozen=True)
 class ArraySpec:
     """A uniform linear array of `num_elements` antenna elements, spaced
-    `spacing_wavelengths` carrier wavelengths apart (default 0.5)."""
+    half a carrier wavelength apart."""
 
     num_elements: int
-    spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError("spacing_wavelengths must be positive")
 
 
 @dataclass(frozen=True)
 class BeamVector:
     """Complex beamforming weights of unit Euclidean norm.
 
-    Narrow and wide beams are normalized by construction; omni is the
-    single-element excitation, whose norm is one as well.
+    Narrow and wide beams are normalized by construction; a single-element
+    excitation has norm one as well.
     """
 
     coefficients: np.ndarray
@@ -42,14 +39,12 @@ class BeamGrid:
     """K narrow-beam directions whose sines uniformly partition (-1, 1).
 
     `directions` holds the front-range representatives; back-range twins are
-    pi minus them, and `sines` their sines. `edge_energy` is the common
-    amplitude gain rho at every coverage edge.
+    pi minus them, and `sines` their sines.
     """
 
     num_beams: int
     directions: np.ndarray
     sines: np.ndarray
-    edge_energy: float
 
 
 def element_phases(num_elements: int, spacing_wavelengths: float, sine):
@@ -85,15 +80,7 @@ def steering_coefficients(num_elements: int, spacing_wavelengths: float,
 
 def steering(spec: ArraySpec, angle: float) -> BeamVector:
     """Unit-norm array response vector of `spec` in direction `angle` (radians)."""
-    return BeamVector(
-        steering_coefficients(spec.num_elements, spec.spacing_wavelengths, angle))
-
-
-def omni(spec: ArraySpec) -> BeamVector:
-    """Single-active-element beam (first element, unit power)."""
-    coeffs = np.zeros(spec.num_elements, dtype=complex)
-    coeffs[0] = 1.0
-    return BeamVector(coeffs)
+    return BeamVector(steering_coefficients(spec.num_elements, 0.5, angle))
 
 
 def beam_gain(w: BeamVector, spec: ArraySpec, probe: float) -> float:
@@ -107,7 +94,7 @@ def beam_gain(w: BeamVector, spec: ArraySpec, probe: float) -> float:
             f"beam length {coeffs.shape[0]} does not match array "
             f"size {spec.num_elements}"
         )
-    a = steering_coefficients(spec.num_elements, spec.spacing_wavelengths, probe)
+    a = steering_coefficients(spec.num_elements, 0.5, probe)
     return float(abs(np.vdot(coeffs, a)))
 
 
@@ -134,11 +121,7 @@ def edge_energy(num_elements: int, num_beams: int) -> float:
 
 
 def grid_directions(num_elements: int, num_beams: int) -> BeamGrid:
-    """Front-range beam directions with sines (2i - 1)/K - 1, i = 1..K.
-
-    The formulas assume half-wavelength spacing; callers holding an ArraySpec
-    should gate on `require_half_wavelength` first.
-    """
+    """Front-range beam directions with sines (2i - 1)/K - 1, i = 1..K."""
     _require_grid_regime(num_elements, num_beams)
     i = np.arange(1, num_beams + 1)
     directions = np.arcsin((2.0 * i - 1.0) / num_beams - 1.0)
@@ -146,22 +129,12 @@ def grid_directions(num_elements: int, num_beams: int) -> BeamGrid:
         num_beams=num_beams,
         directions=directions,
         sines=np.sin(directions),
-        edge_energy=edge_energy(num_elements, num_beams),
     )
 
 
 def nearest_direction(grid: BeamGrid, angle: float) -> int:
     """Index of the grid beam closest to `angle` in sine-domain distance."""
     return int(np.argmin(np.abs(grid.sines - np.sin(angle))))
-
-
-def require_half_wavelength(spec: ArraySpec) -> None:
-    """Reject arrays the sine-uniform grid formulas were not derived for."""
-    if abs(spec.spacing_wavelengths - 0.5) > 1e-12:
-        raise ValueError(
-            "beam-grid formulas require half-wavelength spacing, got "
-            f"{spec.spacing_wavelengths} wavelengths"
-        )
 
 
 def _require_grid_regime(num_elements: int, num_beams: int) -> None:

@@ -5,8 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import (ArraySpec, element_phases, require_half_wavelength,
-                     steering_coefficients)
+from .arrays import ArraySpec, element_phases, steering_coefficients
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -74,14 +73,6 @@ class CascadeChannel:
     rx_spec: ArraySpec
     irs_spec: ArraySpec
 
-    def __post_init__(self):
-        # every inner product of a trial is a half-wavelength `dirichlet` value
-        for name in ("tx_spec", "rx_spec", "irs_spec"):
-            try:
-                require_half_wavelength(getattr(self, name))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
-
     @property
     def num_irs(self) -> int:
         return len(self.angles)
@@ -110,12 +101,10 @@ class CascadeChannel:
         """
         tx, irs, rx = self.tx_spec, self.irs_spec, self.rx_spec
         sines = self.sines
-        tx_dir = np.exp(-1j * element_phases(
-            tx.num_elements, tx.spacing_wavelengths, sines[:, :1]))
-        rx_dir = np.exp(1j * element_phases(
-            rx.num_elements, rx.spacing_wavelengths, sines[:, 3:]))
+        tx_dir = np.exp(-1j * element_phases(tx.num_elements, 0.5, sines[:, :1]))
+        rx_dir = np.exp(1j * element_phases(rx.num_elements, 0.5, sines[:, 3:]))
         a_in, a_out = np.moveaxis(np.exp(1j * element_phases(
-            irs.num_elements, irs.spacing_wavelengths, sines[:, 1:3, None]))
+            irs.num_elements, 0.5, sines[:, 1:3, None]))
             / np.sqrt(irs.num_elements), 1, 0)
         amp_in, amp_out = path_loss(self.consts, self.distances).T[..., None]
         # the first entry of a terminal's steering vector is 1 / sqrt(N)
@@ -165,10 +154,8 @@ def make_link(consts: PhysicalConstants, tx_spec: ArraySpec, rx_spec: ArraySpec,
               distance: float) -> np.ndarray:
     """Rank-one hop matrix a(f, d) * a_rx(aoa) a_tx(aod)^H, shape (N_rx, N_tx)."""
     amp = path_loss(consts, distance)
-    a_rx = steering_coefficients(rx_spec.num_elements, rx_spec.spacing_wavelengths,
-                                 arrival_angle)
-    a_tx = steering_coefficients(tx_spec.num_elements, tx_spec.spacing_wavelengths,
-                                 departure_angle)
+    a_rx = steering_coefficients(rx_spec.num_elements, 0.5, arrival_angle)
+    a_tx = steering_coefficients(tx_spec.num_elements, 0.5, departure_angle)
     return amp * np.outer(a_rx, np.conj(a_tx))
 
 

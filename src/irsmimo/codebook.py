@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (ArraySpec, BeamGrid, BeamVector, dirichlet,
-                     grid_directions, lattice_phasors, require_half_wavelength)
+                     grid_directions, lattice_phasors)
 
 
 def num_stages(branching: int, num_leaves: int) -> int:
@@ -91,7 +91,6 @@ def build_codebook(spec: ArraySpec, branching: int,
                    num_leaves: int) -> HierarchicalCodebook:
     """Construct the hierarchical codebook for one terminal array in closed
     form on the grid's phasor lattice (README, "Codebook and search layout")."""
-    require_half_wavelength(spec)
     grid = grid_directions(spec.num_elements, num_leaves)
     total = num_stages(branching, num_leaves)
     if total < 1:

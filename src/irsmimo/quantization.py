@@ -23,10 +23,10 @@ def worst_error(num_elements: int, num_beams: int) -> float:
 
 
 _NODES, _WEIGHTS = np.hstack([np.polynomial.legendre.leggauss(m) for m in (24, 48)])
+_ABS_TOL = 1e-8
 
 
-def average_error(num_elements: int, num_beams: int,
-                  abs_tol: float = 1e-8) -> float:
+def average_error(num_elements: int, num_beams: int) -> float:
     """Expected amplitude loss for a true angle uniform over the full angular range.
 
     Integrates the nearest-beam gain cell by cell against y = sin(angle)'s density
@@ -34,7 +34,7 @@ def average_error(num_elements: int, num_beams: int,
     or more away, take the rule in x = y - c_k on one shared gain vector; the edge
     cell takes u = asin(y), free of the singularity. Mirrored cells are integrated
     once and doubled (K = 1: the one cell's halves). FloatingPointError if the
-    48- and 24-node rules differ by more than `abs_tol` or an integrand is not finite.
+    48- and 24-node rules differ by more than `_ABS_TOL` or an integrand is not finite.
     """
     edge = grid_directions(num_elements, num_beams).sines[-1]
     half = np.arccos(max(1.0 - 2.0 / num_beams, 0.0)) / 2.0   # u = pi/2 - half (1 - t)
@@ -45,11 +45,12 @@ def average_error(num_elements: int, num_beams: int,
     values = (2 * half * pattern_gain(num_elements, np.cos(half - half * _NODES) - edge)
               + density * pattern_gain(num_elements, _NODES / num_beams))
     if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"non-finite quadrature integrand (abs_tol={abs_tol})")
+        raise FloatingPointError(
+            f"non-finite quadrature integrand (abs_tol={_ABS_TOL})")
     coarse, fine = 1.0 - np.add.reduceat(values * _WEIGHTS, [0, 24]) / np.pi
-    if abs(fine - coarse) > abs_tol:
+    if abs(fine - coarse) > _ABS_TOL:
         raise FloatingPointError(f"24- and 48-node quadrature differ by "
-                                 f"{abs(fine - coarse):.3g} > abs_tol={abs_tol}")
+                                 f"{abs(fine - coarse):.3g} > abs_tol={_ABS_TOL}")
     return float(fine)
 
 

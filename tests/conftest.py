@@ -85,8 +85,7 @@ def steered(tx_spec, rx_spec, angles):
     departures and receive arrivals of design `angles` (..., N_i, 4), whose
     products `training.design_pass` takes in closed form."""
     angles = np.asarray(angles, dtype=float)
-    return tuple(steering_coefficients(spec.num_elements,
-                                       spec.spacing_wavelengths,
+    return tuple(steering_coefficients(spec.num_elements, 0.5,
                                        angles[..., column, None])
                  for spec, column in ((tx_spec, 0), (rx_spec, 3)))
 

@@ -27,7 +27,7 @@ def bridged(cascade, irs_index, arrival, departure):
     spec = cascade.irs_spec
     thetas = [absorbing(spec.num_elements)] * cascade.num_irs
     thetas[irs_index] = direction_mode(
-        spec.num_elements, spec.spacing_wavelengths, arrival, departure,
+        spec.num_elements, 0.5, arrival, departure,
         amplitude=cascade.consts.reflection_amplitude)
     return assemble(cascade, thetas)
 
@@ -73,7 +73,7 @@ def reference_pass(cascade, assets, power, noise_power, tape, p):
         for side, hop in enumerate((incident, departing.T)):
             heard = []
             for k, angle in enumerate(grid.directions):
-                theta = return_mode(spec.num_elements, spec.spacing_wavelengths,
+                theta = return_mode(spec.num_elements, 0.5,
                                     angle, consts.reflection_amplitude)
                 roundtrip = (cascade.eta * consts.tx_gain * consts.rx_gain
                              * hop.T @ np.diag(theta.entries()) @ hop)
@@ -138,7 +138,7 @@ def _water_filled(gains, power, noise_power):
 
 def _designed_thetas(cascade, rows):
     spec = cascade.irs_spec
-    return [direction_mode(spec.num_elements, spec.spacing_wavelengths,
+    return [direction_mode(spec.num_elements, 0.5,
                            row[1], row[2],
                            amplitude=cascade.consts.reflection_amplitude)
             for row in rows]

@@ -5,8 +5,7 @@ from scipy.special import diric
 
 from irsmimo.arrays import (ArraySpec, beam_gain, dirichlet, edge_energy,
                             grid_directions, lattice_phasors,
-                            nearest_direction, omni, pattern_gain,
-                            require_half_wavelength, steering)
+                            nearest_direction, pattern_gain, steering)
 
 
 def test_steering_broadside_is_uniform():
@@ -94,7 +93,7 @@ def test_edge_consistency():
     # both coverage edges of every beam sit 1/K away in sine and yield rho
     spec = ArraySpec(16)
     grid = grid_directions(16, 48)
-    rho = grid.edge_energy
+    rho = edge_energy(16, 48)
     for i, phi in enumerate(grid.directions):
         for side in (-1.0, 1.0):
             edge_sine = grid.sines[i] + side / 48
@@ -187,23 +186,9 @@ def test_nearest_direction_uses_sine_distance():
     assert idx == 5
 
 
-def test_omni_is_single_element():
-    vec = omni(ArraySpec(8))
-    assert vec.coefficients[0] == 1.0
-    assert np.all(vec.coefficients[1:] == 0.0)
-
-
-def test_half_wavelength_gate():
-    require_half_wavelength(ArraySpec(4))
-    with pytest.raises(ValueError):
-        require_half_wavelength(ArraySpec(4, spacing_wavelengths=0.25))
-
-
 def test_array_spec_validation():
     with pytest.raises(ValueError):
         ArraySpec(0)
-    with pytest.raises(ValueError):
-        ArraySpec(4, spacing_wavelengths=0.0)
 
 
 def test_beam_vector_invariants():
@@ -214,5 +199,5 @@ def test_beam_vector_invariants():
         BeamVector(np.array([1.0, 1.0]))  # norm sqrt(2)
     with _pytest.raises(ValueError):
         BeamVector(np.zeros(3))
-    BeamVector(np.array([1.0, 0.0, 0.0]))  # omni excitation
+    BeamVector(np.array([1.0, 0.0, 0.0]))  # single-element excitation
     BeamVector(np.array([1.0, 1.0j]) / np.sqrt(2.0))

@@ -107,18 +107,6 @@ def test_cascade_eta_is_the_compensation_factor_of_its_irs():
     assert cascade.eta == compensation_factor(c, 24)
 
 
-@pytest.mark.parametrize("name", ["tx_spec", "rx_spec", "irs_spec"])
-def test_cascade_refuses_arrays_that_are_not_half_wavelength(name):
-    # every inner product of a trial is a half-wavelength Dirichlet value,
-    # so a quarter-wavelength IRS or terminal is refused by name
-    specs = dict(tx_spec=ArraySpec(8), rx_spec=ArraySpec(8),
-                 irs_spec=ArraySpec(8))
-    specs[name] = ArraySpec(8, 0.25)
-    with pytest.raises(ValueError, match=f"^{name}: .*half-wavelength"):
-        CascadeChannel(consts_with(), np.zeros((1, 4)), np.ones((1, 2)),
-                       **specs)
-
-
 ray = st.tuples(st.tuples(*[st.floats(-0.999, 0.999)] * 4),
                 st.tuples(*[st.floats(0.3, 20.0)] * 2))
 

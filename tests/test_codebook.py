@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from irsmimo.arrays import (ArraySpec, beam_gain, steering,
+from irsmimo.arrays import (ArraySpec, beam_gain, edge_energy, steering,
                             steering_coefficients)
 from conftest import projection_beam, selection_matrix
 from irsmimo.codebook import build_codebook, num_stages, two_rf_factorization
@@ -235,7 +235,7 @@ def test_bottom_stage_layout_and_common_edges():
     assert not bottom[:, 22:].any()
     assert all(book.beam(book.num_stages, i) is None for i in range(22, 27))
     # every live leaf is the grid steering vector: common coverage-edge energy
-    rho = book.leaf_grid.edge_energy
+    rho = edge_energy(16, 22)
     for i in (0, 10, 21):
         edge = float(np.arcsin(np.clip(book.leaf_grid.sines[i] + 1 / 22, -1, 1)))
         leaf = book.beam(book.num_stages, i)
@@ -275,11 +275,6 @@ def test_calibration_live_slots_positive():
                 assert scale == 0.0
             else:
                 assert scale > 0.0
-
-
-def test_build_rejects_other_spacings():
-    with pytest.raises(ValueError):
-        build_codebook(ArraySpec(16, spacing_wavelengths=0.25), 2, 16)
 
 
 def test_two_rf_factorization_random_unit_vectors():

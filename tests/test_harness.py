@@ -167,7 +167,7 @@ def genie_states(cascade):
     """Direction-mode states on the true angles, one irs_control call each,
     independent of the engine's closed-form design."""
     spec = cascade.irs_spec
-    return [direction_mode(spec.num_elements, spec.spacing_wavelengths,
+    return [direction_mode(spec.num_elements, 0.5,
                            irs_arrival, irs_departure,
                            amplitude=cascade.consts.reflection_amplitude)
             for _, irs_arrival, irs_departure, _ in cascade.angles]

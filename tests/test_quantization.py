@@ -157,14 +157,16 @@ def test_average_error_matches_adaptive_quadrature(n, k):
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
-def test_average_error_raises_when_rules_disagree_beyond_tolerance(n):
+def test_average_error_raises_when_rules_disagree_beyond_tolerance(n, monkeypatch):
     # on the K = N grids the two rules differ by a few units in the last place
     coarse, fine = gauss_legendre_pair(n, n)
     gap = abs(fine - coarse)
     assert gap > 0.0
-    assert average_error(n, n, abs_tol=2.0 * gap) == pytest.approx(fine, abs=1e-15)
+    monkeypatch.setattr(quantization, "_ABS_TOL", 2.0 * gap)
+    assert average_error(n, n) == pytest.approx(fine, abs=1e-15)
+    monkeypatch.setattr(quantization, "_ABS_TOL", gap / 2.0)
     with pytest.raises(FloatingPointError, match="abs_tol"):
-        average_error(n, n, abs_tol=gap / 2.0)
+        average_error(n, n)
 
 
 def test_average_error_raises_on_non_finite_integrand(monkeypatch):

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import angle_rows, dense_hops, scenario_from_angles
 from irsmimo import training
 from oracle import reference_pass
-from irsmimo.arrays import (ArraySpec, beam_gain, dirichlet, element_phases,
-                            grid_directions, omni, pattern_gain, steering)
+from irsmimo.arrays import (ArraySpec, BeamVector, beam_gain, dirichlet,
+                            element_phases, grid_directions, pattern_gain,
+                            steering)
 from irsmimo.channel import assemble
 from irsmimo.codebook import build_codebook
 from irsmimo.irs_control import direction_mode, return_mode
@@ -38,32 +39,31 @@ def test_measure_power_noiseless_aligned_link():
 
 
 def test_measure_power_noise_only_mean():
-    spec = ArraySpec(4)
+    first = BeamVector(np.eye(4)[0])
     H = np.zeros((4, 4))
     model = MeasurementModel(transmit_power=0.0, noise_power=0.3)
-    value = measure_power(omni(spec), omni(spec), H, model,
+    value = measure_power(first, first, H, model,
                           rng=np.random.default_rng(1), trials=200000)
     assert value == pytest.approx(0.3, rel=0.02)
 
 
 def test_measure_power_seed_reproducibility():
-    spec = ArraySpec(4)
+    first = BeamVector(np.eye(4)[0])
     H = np.eye(4, dtype=complex)
     model = MeasurementModel(transmit_power=1.0, noise_power=0.1)
     rng_a, rng_b = np.random.default_rng(77), np.random.default_rng(77)
-    a = [measure_power(omni(spec), omni(spec), H, model, rng=rng_a)
-         for _ in range(3)]
-    b = [measure_power(omni(spec), omni(spec), H, model, rng=rng_b)
-         for _ in range(3)]
+    a = [measure_power(first, first, H, model, rng=rng_a) for _ in range(3)]
+    b = [measure_power(first, first, H, model, rng=rng_b) for _ in range(3)]
     assert a == b
     assert len(set(a)) == 3  # one generator draws fresh noise on every call
 
 
 def test_measure_power_dimension_mismatch():
     model = MeasurementModel(transmit_power=1.0, noise_power=0.0)
+    first = BeamVector(np.eye(4)[0])
     with pytest.raises(ValueError):
-        measure_power(omni(ArraySpec(4)), omni(ArraySpec(4)),
-                      np.zeros((4, 8)), model, rng=np.random.default_rng(0))
+        measure_power(first, first, np.zeros((4, 8)), model,
+                      rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("branching,num_leaves", [(2, 64), (3, 96)])
@@ -422,7 +422,8 @@ def complex_misalignment(num_elements, num_beams, snr_grid_db, trials, rng):
     """The complex-arithmetic mp loop that misalignment_curve replaced.
 
     Per SNR: (snr, mp, trials whose two strongest powers tie within 1e-12
-    relative), the ties being the only trials whose argmax may flip.
+    relative), the ties being the only trials whose argmax may flip; a
+    one-beam grid has no ties.
     """
     grid = grid_directions(num_elements, num_beams)
     sines = np.sin(rng.uniform(-np.pi / 2.0, 3.0 * np.pi / 2.0, size=trials))
@@ -436,13 +437,14 @@ def complex_misalignment(num_elements, num_beams, snr_grid_db, trials, rng):
         diff = np.abs(sines - grid.sines[np.argmax(powers, axis=1)])
         missed = np.minimum(diff, 2.0 - diff) > 2.0 / num_beams * (1.0 + 1e-12)
         top = np.sort(powers, axis=1)[:, -2:]
-        ties = np.count_nonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
+        ties = (np.count_nonzero(top[:, 1] - top[:, 0] <= 1e-12 * top[:, 1])
+                if num_beams > 1 else 0)
         rows.append((float(snr_db), float(np.mean(missed)), ties))
     return rows
 
 
-@pytest.mark.parametrize("n,k,seed", [(8, 8, 1), (16, 32, 2), (32, 64, 3),
-                                      (32, 96, 4), (64, 128, 5)])
+@pytest.mark.parametrize("n,k,seed", [(1, 1, 6), (8, 8, 1), (16, 32, 2),
+                                      (32, 64, 3), (32, 96, 4), (64, 128, 5)])
 def test_misalignment_curve_matches_complex_arithmetic(n, k, seed):
     snrs = np.arange(-10.0, 22.0, 2.0)
     trials = 1500
@@ -609,8 +611,8 @@ def test_misalignment_curve_matches_the_full_array_loop_property(
     rng, full_rng, complex_rng = (np.random.default_rng(seed) for _ in range(3))
     curve = misalignment_curve(n, k, grid, trials, rng)
     want = full_array_misalignment(n, k, grid, trials, full_rng)
-    ties = ([tied for *_, tied in complex_misalignment(
-        n, k, grid, trials, complex_rng)] if k > 1 else [0] * len(grid))
+    ties = [tied for *_, tied in complex_misalignment(
+        n, k, grid, trials, complex_rng)]
     assert rng.bit_generator.state == full_rng.bit_generator.state
     for (snr, mp), (snr_ref, mp_ref), tied in zip(curve, want, ties,
                                                   strict=True):
