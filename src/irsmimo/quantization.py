@@ -45,8 +45,7 @@ def average_error(num_elements: int, num_beams: int) -> float:
     values = (2 * half * pattern_gain(num_elements, np.cos(half - half * _NODES) - edge)
               + density * pattern_gain(num_elements, _NODES / num_beams))
     if not np.all(np.isfinite(values)):
-        raise FloatingPointError(
-            f"non-finite quadrature integrand (abs_tol={_ABS_TOL})")
+        raise FloatingPointError(f"non-finite quadrature integrand (abs_tol={_ABS_TOL})")
     coarse, fine = 1.0 - np.add.reduceat(values * _WEIGHTS, [0, 24]) / np.pi
     if abs(fine - coarse) > _ABS_TOL:
         raise FloatingPointError(f"24- and 48-node quadrature differ by "
