@@ -103,14 +103,17 @@ def pattern_gain(num_elements: int, sine_offset) -> np.ndarray:
 
     `sine_offset` is sin(probe) - sin(beam direction); the result keeps its
     shape. Where |sin(pi x / 2)| < 1e-7 (x at 0 or at the +-2 endfire seam)
-    the value is the limit 1.
+    the value is the limit 1. Works in place on its own copy of the argument.
     """
-    half = np.asarray(sine_offset, dtype=float) * (np.pi / 2)
-    below = np.sin(half)
+    half = np.multiply(sine_offset, np.pi / 2, out=np.empty(np.shape(sine_offset)))
+    below = np.sin(half, out=np.empty_like(half))   # out= keeps a 0-d result an array
     aligned = np.abs(below) < 1e-7
-    below = np.where(aligned, 1.0, below) * num_elements
-    # np.where keeps a 0-d input 0-d, and [()] makes it a numpy scalar
-    return np.abs(np.where(aligned, 1.0, np.sin(half * num_elements) / below))[()]
+    np.copyto(below, 1.0, where=aligned)
+    below *= num_elements
+    np.sin(np.multiply(half, num_elements, out=half), out=half)
+    half /= below
+    np.copyto(half, 1.0, where=aligned)
+    return np.abs(half, out=half)[()]   # [()] makes a 0-d result a numpy scalar
 
 
 def edge_energy(num_elements: int, num_beams: int) -> float:

@@ -174,6 +174,19 @@ def test_pattern_gain_keeps_shape_and_dtype():
     block = pattern_gain(16, x)
     assert block.shape == (3, 4) and block.dtype == np.float64
     assert pattern_gain(16, x.astype(int)).dtype == np.float64
+    # it computes in place on its own buffers: the argument is never written
+    # and the result shares no memory with it
+    frozen = x.copy()
+    frozen.flags.writeable = False
+    strided = np.linspace(-2.0, 2.0, 24)[::2]
+    listed = [0.0, 0.25, 2.0, -1.0]
+    for offset in (frozen, strided, listed, x):
+        before = np.array(offset, copy=True)
+        gains = pattern_gain(16, offset)
+        assert np.array_equal(np.asarray(offset), before)
+        assert gains.shape == np.shape(offset) and gains.dtype == np.float64
+        assert not np.shares_memory(gains, offset)
+        assert np.array_equal(gains, pattern_gain(16, before))
 
 
 def test_pattern_matches_edge_energy():

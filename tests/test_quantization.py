@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +33,14 @@ def test_worst_error_vanishes_for_huge_grids():
 def test_worst_error_rejects_small_grid():
     with pytest.raises(ValueError):
         worst_error(32, 16)
+
+
+@pytest.mark.parametrize("n,k", [(32, 16), (0, 4)])
+def test_average_error_rejects_what_worst_error_rejects(n, k):
+    with pytest.raises(ValueError) as worst:
+        worst_error(n, k)
+    with pytest.raises(ValueError, match=re.escape(str(worst.value))):
+        average_error(n, k)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])
@@ -170,14 +180,16 @@ def test_average_error_raises_when_rules_disagree_beyond_tolerance(n, monkeypatc
 
 
 def test_average_error_raises_on_non_finite_integrand(monkeypatch):
-    def broken(num_elements, sine_offset):
-        values = pattern_gain(num_elements, sine_offset)
-        values.flat[0] = np.nan
-        return values
+    # one gain call holds the edge cell's u rule first, then the interior x rule
+    for index in (0, -1):
+        def broken(num_elements, sine_offset):
+            values = pattern_gain(num_elements, sine_offset)
+            values.flat[index] = np.nan
+            return values
 
-    monkeypatch.setattr(quantization, "pattern_gain", broken)
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        average_error(16, 32)
+        monkeypatch.setattr(quantization, "pattern_gain", broken)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            average_error(16, 32)
 
 
 @settings(max_examples=37, deadline=None)   # 40 with the three examples
